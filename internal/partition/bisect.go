@@ -12,10 +12,16 @@ type bisection struct {
 	tot   []int64    // per-constraint totals (for violation normalisation)
 }
 
-func newBisection(g *graph.Graph, where []int32, caps0, caps1 []int64) *bisection {
-	b := &bisection{g: g, where: where, caps: [2][]int64{caps0, caps1}}
-	b.side[0] = make([]int64, g.NCon)
-	b.side[1] = make([]int64, g.NCon)
+// newBisection points the arena's bisection at (g, where) and sums the side
+// weights. A 2-way pipeline holds one bisection at a time (trial, level,
+// balance stage), so the struct and its weight vectors live in sc.
+func newBisection(g *graph.Graph, where []int32, caps0, caps1 []int64, sc *scratch) *bisection {
+	b := &sc.bis
+	b.g, b.where, b.caps = g, where, [2][]int64{caps0, caps1}
+	for s := range b.side {
+		b.side[s] = growI64(b.side[s], g.NCon)
+		clear(b.side[s])
+	}
 	n := g.NumVertices()
 	for v := 0; v < n; v++ {
 		s := where[v]
@@ -23,7 +29,7 @@ func newBisection(g *graph.Graph, where []int32, caps0, caps1 []int64) *bisectio
 			b.side[s][c] += int64(g.Weight(int32(v), c))
 		}
 	}
-	b.tot = make([]int64, g.NCon)
+	b.tot = growI64(b.tot, g.NCon)
 	for c := 0; c < g.NCon; c++ {
 		b.tot[c] = b.side[0][c] + b.side[1][c]
 	}
@@ -55,7 +61,6 @@ func (b *bisection) violationOf(c int, s0, s1 int64) float64 {
 // side.
 func (b *bisection) violationAfterMove(v int32) float64 {
 	s := b.where[v]
-	t := 1 - s
 	var total float64
 	w := b.g.WeightVec(v)
 	for c := 0; c < b.g.NCon; c++ {
@@ -70,7 +75,6 @@ func (b *bisection) violationAfterMove(v int32) float64 {
 		}
 		total += b.violationOf(c, s0, s1)
 	}
-	_ = t
 	return total
 }
 
@@ -86,30 +90,18 @@ func (b *bisection) move(v int32) {
 	b.where[v] = t
 }
 
-// cut returns the current edge cut of the bisection.
-func (b *bisection) cut() int64 {
-	return ComputeEdgeCut(b.g, b.where)
-}
-
-// growBisection produces an initial 0/1 assignment of g targeting fraction
-// frac of every constraint on side 0, by greedy graph growing from a
-// pseudo-peripheral seed. All vertices start on side 1 and side 0 is grown
-// until every constraint reaches its target (or growth is exhausted). The
-// returned assignment is freshly allocated (it outlives the call as a trial
-// result); all other working state comes from the scratch arena, so the
-// InitTrials loop allocates only its candidate assignments.
-func growBisection(g *graph.Graph, frac float64, caps0, caps1 []int64, rng randSource, sc *scratch) []int32 {
+// growBisection grows side 0 of b — which must arrive with every vertex on
+// side 1 — from the given seed vertex by greedy graph growing, targeting
+// fraction frac of every constraint, until every constraint reaches its
+// target (or growth is exhausted). It draws no randomness and every working
+// array is (re)initialised from the scratch arena, so the assignment is a
+// pure function of (graph, caps, frac, seed): that purity is what lets the
+// trial loop skip a seed vertex it has already tried.
+func growBisection(b *bisection, frac float64, seed int32, sc *scratch) {
+	g := b.g
 	n := g.NumVertices()
-	where := make([]int32, n)
-	for i := range where {
-		where[i] = 1
-	}
-	if n == 0 {
-		return where
-	}
-	b := newBisection(g, where, caps0, caps1)
-
-	target := make([]int64, g.NCon)
+	target := growI64(sc.growTarget, g.NCon)
+	sc.growTarget = target
 	for c := range target {
 		target[c] = int64(float64(b.tot[c]) * frac)
 	}
@@ -144,7 +136,6 @@ func growBisection(g *graph.Graph, frac float64, caps0, caps1 []int64, rng randS
 		return false
 	}
 
-	seed := pseudoPeripheral(g, int32(rng.Intn(n)))
 	// gain[v]: edges into side 0 minus edges to side 1, so tightly-connected
 	// vertices are preferred (keeps the region compact → low cut).
 	gain := growI32(sc.growGain, n)
@@ -219,35 +210,33 @@ func growBisection(g *graph.Graph, frac float64, caps0, caps1 []int64, rng randS
 		}
 		take(v)
 	}
-	return b.where
 }
 
 // pseudoPeripheral returns a vertex roughly farthest from start via two BFS
 // sweeps.
-func pseudoPeripheral(g *graph.Graph, start int32) int32 {
-	far := bfsFarthest(g, start)
-	return bfsFarthest(g, far)
+func pseudoPeripheral(g *graph.Graph, start int32, sc *scratch) int32 {
+	return bfsFarthest(g, bfsFarthest(g, start, sc), sc)
 }
 
-func bfsFarthest(g *graph.Graph, start int32) int32 {
+// bfsFarthest returns the last vertex a BFS from start reaches. The queue is
+// walked by index, so it holds every reached vertex once and never regrows
+// past n.
+func bfsFarthest(g *graph.Graph, start int32, sc *scratch) int32 {
 	n := g.NumVertices()
-	seen := make([]bool, n)
-	queue := make([]int32, 0, 256)
-	queue = append(queue, start)
+	seen := growBool(sc.bfsSeen, n)
+	sc.bfsSeen = seen
+	queue := append(growI32(sc.bfsQueue, n)[:0], start)
+	sc.bfsQueue = queue
 	seen[start] = true
-	last := start
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		last = v
-		for _, u := range g.Neighbors(v) {
+	for head := 0; head < len(queue); head++ {
+		for _, u := range g.Neighbors(queue[head]) {
 			if !seen[u] {
 				seen[u] = true
 				queue = append(queue, u)
 			}
 		}
 	}
-	return last
+	return queue[len(queue)-1]
 }
 
 // vertexHeap is a max-heap of (key, vertex) with lazy deletion: entries may

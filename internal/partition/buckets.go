@@ -46,9 +46,7 @@ func (b *gainBuckets) reset(n int, maxKey int32) {
 		b.heads[i] = -1
 	}
 	if cap(b.bucket) < n {
-		b.bucket = make([]int32, n)
-		b.next = make([]int32, n)
-		b.prev = make([]int32, n)
+		b.realloc(n)
 	}
 	b.bucket = b.bucket[:n]
 	b.next = b.next[:n]
@@ -61,13 +59,32 @@ func (b *gainBuckets) reset(n int, maxKey int32) {
 	b.count = 0
 }
 
+// realloc moves the three per-vertex arrays into one block with room for c
+// vertices each, keeping their lengths and contents.
+func (b *gainBuckets) realloc(c int) {
+	n := len(b.bucket)
+	blk := make([]int32, 3*c)
+	bucket, next, prev := blk[:n:c], blk[c:c+n:2*c], blk[2*c:2*c+n]
+	copy(bucket, b.bucket)
+	copy(next, b.next)
+	copy(prev, b.prev)
+	b.bucket, b.next, b.prev = bucket, next, prev
+}
+
 // grow extends the per-vertex linkage to n vertices without disturbing the
-// queued entries — used when a working set gains vertices lazily.
+// queued entries — used when a working set gains vertices lazily, one at a
+// time, so capacity doubles when it runs out.
 func (b *gainBuckets) grow(n int) {
-	for len(b.bucket) < n {
-		b.bucket = append(b.bucket, -1)
-		b.next = append(b.next, -1)
-		b.prev = append(b.prev, -1)
+	old := len(b.bucket)
+	if n <= old {
+		return
+	}
+	if c := cap(b.bucket); n > c {
+		b.realloc(max(n, 2*c))
+	}
+	b.bucket, b.next, b.prev = b.bucket[:n], b.next[:n], b.prev[:n]
+	for i := old; i < n; i++ {
+		b.bucket[i], b.next[i], b.prev[i] = -1, -1, -1
 	}
 }
 

@@ -46,8 +46,39 @@ func TestPartitionUnchangedByTracing(t *testing.T) {
 				t.Errorf("parallelism %d: no %s spans recorded", par, phase)
 			}
 		}
+		// Work counters: every configured initial trial is accounted for as
+		// run or skipped (a seed vertex already tried), and 2-way refine
+		// spans say how many sweeps they paid and passes they skipped.
+		for _, sp := range spans {
+			switch sp.Name {
+			case "partition/initial":
+				run, okRun := intAttr(sp, "trials_run")
+				skipped, okSkip := intAttr(sp, "trials_skipped")
+				if want := int64(o.withDefaults(g.NCon).InitTrials); !okRun || !okSkip || run < 1 || run+skipped != want {
+					t.Errorf("parallelism %d: initial span ran %d + skipped %d trials, want %d in all", par, run, skipped, want)
+				}
+			case "partition/refine":
+				if _, polish := intAttr(sp, "moves"); polish {
+					continue // the k-way polish, not a 2-way refinement
+				}
+				sweeps, okSweeps := intAttr(sp, "sweeps")
+				skipped, okSkip := intAttr(sp, "passes_skipped")
+				if !okSweeps || !okSkip || sweeps+skipped != 1 {
+					t.Errorf("parallelism %d: refine span has sweeps %d, passes_skipped %d", par, sweeps, skipped)
+				}
+			}
+		}
 		if rec.Counters()["partition.trials"] != 2 {
 			t.Errorf("trials counter = %d, want 2", rec.Counters()["partition.trials"])
 		}
 	}
+}
+
+func intAttr(sp obs.SpanRecord, key string) (int64, bool) {
+	for _, a := range sp.Attrs {
+		if a.Key == key && a.Kind == obs.AttrInt {
+			return a.Int, true
+		}
+	}
+	return 0, false
 }

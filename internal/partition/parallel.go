@@ -33,25 +33,37 @@ type scratch struct {
 	match []int32 // heavy-edge matching state
 	pref  []int32 // precomputed heaviest-neighbour candidates
 
-	// FM refinement state (refineBisection / fmPass).
-	gain    []int32
-	bound   []bool
-	locked  []bool
-	moves   []int32
-	heaps   [2]vertexHeap  // small-n fallback path
-	buckets [2]gainBuckets // bucket-list gain structures (fmPassBuckets)
+	bis bisection // the one live bisection (newBisection)
+
+	// FM refinement state (refineBisection).
+	fm       fmState
+	locked   []bool
+	moves    []int32
+	moveGain []int32       // gain of moves[i] at the moment it moved
+	heaps    [2]vertexHeap // small-n fallback path
+	buckets  [2]gainBuckets
+	balCands []balCand // forceBalance candidates
+
+	// Initial-bisection trial state (initialBisection): seed vertices already
+	// tried at this node, the candidate and best assignments, BFS buffers.
+	triedSeed  []bool
+	trialWhere []int32
+	bestWhere  []int32
+	bfsSeen    []bool
+	bfsQueue   []int32
 
 	// Greedy-graph-growing state (growBisection).
 	growGain     []int32
 	growFrontier []bool
 	growHeap     vertexHeap
 	growParked   []int32
+	growTarget   []int64
 }
 
 // class files the arena by its largest node-sized buffer.
 func (s *scratch) class() int {
 	m := cap(s.match)
-	for _, c := range [5]int{cap(s.pref), cap(s.gain), cap(s.split), cap(s.growGain), cap(s.moves)} {
+	for _, c := range [5]int{cap(s.pref), cap(s.fm.gain), cap(s.split), cap(s.growGain), cap(s.moves)} {
 		if c > m {
 			m = c
 		}

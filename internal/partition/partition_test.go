@@ -8,6 +8,7 @@ import (
 
 	"tempart/internal/graph"
 	"tempart/internal/mesh"
+	"tempart/internal/obs"
 	"tempart/internal/temporal"
 )
 
@@ -327,7 +328,7 @@ func TestCoarsenHierarchyConservesWeight(t *testing.T) {
 }
 
 func TestFMPassNeverWorsens(t *testing.T) {
-	// Property: one fmPass never worsens (violation, cut) lexicographically.
+	// Property: one FM pass never worsens (violation, cut) lexicographically.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.Grid(8+rng.Intn(8), 8+rng.Intn(8))
@@ -337,10 +338,11 @@ func TestFMPassNeverWorsens(t *testing.T) {
 			where[i] = int32(rng.Intn(2))
 		}
 		caps0, caps1 := sideCaps(g, 0.5, 1.05)
-		b := newBisection(g, append([]int32(nil), where...), caps0, caps1)
-		v0, c0 := b.violation(), b.cut()
-		fmPass(b, new(scratch))
-		v1, c1 := b.violation(), b.cut()
+		sc := new(scratch)
+		b := newBisection(g, append([]int32(nil), where...), caps0, caps1, sc)
+		v0, c0 := b.violation(), ComputeEdgeCut(g, b.where)
+		refineBisection(b, 1, sc, obs.Span{})
+		v1, c1 := b.violation(), ComputeEdgeCut(g, b.where)
 		return betterState(v1, c1-c0, v0, 0) || (v1 == v0 && c1 == c0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

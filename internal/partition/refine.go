@@ -8,58 +8,29 @@ import (
 	"tempart/internal/obs"
 )
 
-// refineBisection improves an existing bisection in place with multi-
-// constraint Fiduccia–Mattheyses passes: boundary vertices are moved in
-// best-gain order under the rule that a move may never increase the balance
-// violation; each pass keeps the best (violation, cut) prefix. Refinement
-// stops when a pass yields no improvement or after maxPasses.
-//
-// Each pass records a child span of parent with the post-pass violation.
-// Pass the zero Span to refine silently; tracing stays cheap enough to leave
-// on (no O(E) cut evaluation per pass).
-func refineBisection(b *bisection, maxPasses int, sc *scratch, parent obs.Span) {
-	for pass := 0; pass < maxPasses; pass++ {
-		ps := parent.Start("partition/refine/fm_pass")
-		improved := fmPass(b, sc)
-		if ps.Active() {
-			ps.SetInt("pass", int64(pass))
-			ps.SetFloat("violation", b.violation())
-			if improved {
-				ps.SetInt("improved", 1)
-			} else {
-				ps.SetInt("improved", 0)
-			}
-		}
-		ps.End()
-		if !improved {
-			return
-		}
-	}
+// fmState is the gain state one refineBisection call keeps alive across its
+// passes. gain[v] is the exact FM gain of v (external minus internal weighted
+// degree) under the bisection's current assignment; wdeg[v] is v's weighted
+// degree, which no move changes, so the external degree is (gain+wdeg)/2 and
+// v is a boundary vertex iff gain[v]+wdeg[v] > 0. One O(n+m) sweep fills the
+// state; passes keep it current through every move and restore it on
+// rollback by exact integer neighbour updates, so it always equals what a
+// fresh sweep would compute.
+type fmState struct {
+	gain []int32
+	wdeg []int32
+	maxw int32 // maximum weighted degree: bounds every gain, sizes the buckets
+	cut  int64 // edge cut of the current assignment
 }
 
-// fmBucketMinVertices gates the bucket-based pass: below it the lazy-deletion
-// heap's lower constant factors win and the heap stays (the small-n
-// fallback); above it the O(1) bucket updates dominate.
-const fmBucketMinVertices = 96
-
-// fmPass runs one FM pass and reports whether it improved (violation, cut).
-// All O(n) working state comes from the scratch arena, so repeated passes
-// (and repeated levels within one bisection) allocate nothing. Large graphs
-// take the bucket-list gain structure; small graphs (and graphs whose gain
-// range dwarfs the vertex count, where a bucket array would be mostly empty)
-// fall back to the original lazy-deletion heaps. Both gates are pure
-// functions of the graph, so the choice never depends on scheduling.
-func fmPass(b *bisection, sc *scratch) bool {
+// sweep computes the state of b from scratch.
+func (st *fmState) sweep(b *bisection) {
 	g := b.g
 	n := g.NumVertices()
-
-	// Gains: ed - id per vertex; maxw tracks the maximum weighted degree,
-	// which bounds every gain and sizes the bucket array.
-	gain := growI32(sc.gain, n)
-	sc.gain = gain
-	boundary := growBool(sc.bound, n)
-	sc.bound = boundary
-	var maxw int32
+	st.gain = growI32(st.gain, n)
+	st.wdeg = growI32(st.wdeg, n)
+	st.maxw = 0
+	var cut2 int64 // every cut edge is seen from both ends
 	for v := 0; v < n; v++ {
 		pv := b.where[v]
 		var ed, id int32
@@ -70,34 +41,111 @@ func fmPass(b *bisection, sc *scratch) bool {
 				id += g.AdjWgt[i]
 			}
 		}
-		gain[v] = ed - id
-		boundary[v] = ed > 0
-		if wd := ed + id; wd > maxw {
-			maxw = wd
+		st.gain[v] = ed - id
+		st.wdeg[v] = ed + id
+		if ed+id > st.maxw {
+			st.maxw = ed + id
 		}
+		cut2 += int64(ed)
 	}
-	if n >= fmBucketMinVertices && 2*int(maxw)+1 <= 8*n {
-		return fmPassBuckets(b, sc, gain, boundary, maxw)
-	}
-	return fmPassHeap(b, sc, gain, boundary)
+	st.cut = cut2 / 2
 }
 
-// fmPassBuckets is the bucket-list FM pass: O(1) candidate updates, no stale
-// entries, no per-move closure allocations.
-func fmPassBuckets(b *bisection, sc *scratch, gain []int32, boundary []bool, maxw int32) bool {
-	g := b.g
+// refineBisection improves an existing bisection in place with multi-
+// constraint Fiduccia–Mattheyses passes: boundary vertices are moved in
+// best-gain order under the rule that a move may never increase the balance
+// violation; each pass keeps the best (violation, cut) prefix. Refinement
+// stops when a pass yields no improvement or after maxPasses. It returns the
+// refined edge cut and whether it stopped on a non-improving pass: such a
+// pass is rolled back in full and is a pure function of the state it started
+// from, so another pass over the unchanged bisection would do nothing.
+//
+// Each pass records a child span of parent with the post-pass violation.
+// Pass the zero Span to refine silently; tracing stays cheap enough to leave
+// on (no O(E) cut evaluation per pass).
+func refineBisection(b *bisection, maxPasses int, sc *scratch, parent obs.Span) (cut int64, idle bool) {
+	st := &sc.fm
+	st.sweep(b)
+	for i := 0; i < maxPasses && !idle; i++ {
+		ps := parent.Start("partition/refine/fm_pass")
+		idle = !st.pass(b, sc)
+		if ps.Active() {
+			ps.SetInt("pass", int64(i))
+			ps.SetFloat("violation", b.violation())
+			if idle {
+				ps.SetInt("improved", 0)
+			} else {
+				ps.SetInt("improved", 1)
+			}
+		}
+		ps.End()
+	}
+	return st.cut, idle
+}
+
+// pass runs one FM pass over the swept state and reports whether it improved
+// (violation, cut). Large graphs take the bucket-list gain structure; small
+// graphs (and graphs whose gain range dwarfs the vertex count, where a bucket
+// array would be mostly empty) fall back to the lazy-deletion heaps. Both
+// gates are pure functions of the graph, so the choice never depends on
+// scheduling.
+func (st *fmState) pass(b *bisection, sc *scratch) bool {
+	if n := b.g.NumVertices(); n >= fmBucketMinVertices && 2*int(st.maxw)+1 <= 8*n {
+		return st.passBuckets(b, sc)
+	}
+	return st.passHeap(b, sc)
+}
+
+// fmBucketMinVertices gates the bucket-based pass: below it the lazy-deletion
+// heap's lower constant factors win and the heap stays (the small-n
+// fallback); above it the O(1) bucket updates dominate.
+const fmBucketMinVertices = 96
+
+// endPass closes a pass whose applied moves sit in sc.moves with the gain
+// each had when it moved in sc.moveGain. A moved vertex's own entry is left
+// alone while the pass runs — it keeps collecting neighbour updates from the
+// value it moved with, which is also what the heap's compaction reads — so
+// its true gain is that entry minus twice the recorded gain. With every
+// entry settled, the moves past the best prefix are undone by the same exact
+// neighbour updates that applied them, and the cut follows the kept prefix.
+func (st *fmState) endPass(b *bisection, sc *scratch, bestIdx int, bestCutDelta int64) {
+	g, gain := b.g, st.gain
+	for i, v := range sc.moves {
+		gain[v] -= 2 * sc.moveGain[i]
+	}
+	for i := len(sc.moves) - 1; i > bestIdx; i-- {
+		v := sc.moves[i]
+		s := b.where[v]
+		b.move(v)
+		gain[v] = -gain[v]
+		for j := g.Xadj[v]; j < g.Xadj[v+1]; j++ {
+			if u := g.Adjncy[j]; b.where[u] == s {
+				gain[u] += 2 * g.AdjWgt[j]
+			} else {
+				gain[u] -= 2 * g.AdjWgt[j]
+			}
+		}
+	}
+	st.cut += bestCutDelta
+}
+
+// passBuckets is the bucket-list FM pass: O(1) candidate updates, no stale
+// entries, no per-move closure allocations. All O(n) working state comes from
+// the scratch arena, so repeated passes allocate nothing.
+func (st *fmState) passBuckets(b *bisection, sc *scratch) bool {
+	g, gain := b.g, st.gain
 	n := g.NumVertices()
 
 	bk := [2]*gainBuckets{&sc.buckets[0], &sc.buckets[1]}
-	bk[0].reset(n, maxw)
-	bk[1].reset(n, maxw)
+	bk[0].reset(n, st.maxw)
+	bk[1].reset(n, st.maxw)
 	locked := growBool(sc.locked, n)
 	sc.locked = locked
 	// Reverse insertion order: buckets are LIFO, so equal-gain candidates
 	// pop in ascending vertex id — spatially coherent on banded meshes,
 	// which measurably beats descending order on multi-constraint cuts.
 	for v := n - 1; v >= 0; v-- {
-		if boundary[v] {
+		if gain[v]+st.wdeg[v] > 0 {
 			bk[b.where[v]].insert(int32(v), gain[v])
 		}
 	}
@@ -106,7 +154,7 @@ func fmPassBuckets(b *bisection, sc *scratch, gain []int32, boundary []bool, max
 	curViol := startViol
 	var curCutDelta int64
 
-	moves := sc.moves[:0]
+	moves, moveGain := sc.moves[:0], sc.moveGain[:0]
 	bestIdx := -1
 	bestViol, bestCutDelta := startViol, int64(0)
 
@@ -124,7 +172,7 @@ func fmPassBuckets(b *bisection, sc *scratch, gain []int32, boundary []bool, max
 		s := b.where[v]
 		b.move(v)
 		curViol = newViol
-		moves = append(moves, v)
+		moves, moveGain = append(moves, v), append(moveGain, gain[v])
 
 		// Update neighbour gains: O(1) bucket moves instead of heap pushes.
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
@@ -149,10 +197,8 @@ func fmPassBuckets(b *bisection, sc *scratch, gain []int32, boundary []bool, max
 		}
 	}
 
-	for i := len(moves) - 1; i > bestIdx; i-- {
-		b.move(moves[i])
-	}
-	sc.moves = moves
+	sc.moves, sc.moveGain = moves, moveGain
+	st.endPass(b, sc, bestIdx, bestCutDelta)
 	return betterState(bestViol, bestCutDelta, startViol, 0)
 }
 
@@ -198,10 +244,10 @@ func pickMoveBuckets(b *bisection, bk [2]*gainBuckets, gain []int32, curViol flo
 	return -1, false
 }
 
-// fmPassHeap is the original lazy-deletion-heap FM pass, retained as the
-// small-n fallback (see fmPass).
-func fmPassHeap(b *bisection, sc *scratch, gain []int32, boundary []bool) bool {
-	g := b.g
+// passHeap is the original lazy-deletion-heap FM pass, retained as the
+// small-n fallback (see pass).
+func (st *fmState) passHeap(b *bisection, sc *scratch) bool {
+	g, gain := b.g, st.gain
 	n := g.NumVertices()
 
 	// One heap per move direction (from side s).
@@ -213,7 +259,7 @@ func fmPassHeap(b *bisection, sc *scratch, gain []int32, boundary []bool) bool {
 	locked := growBool(sc.locked, n)
 	sc.locked = locked
 	for v := 0; v < n; v++ {
-		if boundary[v] {
+		if gain[v]+st.wdeg[v] > 0 {
 			heaps[b.where[v]].push(gain[v], int32(v))
 		}
 	}
@@ -222,7 +268,7 @@ func fmPassHeap(b *bisection, sc *scratch, gain []int32, boundary []bool) bool {
 	curViol := startViol
 	var curCutDelta int64 // cut change relative to pass start (negative = better)
 
-	moves := sc.moves[:0]
+	moves, moveGain := sc.moves[:0], sc.moveGain[:0]
 	bestIdx := -1 // moves[:bestIdx+1] is the best prefix
 	bestViol, bestCutDelta := startViol, int64(0)
 
@@ -230,13 +276,14 @@ func fmPassHeap(b *bisection, sc *scratch, gain []int32, boundary []bool) bool {
 	maxStall := 64 + n/16
 	stall := 0
 
-	validFrom := func(s int32) func(int32) bool {
-		return func(v int32) bool { return !locked[v] && b.where[v] == s }
+	valid := [2]func(int32) bool{
+		func(v int32) bool { return !locked[v] && b.where[v] == 0 },
+		func(v int32) bool { return !locked[v] && b.where[v] == 1 },
 	}
 
 	for heaps[0].len()+heaps[1].len() > 0 && stall < maxStall {
 		// Choose the best admissible move from either direction.
-		v, ok := pickMove(b, heaps, gain, curViol, validFrom)
+		v, ok := pickMove(b, heaps, gain, curViol, valid)
 		if !ok {
 			break
 		}
@@ -246,7 +293,7 @@ func fmPassHeap(b *bisection, sc *scratch, gain []int32, boundary []bool) bool {
 		s := b.where[v]
 		b.move(v)
 		curViol = newViol
-		moves = append(moves, v)
+		moves, moveGain = append(moves, v), append(moveGain, gain[v])
 
 		// Update neighbour gains.
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
@@ -271,11 +318,8 @@ func fmPassHeap(b *bisection, sc *scratch, gain []int32, boundary []bool) bool {
 		}
 	}
 
-	// Roll back to the best prefix.
-	for i := len(moves) - 1; i > bestIdx; i-- {
-		b.move(moves[i])
-	}
-	sc.moves = moves
+	sc.moves, sc.moveGain = moves, moveGain
+	st.endPass(b, sc, bestIdx, bestCutDelta)
 	return betterState(bestViol, bestCutDelta, startViol, 0)
 }
 
@@ -296,7 +340,7 @@ func betterState(v1 float64, c1 int64, v2 float64, c2 int64) bool {
 // not increase the violation. When the current state is balanced, moves must
 // keep it balanced; when violated, only violation-reducing or -neutral moves
 // are allowed, preferring reducers.
-func pickMove(b *bisection, heaps [2]*vertexHeap, gain []int32, curViol float64, validFrom func(int32) func(int32) bool) (int32, bool) {
+func pickMove(b *bisection, heaps [2]*vertexHeap, gain []int32, curViol float64, valid [2]func(int32) bool) (int32, bool) {
 	const eps = 1e-12
 	// Peek the best candidate of each direction (with lazy cleanup), then
 	// evaluate admissibility; a small bounded probe avoids getting stuck on
@@ -306,7 +350,7 @@ func pickMove(b *bisection, heaps [2]*vertexHeap, gain []int32, curViol float64,
 		var bestGain int32
 		var bestViol float64
 		for s := int32(0); s < 2; s++ {
-			v, ok := heaps[s].popValid(validFrom(s), gain)
+			v, ok := heaps[s].popValid(valid[s], gain)
 			if !ok {
 				continue
 			}
@@ -336,12 +380,16 @@ func pickMove(b *bisection, heaps [2]*vertexHeap, gain []int32, curViol float64,
 	return -1, false
 }
 
+// balCand is a forceBalance candidate: a movable vertex and its cut gain.
+type balCand struct{ v, gain int32 }
+
 // forceBalance repairs residual violation after refinement: for every
 // overweight (side, constraint) pair it collects the movable vertices sorted
 // by cut gain and transfers the best ones across until the cap is met, as
 // long as each transfer does not increase the overall violation. One sweep
-// over the constraints; O(n·ncon + moved·log n).
-func forceBalance(b *bisection) {
+// over the constraints; O(n·ncon + moved·log n). It returns the number of
+// vertices moved.
+func forceBalance(b *bisection, sc *scratch) (moved int) {
 	const eps = 1e-12
 	g := b.g
 	n := g.NumVertices()
@@ -351,11 +399,7 @@ func forceBalance(b *bisection) {
 				continue
 			}
 			// Candidates: vertices on side s carrying constraint c.
-			type cand struct {
-				v    int32
-				gain int32
-			}
-			var cands []cand
+			cands := sc.balCands[:0]
 			for v := int32(0); v < int32(n); v++ {
 				if b.where[v] != s || g.Weight(v, c) <= 0 {
 					continue
@@ -368,8 +412,9 @@ func forceBalance(b *bisection) {
 						id += g.AdjWgt[i]
 					}
 				}
-				cands = append(cands, cand{v, ed - id})
+				cands = append(cands, balCand{v, ed - id})
 			}
+			sc.balCands = cands
 			sort.Slice(cands, func(i, j int) bool { return cands[i].gain > cands[j].gain })
 			cur := b.violation()
 			for _, cd := range cands {
@@ -380,16 +425,78 @@ func forceBalance(b *bisection) {
 				if nv < cur-eps {
 					b.move(cd.v)
 					cur = nv
+					moved++
 				}
 			}
 		}
 	}
+	return moved
+}
+
+// initTrial runs one initial-bisection trial on g from the given seed
+// vertex: grow side 0 from it into where, then refine. The outcome is a pure
+// function of (g, caps, frac, seed, passes) — growing is seeded by the vertex
+// alone and FM draws no randomness.
+func initTrial(g *graph.Graph, where []int32, seed int32, frac float64, caps0, caps1 []int64, passes int, sc *scratch, span obs.Span) (viol float64, cut int64, idle bool) {
+	for i := range where {
+		where[i] = 1
+	}
+	b := newBisection(g, where, caps0, caps1, sc)
+	growBisection(b, frac, seed, sc)
+	cut, idle = refineBisection(b, passes, sc, span)
+	return b.violation(), cut, idle
+}
+
+// initialBisection picks the best of opt.InitTrials grow-then-refine trials
+// on the coarsest graph g. Every trial draws its start vertex from rng, so
+// the stream is the same whatever happens next, but a trial whose
+// pseudo-peripheral seed vertex this node has already tried is skipped: it
+// would reproduce the earlier trial exactly (see initTrial) and a tie never
+// replaces the incumbent. The returned assignment lives in sc; idle reports
+// whether the winning trial's refinement stopped on a non-improving pass.
+func initialBisection(ctx context.Context, g *graph.Graph, frac float64, caps0, caps1 []int64, opt Options, rng randSource, sc *scratch) (best []int32, idle bool) {
+	span := obs.StartSpan(ctx, "partition/initial")
+	n := g.NumVertices()
+	tried := growBool(sc.triedSeed, n)
+	sc.triedSeed = tried
+	cand := growI32(sc.trialWhere, n)
+	best = growI32(sc.bestWhere, n)
+	bestViol, bestCut := 0.0, int64(0)
+	run, skipped := 0, 0
+	for trial := 0; trial < opt.InitTrials && ctx.Err() == nil; trial++ {
+		seed := pseudoPeripheral(g, int32(rng.Intn(n)), sc)
+		if tried[seed] {
+			skipped++
+			continue
+		}
+		tried[seed] = true
+		run++
+		viol, cut, trialIdle := initTrial(g, cand, seed, frac, caps0, caps1, opt.RefinePasses, sc, span)
+		if run == 1 || betterState(viol, cut, bestViol, bestCut) {
+			cand, best = best, cand
+			bestViol, bestCut, idle = viol, cut, trialIdle
+		}
+	}
+	if run == 0 { // cancelled before the first trial
+		clear(best)
+	}
+	sc.trialWhere, sc.bestWhere = cand, best
+	if span.Active() {
+		span.SetInt("vertices", int64(n))
+		span.SetInt("trials_run", int64(run))
+		span.SetInt("trials_skipped", int64(skipped))
+		span.SetInt("cut", bestCut)
+		span.SetFloat("violation", bestViol)
+	}
+	span.End()
+	return best, idle
 }
 
 // bisectGraph runs the full multilevel 2-way pipeline on g: coarsen, grow an
 // initial bisection on the coarsest graph (several trials, best kept), then
 // uncoarsen with FM refinement at every level. frac is the share of every
-// constraint that side 0 should receive. Returns the side of each vertex.
+// constraint that side 0 should receive. Returns the side of each vertex;
+// the slice may belong to sc and is valid until the arena's next use.
 // When ctx is cancelled, remaining trials and refinement passes are skipped
 // (projection still runs so the assignment stays full length); the top-level
 // construction reports the cancellation.
@@ -397,39 +504,14 @@ func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options,
 	caps0, caps1 := sideCaps(g, frac, opt.ImbalanceTol)
 	h := coarsen(ctx, g, opt.CoarsenTo, rng, pool, sc, hierConfigFor(opt))
 	defer h.close()
-	coarsest := h.coarsest()
 
-	// Initial bisection trials on the coarsest graph.
-	ispan := obs.StartSpan(ctx, "partition/initial")
-	var bestWhere []int32
-	bestViol, bestCut := 0.0, int64(0)
-	for trial := 0; trial < opt.InitTrials; trial++ {
-		if ctx.Err() != nil {
-			break
-		}
-		where := growBisection(coarsest, frac, caps0, caps1, rng, sc)
-		b := newBisection(coarsest, where, caps0, caps1)
-		refineBisection(b, opt.RefinePasses, sc, ispan)
-		viol, cut := b.violation(), b.cut()
-		if bestWhere == nil || betterState(viol, cut, bestViol, bestCut) {
-			bestWhere, bestViol, bestCut = where, viol, cut
-		}
-	}
-	if bestWhere == nil {
-		bestWhere = make([]int32, coarsest.NumVertices())
-	}
-	if ispan.Active() {
-		ispan.SetInt("vertices", int64(coarsest.NumVertices()))
-		ispan.SetInt("trials", int64(opt.InitTrials))
-		ispan.SetInt("cut", bestCut)
-		ispan.SetFloat("violation", bestViol)
-	}
-	ispan.End()
+	// idle tracks whether the last refinement of the finest graph stopped on
+	// a non-improving pass; without coarsening the winning trial was it.
+	where, idle := initialBisection(ctx, h.coarsest(), frac, caps0, caps1, opt, rng, sc)
 
 	// Uncoarsen and refine. Spilled interior rungs are reloaded one at a
 	// time (h.graph) and released once their refinement pass is done, so
 	// the resident graph state stays O(finest + coarsest + one rung).
-	where := bestWhere
 	for li := h.levels() - 1; li >= 1; li-- {
 		rspan := obs.StartSpan(ctx, "partition/refine")
 		where = projectAssignment(h.cmap(li), where)
@@ -444,30 +526,40 @@ func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options,
 			continue
 		}
 		fg := h.graph(li - 1)
-		b := newBisection(fg, where, caps0, caps1)
+		b := newBisection(fg, where, caps0, caps1, sc)
 		if rspan.Active() {
 			rspan.SetInt("level", int64(li-1))
 			rspan.SetInt("vertices", int64(fg.NumVertices()))
+			rspan.SetInt("sweeps", 1)
+			rspan.SetInt("passes_skipped", 0)
 		}
-		refineBisection(b, opt.RefinePasses, sc, rspan)
+		_, idle = refineBisection(b, opt.RefinePasses, sc, rspan)
 		rspan.End()
-		where = b.where
 		h.release(li - 1)
 	}
 	if ctx.Err() != nil {
 		return where
 	}
-	// Final balance repair on the finest graph.
+	// Final balance repair on the finest graph. When the repair moves
+	// nothing and the finest graph's refinement already stopped on a
+	// non-improving pass, the bisection is exactly the state that pass
+	// started from and rolled back to, so refining again would repeat it.
 	fspan := obs.StartSpan(ctx, "partition/refine")
+	fb := newBisection(g, where, caps0, caps1, sc)
+	var skipped int64
+	if forceBalance(fb, sc) == 0 && idle {
+		skipped = 1
+	} else {
+		refineBisection(fb, 2, sc, fspan)
+	}
 	if fspan.Active() {
 		fspan.SetStr("stage", "balance")
 		fspan.SetInt("vertices", int64(g.NumVertices()))
+		fspan.SetInt("sweeps", 1-skipped)
+		fspan.SetInt("passes_skipped", skipped)
 	}
-	fb := newBisection(g, where, caps0, caps1)
-	forceBalance(fb)
-	refineBisection(fb, 2, sc, fspan)
 	fspan.End()
-	return fb.where
+	return where
 }
 
 // sideCaps computes the per-constraint caps of both sides for a split with
