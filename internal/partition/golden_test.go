@@ -60,7 +60,29 @@ func goldenRows() []goldenRow {
 	}
 	return append(rows,
 		goldenRow{Mesh: "CUBE", Scale: 0.05, K: 16, Strategy: "MC_TL", Method: "kway", Seed: 1},
-		goldenRow{Mesh: "PPRIME_NOZZLE", Scale: 0.0005, K: 12, Strategy: "MC_TL", Method: "rb", Reorder: true, Seed: 1})
+		goldenRow{Mesh: "PPRIME_NOZZLE", Scale: 0.0005, K: 12, Strategy: "MC_TL", Method: "rb", Reorder: true, Seed: 1},
+		goldenRow{Mesh: "CYLINDER", Scale: 0.003, K: 128, Strategy: "MC_TL", Method: methodRefineBiased, Seed: 1})
+}
+
+// methodRefineBiased marks the row that pins RefineKWay itself rather than a
+// construction: a striped assignment refined under a migration bias toward
+// the stripes, the call shape internal/repart makes.
+const methodRefineBiased = "refine_biased"
+
+func refineBiasedDigest(t *testing.T, g *graph.Graph, r goldenRow, par int) string {
+	n := g.NumVertices()
+	part := stripedAssignment(n, r.K)
+	origin := append([]int32(nil), part...)
+	pen := make([]int64, n)
+	for i := range pen {
+		pen[i] = int64(i%3) + 1
+	}
+	err := RefineKWay(context.Background(), g, part, r.K, RefineOptions{
+		Seed: r.Seed, Parallelism: par, Origin: origin, MovePenalty: pen})
+	if err != nil {
+		t.Fatalf("%v: %v", r, err)
+	}
+	return partDigest(part)
 }
 
 func partDigest(part []int32) string {
@@ -98,6 +120,9 @@ func TestGoldenPartitions(t *testing.T) {
 		return g
 	}
 	digest := func(r goldenRow, par int) string {
+		if r.Method == methodRefineBiased {
+			return refineBiasedDigest(t, graphOf(r), r, par)
+		}
 		opt := Options{Seed: r.Seed, Reorder: r.Reorder, Parallelism: par}
 		if r.Method == "kway" {
 			opt.Method = DirectKWay

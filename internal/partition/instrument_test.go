@@ -59,7 +59,8 @@ func TestPartitionUnchangedByTracing(t *testing.T) {
 				}
 			case "partition/refine":
 				if _, polish := intAttr(sp, "moves"); polish {
-					continue // the k-way polish, not a 2-way refinement
+					checkKWayCounters(t, sp) // the k-way polish, not a 2-way refinement
+					continue
 				}
 				sweeps, okSweeps := intAttr(sp, "sweeps")
 				skipped, okSkip := intAttr(sp, "passes_skipped")
@@ -71,6 +72,60 @@ func TestPartitionUnchangedByTracing(t *testing.T) {
 		if rec.Counters()["partition.trials"] != 2 {
 			t.Errorf("trials counter = %d, want 2", rec.Counters()["partition.trials"])
 		}
+	}
+}
+
+// TestRefineKWayUnchangedByTracing is the same contract for the entry point
+// the repartitioner drives: RefineKWay, biased, at every parallelism.
+func TestRefineKWayUnchangedByTracing(t *testing.T) {
+	g := weightedGrid(t, 40, 40, 2)
+	n := g.NumVertices()
+	const k = 10
+	initial := stripedAssignment(n, k)
+	bias := testBias(initial, true)
+	opt := RefineOptions{Origin: bias.origin, MovePenalty: bias.pen, Parallelism: 1}
+	base := append([]int32(nil), initial...)
+	if err := RefineKWay(context.Background(), g, base, k, opt); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		opt.Parallelism = par
+		rec := obs.NewRecorder()
+		traced := append([]int32(nil), initial...)
+		if err := RefineKWay(obs.WithRecorder(context.Background(), rec), g, traced, k, opt); err != nil {
+			t.Fatal(err)
+		}
+		for v := range base {
+			if base[v] != traced[v] {
+				t.Fatalf("parallelism %d: traced refinement diverges at vertex %d", par, v)
+			}
+		}
+		spans := rec.Snapshot()
+		if len(spans) != 1 || spans[0].Name != "partition/refine" {
+			t.Fatalf("parallelism %d: spans %+v, want one partition/refine", par, spans)
+		}
+		checkKWayCounters(t, spans[0])
+		if moves, _ := intAttr(spans[0], "moves"); moves == 0 {
+			t.Errorf("parallelism %d: striped assignment refined with no move", par)
+		}
+	}
+}
+
+// checkKWayCounters checks the work counters of a k-way refinement span:
+// every scheduled pair slot was run or skipped, and only runs can be idle.
+func checkKWayCounters(t *testing.T, sp obs.SpanRecord) {
+	t.Helper()
+	val := func(key string) int64 {
+		v, ok := intAttr(sp, key)
+		if !ok {
+			t.Errorf("k-way refine span lacks %q", key)
+		}
+		return v
+	}
+	passes, run, skipped := val("passes"), val("pairs_run"), val("pairs_skipped")
+	idle, moves := val("pairs_idle"), val("moves")
+	if passes < 1 || idle > run || (moves > 0 && idle == run) || run+skipped < passes {
+		t.Errorf("implausible counters passes=%d run=%d skipped=%d idle=%d moves=%d", passes, run, skipped, idle, moves)
 	}
 }
 

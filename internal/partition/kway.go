@@ -83,10 +83,7 @@ func PartitionKWay(ctx context.Context, g *graph.Graph, k int, opt Options) (*Re
 				rspan.SetInt("level", int64(li))
 				rspan.SetInt("vertices", int64(cg.NumVertices()))
 			}
-			mv := kwayRefine(ctx, cg, part, k, caps, opt.RefinePasses, pool)
-			if rspan.Active() {
-				rspan.SetInt("moves", int64(mv))
-			}
+			kwayRefine(ctx, cg, part, k, caps, opt.RefinePasses, pool).annotate(rspan)
 			rspan.End()
 		}
 		part = projectAssignment(h.cmap(li), part)
@@ -103,10 +100,7 @@ func PartitionKWay(ctx context.Context, g *graph.Graph, k int, opt Options) (*Re
 		rspan.SetInt("level", 0)
 		rspan.SetInt("vertices", int64(g.NumVertices()))
 	}
-	mv := kwayRefine(ctx, g, part, k, caps, opt.RefinePasses, pool)
-	if rspan.Active() {
-		rspan.SetInt("moves", int64(mv))
-	}
+	kwayRefine(ctx, g, part, k, caps, opt.RefinePasses, pool).annotate(rspan)
 	rspan.End()
 
 	return NewResult(g, part, k), nil

@@ -150,20 +150,33 @@ func (r *Result) MaxImbalance() float64 {
 
 // NewResult computes part weights and edge cut for an existing assignment.
 func NewResult(g *graph.Graph, part []int32, k int) *Result {
-	r := &Result{Part: part, NumParts: k}
-	r.PartWeights = make([][]int64, k)
-	for p := range r.PartWeights {
-		r.PartWeights[p] = make([]int64, g.NCon)
+	r := &Result{Part: part, NumParts: k, PartWeights: partWeights(g, part, k)}
+	r.EdgeCut = ComputeEdgeCut(g, part)
+	return r
+}
+
+// MaxImbalanceOf is NewResult(g, part, k).MaxImbalance() without the O(m)
+// edge-cut pass: what a balance check needs and nothing more.
+func MaxImbalanceOf(g *graph.Graph, part []int32, k int) float64 {
+	r := Result{NumParts: k, PartWeights: partWeights(g, part, k)}
+	return r.MaxImbalance()
+}
+
+func partWeights(g *graph.Graph, part []int32, k int) [][]int64 {
+	ncon := g.NCon
+	flat := make([]int64, k*ncon)
+	pw := make([][]int64, k)
+	for p := range pw {
+		pw[p] = flat[p*ncon : (p+1)*ncon : (p+1)*ncon]
 	}
 	n := g.NumVertices()
 	for v := 0; v < n; v++ {
-		p := part[v]
-		for c := 0; c < g.NCon; c++ {
-			r.PartWeights[p][c] += int64(g.Weight(int32(v), c))
+		dst := pw[part[v]]
+		for c, w := range g.WeightVec(int32(v)) {
+			dst[c] += int64(w)
 		}
 	}
-	r.EdgeCut = ComputeEdgeCut(g, part)
-	return r
+	return pw
 }
 
 // ComputeEdgeCut returns the total weight of cut edges under the assignment.
@@ -181,16 +194,26 @@ func ComputeEdgeCut(g *graph.Graph, part []int32) int64 {
 	return cut / 2
 }
 
+// checkLabels reports the first assignment outside [0, k).
+func checkLabels(part []int32, k int) error {
+	for v, p := range part {
+		if p < 0 || int(p) >= k {
+			return fmt.Errorf("partition: vertex %d in part %d, want [0,%d)", v, p, k)
+		}
+	}
+	return nil
+}
+
 // Validate checks that the assignment is a complete partition into k parts.
 func (r *Result) Validate(g *graph.Graph) error {
 	if len(r.Part) != g.NumVertices() {
 		return fmt.Errorf("partition: %d assignments for %d vertices", len(r.Part), g.NumVertices())
 	}
+	if err := checkLabels(r.Part, r.NumParts); err != nil {
+		return err
+	}
 	seen := make([]bool, r.NumParts)
-	for v, p := range r.Part {
-		if p < 0 || int(p) >= r.NumParts {
-			return fmt.Errorf("partition: vertex %d in part %d, want [0,%d)", v, p, r.NumParts)
-		}
+	for _, p := range r.Part {
 		seen[p] = true
 	}
 	for p, ok := range seen {
@@ -368,13 +391,11 @@ func PolishRB(ctx context.Context, g *graph.Graph, part []int32, k int, opt Opti
 	pool := graph.NewPool(opt.Parallelism)
 	pspan := obs.StartSpan(ctx, "partition/refine")
 	caps := kwayCaps(g, k, opt.ImbalanceTol)
-	mv := kwayRefine(ctx, g, part, k, caps, rbPolishPasses, pool)
-	if pspan.Active() {
-		pspan.SetStr("stage", "rb_polish")
-		pspan.SetInt("moves", int64(mv))
-	}
+	st := kwayRefine(ctx, g, part, k, caps, rbPolishPasses, pool)
+	pspan.SetStr("stage", "rb_polish")
+	st.annotate(pspan)
 	pspan.End()
-	return mv
+	return st.moves
 }
 
 // balanceCaps returns, per constraint, the maximum side weight allowed for a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"tempart/internal/graph"
+	"tempart/internal/obs"
 )
 
 // RefineOptions controls RefineKWay.
@@ -45,6 +46,9 @@ func RefineKWay(ctx context.Context, g *graph.Graph, part []int32, k int, opt Re
 	if k < 1 {
 		return errBadK(k)
 	}
+	if err := checkLabels(part, k); err != nil {
+		return err
+	}
 	if opt.ImbalanceTol <= 1 {
 		opt.ImbalanceTol = 1.05
 	}
@@ -66,7 +70,12 @@ func RefineKWay(ctx context.Context, g *graph.Graph, part []int32, k int, opt Re
 	pool := graph.NewPool(opt.Parallelism)
 	ks := getKwayScratch(n)
 	defer putKwayScratch(ks)
+	span := obs.StartSpan(ctx, "partition/refine")
 	ks.caps = kwayCapsInto(ks.caps, g, k, opt.ImbalanceTol)
-	kwayRefineWith(ctx, g, part, k, ks.caps, opt.Passes, pool, bias, ks)
+	st := kwayRefineWith(ctx, g, part, k, ks.caps, opt.Passes, pool, bias, ks)
+	span.SetStr("stage", "refine_kway")
+	span.SetInt("vertices", int64(n))
+	st.annotate(span)
+	span.End()
 	return nil
 }

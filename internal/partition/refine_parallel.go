@@ -2,11 +2,13 @@ package partition
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
 
 	"tempart/internal/graph"
+	"tempart/internal/obs"
 )
 
 // This file is the parallel k-way refinement engine. Each pass decomposes
@@ -34,18 +36,53 @@ import (
 // serial. The same property makes the compute phase race-free: concurrent
 // pairs write only pair-local scratch and disjoint entries of the shared
 // localID array.
+//
+// Each piece of pair work is done once (DESIGN §5.2):
+//
+//   - A pair run is a pure function of the membership of its two parts and
+//     the boundary list the sweep built from it. A pair that returned no
+//     move is not run again until one of its parts changes (kwayScratch.idle).
+//   - The sweep already sums every boundary vertex's edge weight per
+//     adjacent part; it also sums the weight into the vertex's own part, so a
+//     pair whose parts are unchanged since the sweep starts from those gains
+//     instead of rescanning adjacency (pairScratch.seed).
+//   - Pair arenas are owned by the k-way arena (kwayScratch.getPair), not by
+//     a sync.Pool a GC can empty between two pair runs.
 
 // pairInfo is one adjacent part pair discovered during the boundary sweep.
 type pairInfo struct {
-	a, b  int32 // a < b
-	w     int64 // total boundary edge weight (counted from both endpoints)
-	color int32
+	a, b   int32 // a < b
+	w      int64 // total boundary edge weight (counted from both endpoints)
+	maxDeg int64 // largest weighted degree into a ∪ b over the pair's list
+	color  int32
+}
+
+// kwayStats counts the work of one kwayRefineWith call. Every scheduled pair
+// slot is either run or skipped; idle counts the runs that returned no move.
+type kwayStats struct {
+	passes, pairsRun, pairsSkipped, pairsIdle, moves int
+}
+
+// annotate attaches the counters to a refinement span.
+func (s kwayStats) annotate(span obs.Span) {
+	if !span.Active() {
+		return
+	}
+	span.SetInt("passes", int64(s.passes))
+	span.SetInt("pairs_run", int64(s.pairsRun))
+	span.SetInt("pairs_skipped", int64(s.pairsSkipped))
+	span.SetInt("pairs_idle", int64(s.pairsIdle))
+	span.SetInt("moves", int64(s.moves))
 }
 
 // maxDensePairs bounds the k*k dense pair-index table; beyond it the sweep
 // falls back to a map (k that large only occurs far outside the solver's
 // domain counts).
 const maxDensePairs = 1 << 22
+
+// densePairs reports whether k parts index their pairs through the dense
+// k*k tables (pairIdx, idleAt) rather than the maps.
+func densePairs(k int) bool { return k*k <= maxDensePairs }
 
 // kwayScratch is the pooled arena of the k-way refinement engine: every
 // per-pass working array lives here, so steady-state refinement allocates
@@ -60,6 +97,7 @@ type kwayScratch struct {
 	pairMap map[int64]int32
 	pairs   []pairInfo
 	lists   [][]int32 // per-pair boundary vertex lists (slot-reused)
+	lgain   [][]int64 // per list vertex: edge weight into the other part minus into its own
 	order   []int32   // pair indices in coloring order
 	sorter  pairSorter
 	colors  [][]uint64 // per-part used-color bitset
@@ -67,13 +105,33 @@ type kwayScratch struct {
 	results [][]int32  // per-slot committed move lists of the active round
 	localID []int32    // global vertex -> pair-local id, -1 outside any pair
 
+	// Change tracking, in pass stamps: stamp numbers the passes this arena
+	// has run (begin takes one too), ver[p] is the stamp of the pass that
+	// last moved a vertex into or out of part p, and idleAt (idleMap beyond
+	// the dense table) holds, per pair key, the stamp of the last pass in
+	// which the pair ran and returned no move. Stamps only grow, so entries
+	// left by earlier calls are older than every ver[p] begin sets and need
+	// no clearing.
+	stamp   int32
+	ver     []int32
+	idleAt  []int32
+	idleMap map[int64]int32
+
+	// Pair arenas, one per concurrent runner of the active round.
+	pairMu   sync.Mutex
+	pairFree []*pairScratch
+
+	// onSkip, when set (tests only), is called with the pair index of every
+	// skipped slot before its round runs.
+	onSkip func(pi int32)
+
 	// Active-round state read by runOne. The closure is built once per
 	// arena and reused, so steady-state passes allocate nothing.
 	cg     *graph.Graph
 	cpart  []int32
 	ccaps  []int64
 	cbias  moveBias
-	cround []int32
+	cround []int32 // the round's pairs that run, in commit order
 	runOne func(i int)
 }
 
@@ -136,33 +194,45 @@ func (s *pairSorter) Less(i, j int) bool {
 
 // kwayRefine runs parallel pairwise-FM k-way refinement passes in place; see
 // the engine comment above. Passes stop early when a full pass commits no
-// move.
-func kwayRefine(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool) int {
-	return kwayRefineBiased(ctx, g, part, k, caps, passes, pool, moveBias{})
-}
-
-// kwayRefineBiased is kwayRefine with an optional migration bias applied to
-// every move's gain (zero moveBias = unbiased). Cancelling ctx stops at the
-// next pass boundary. Returns the total number of committed moves.
-func kwayRefineBiased(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, bias moveBias) int {
+// move, and cancelling ctx stops at the next pass boundary.
+func kwayRefine(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool) kwayStats {
 	n := g.NumVertices()
 	if n == 0 || k <= 1 {
-		return 0
+		return kwayStats{}
 	}
 	ks := getKwayScratch(n)
 	defer putKwayScratch(ks)
-	return kwayRefineWith(ctx, g, part, k, caps, passes, pool, bias, ks)
+	return kwayRefineWith(ctx, g, part, k, caps, passes, pool, moveBias{}, ks)
 }
 
-// kwayRefineWith is kwayRefineBiased against a caller-held scratch arena.
-func kwayRefineWith(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, bias moveBias, ks *kwayScratch) int {
-	n := g.NumVertices()
-	if n == 0 || k <= 1 {
-		return 0
+// kwayRefineWith is kwayRefine against a caller-held scratch arena, with an
+// optional migration bias applied to every move's gain (zero moveBias =
+// unbiased).
+func kwayRefineWith(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, bias moveBias, ks *kwayScratch) kwayStats {
+	var st kwayStats
+	if g.NumVertices() == 0 || k <= 1 {
+		return st
 	}
+	ks.begin(g, part, k)
+	for pass := 0; pass < passes; pass++ {
+		if ctx.Err() != nil {
+			break
+		}
+		before := st.moves
+		kwayPass(g, part, k, caps, ks, pool, bias, &st)
+		if st.moves == before {
+			break
+		}
+	}
+	return st
+}
 
-	// Part weights, maintained across passes by the commit phase.
-	ncon := g.NCon
+// begin prepares the arena for one refinement call over (g, part, k): the
+// part weights the commit phase maintains across passes, and the change
+// tracking — every part counts as changed now, which outdates whatever an
+// earlier call left in the idle table. kwayPass relies on it.
+func (ks *kwayScratch) begin(g *graph.Graph, part []int32, k int) {
+	n, ncon := g.NumVertices(), g.NCon
 	ks.pw = growI64(ks.pw, k*ncon)
 	for i := range ks.pw {
 		ks.pw[i] = 0
@@ -175,30 +245,93 @@ func kwayRefineWith(ctx context.Context, g *graph.Graph, part []int32, k int, ca
 		}
 	}
 
-	total := 0
-	for pass := 0; pass < passes; pass++ {
-		if ctx.Err() != nil {
-			break
-		}
-		moved := kwayPass(g, part, k, caps, ks, pool, bias)
-		total += moved
-		if moved == 0 {
-			break
-		}
+	if densePairs(k) {
+		ks.idleAt = growI32(ks.idleAt, k*k)
+	} else if ks.idleMap == nil {
+		ks.idleMap = make(map[int64]int32)
+	} else {
+		clear(ks.idleMap) // keys mean another k; bounds the map too
 	}
-	return total
+	now := ks.tick()
+	ks.ver = growI32(ks.ver, k)
+	for p := range ks.ver {
+		ks.ver[p] = now
+	}
 }
 
-// kwayPass runs one full refinement pass and returns the number of moves it
-// committed.
-func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch, pool *graph.Pool, bias moveBias) int {
-	n := g.NumVertices()
+// tick starts the next stamp. On the (theoretical) wrap the idle records are
+// dropped: every later stamp is then newer than any record, and a ver[p]
+// from before the wrap only reads as "changed", which is always safe.
+func (ks *kwayScratch) tick() int32 {
+	if ks.stamp == math.MaxInt32 {
+		ks.stamp = 0
+		clear(ks.idleAt[:cap(ks.idleAt)])
+		clear(ks.idleMap)
+	}
+	ks.stamp++
+	return ks.stamp
+}
 
-	// Sweep: discover pairs, their boundary vertices and weights. A vertex
-	// joins the list of every pair formed by its part and a distinct
-	// adjacent part.
+// idle reports whether running pair pr in the current pass is provably a
+// no-op: it ran and returned no move in an earlier pass, and neither part has
+// changed since the sweep of that pass. Both the membership the run reads and
+// the list the sweep builds are then what they were, so the run would return
+// the same empty move list.
+//
+// The record is compared against the stamp of the idle run's pass, not
+// against the state at the run itself: a pair can run idle on a list built
+// before an earlier round of the same pass changed one of its parts, and the
+// next sweep then builds a different list. Such a change carries the pass's
+// own stamp, so ver >= record and the pair runs again.
+func (ks *kwayScratch) idle(pr *pairInfo, k int) bool {
+	at := ks.idleStamp(pr, k)
+	return ks.ver[pr.a] < at && ks.ver[pr.b] < at
+}
+
+// idleStamp reads the pair's idle record (0: none).
+func (ks *kwayScratch) idleStamp(pr *pairInfo, k int) int32 {
+	key := int(pr.a)*k + int(pr.b)
+	if densePairs(k) {
+		return ks.idleAt[key]
+	}
+	return ks.idleMap[int64(key)]
+}
+
+func (ks *kwayScratch) markIdle(pr *pairInfo, k int) {
+	key := int(pr.a)*k + int(pr.b)
+	if densePairs(k) {
+		ks.idleAt[key] = ks.stamp
+	} else {
+		ks.idleMap[int64(key)] = ks.stamp
+	}
+}
+
+// getPair hands out a pair arena for one run; putPair takes it back. The
+// free list never holds more arenas than rounds have run concurrently.
+func (ks *kwayScratch) getPair() *pairScratch {
+	ks.pairMu.Lock()
+	defer ks.pairMu.Unlock()
+	if n := len(ks.pairFree); n > 0 {
+		ps := ks.pairFree[n-1]
+		ks.pairFree = ks.pairFree[:n-1]
+		return ps
+	}
+	return new(pairScratch)
+}
+
+func (ks *kwayScratch) putPair(ps *pairScratch) {
+	ks.pairMu.Lock()
+	ks.pairFree = append(ks.pairFree, ps)
+	ks.pairMu.Unlock()
+}
+
+// sweep discovers the adjacent part pairs, their boundary vertices and
+// weights. A vertex joins the list of every pair formed by its part and a
+// distinct adjacent part, together with its initial gain for that pair.
+func (ks *kwayScratch) sweep(g *graph.Graph, part []int32, k int) {
+	n := g.NumVertices()
 	ks.pairs = ks.pairs[:0]
-	dense := k*k <= maxDensePairs
+	dense := densePairs(k)
 	if dense {
 		ks.pairIdx = growPairIdx(ks.pairIdx, k*k)
 	} else if ks.pairMap == nil {
@@ -214,9 +347,11 @@ func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch
 		from := part[v]
 		stamp := int32(v) + 1
 		touched = touched[:0]
+		var own int64
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
 			p := part[g.Adjncy[i]]
 			if p == from {
+				own += int64(g.AdjWgt[i])
 				continue
 			}
 			if ks.mark[p] != stamp {
@@ -250,18 +385,34 @@ func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch
 				}
 				if int(pi) < len(ks.lists) {
 					ks.lists[pi] = ks.lists[pi][:0]
+					ks.lgain[pi] = ks.lgain[pi][:0]
 				} else {
 					ks.lists = append(ks.lists, nil)
+					ks.lgain = append(ks.lgain, nil)
 				}
 			}
-			ks.pairs[pi].w += ks.wsum[p]
+			pr := &ks.pairs[pi]
+			ext := ks.wsum[p]
+			pr.w += ext
+			if ext+own > pr.maxDeg {
+				pr.maxDeg = ext + own
+			}
 			ks.lists[pi] = append(ks.lists[pi], int32(v))
+			ks.lgain[pi] = append(ks.lgain[pi], ext-own)
 		}
 	}
 	ks.touched = touched
+}
+
+// kwayPass runs one full refinement pass over an arena prepared by begin and
+// adds its work to st.
+func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch, pool *graph.Pool, bias moveBias, st *kwayStats) {
+	now := ks.tick()
+	st.passes++
+	ks.sweep(g, part, k)
 	np := len(ks.pairs)
 	if np == 0 {
-		return 0
+		return
 	}
 
 	// Greedy edge coloring of the part-adjacency graph, heaviest pair first:
@@ -300,29 +451,49 @@ func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch
 		ks.rounds[c] = append(ks.rounds[c], pi)
 	}
 
-	// Execute the color rounds: concurrent pairwise FM against the
-	// read-only pre-round state, then a serial in-order commit.
+	// Execute the color rounds: drop the provably idle pairs, run pairwise FM
+	// for the rest concurrently against the read-only pre-round state, then
+	// commit serially in round order (a skipped pair has nothing to commit,
+	// so the commit order is that of the full round).
 	ncon := g.NCon
-	total := 0
 	ks.cg, ks.cpart, ks.ccaps, ks.cbias = g, part, caps, bias
 	if ks.runOne == nil {
 		ks.runOne = func(i int) {
-			pr := ks.pairs[ks.cround[i]]
-			list := ks.lists[ks.cround[i]]
-			ps := getPairScratch(len(list))
-			ks.results[i] = ps.run(ks.cg, ks.cpart, ks, pr.a, pr.b, list, ks.ccaps, ks.cbias, ks.results[i][:0])
-			putPairScratch(ps)
+			pi := ks.cround[i]
+			pr := &ks.pairs[pi]
+			ps := ks.getPair()
+			// Parts untouched by this pass's commits are as the sweep saw them.
+			fresh := ks.ver[pr.a] < ks.stamp && ks.ver[pr.b] < ks.stamp
+			ks.results[i] = ps.run(ks, pr, ks.lists[pi], ks.lgain[pi], fresh, ks.results[i][:0])
+			ks.putPair(ps)
 		}
 	}
 	for c := 0; c < ncolors; c++ {
-		round := ks.rounds[c]
-		for len(ks.results) < len(round) {
+		run := ks.cround[:0]
+		for _, pi := range ks.rounds[c] {
+			if ks.idle(&ks.pairs[pi], k) {
+				st.pairsSkipped++
+				if ks.onSkip != nil {
+					ks.onSkip(pi)
+				}
+				continue
+			}
+			run = append(run, pi)
+		}
+		ks.cround = run
+		for len(ks.results) < len(run) {
 			ks.results = append(ks.results, nil)
 		}
-		ks.cround = round
-		pool.RunN(len(round), ks.runOne)
-		for i, pi := range round {
-			pr := ks.pairs[pi]
+		st.pairsRun += len(run)
+		pool.RunN(len(run), ks.runOne)
+		for i, pi := range run {
+			pr := &ks.pairs[pi]
+			if len(ks.results[i]) == 0 {
+				st.pairsIdle++
+				ks.markIdle(pr, k)
+				continue
+			}
+			ks.ver[pr.a], ks.ver[pr.b] = now, now
 			for _, v := range ks.results[i] {
 				from := part[v]
 				to := pr.a
@@ -337,23 +508,20 @@ func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch
 					tw[ci] += int64(wv[ci])
 				}
 				part[v] = to
-				total++
 			}
+			st.moves += len(ks.results[i])
 		}
 	}
 
 	// Restore the pair-index invariant (-1 / empty) for the next pass.
-	if dense {
+	if densePairs(k) {
 		for i := range ks.pairs {
 			ks.pairIdx[int(ks.pairs[i].a)*k+int(ks.pairs[i].b)] = -1
 		}
-	} else if ks.pairMap != nil {
-		for key := range ks.pairMap {
-			delete(ks.pairMap, key)
-		}
+	} else {
+		clear(ks.pairMap)
 	}
 	ks.cg, ks.cpart, ks.ccaps, ks.cbias = nil, nil, nil, moveBias{}
-	return total
 }
 
 // growPairIdx returns buf resized to n with every entry -1. Entries of a
@@ -405,9 +573,9 @@ func setColorBit(set []uint64, c int) []uint64 {
 	return set
 }
 
-// pairScratch is the per-worker arena of one pairwise FM run. The run's
-// parameters are stored as fields so the hot helpers are methods (closures
-// here would escape to the heap on every run).
+// pairScratch is the arena of one pairwise FM run, owned by the k-way arena
+// (kwayScratch.getPair). The run's parameters are stored as fields so the hot
+// helpers are methods (closures here would escape to the heap on every run).
 type pairScratch struct {
 	g       *graph.Graph
 	part    []int32
@@ -427,44 +595,76 @@ type pairScratch struct {
 	maxDeg int64
 }
 
-// pairScratchPools is size-classed by verts capacity — the run's boundary
-// list length bounds every per-vertex array the arena grows.
-var pairScratchPools [sizeClasses]sync.Pool
-
-func getPairScratch(hint int) *pairScratch {
-	for c, hi := reqClass(hint), 0; hi < classProbes && c < sizeClasses; c, hi = c+1, hi+1 {
-		if v := pairScratchPools[c].Get(); v != nil {
-			return v.(*pairScratch)
-		}
-	}
-	return new(pairScratch)
-}
-
-func putPairScratch(ps *pairScratch) { pairScratchPools[capClass(cap(ps.verts))].Put(ps) }
-
-// run executes pairwise FM between parts a and b over the given boundary
-// vertex list, reading part and ks.pw as the immutable pre-round state, and
+// run executes pairwise FM between the parts of pr over its boundary vertex
+// list, reading ks.cpart and ks.pw as the immutable pre-round state, and
 // appends the best move prefix (global vertex ids, in order) to out. The
-// caller commits those moves serially; run itself never writes part.
-func (ps *pairScratch) run(g *graph.Graph, part []int32, ks *kwayScratch, a, b int32, list []int32, caps []int64, bias moveBias, out []int32) []int32 {
-	ncon := g.NCon
-	ps.g, ps.part, ps.localID, ps.caps = g, part, ks.localID, caps
-	ps.a, ps.b, ps.bias = a, b, bias
+// caller commits those moves serially; run itself never writes part. fresh
+// says that neither part has changed since the sweep built list and lgain.
+func (ps *pairScratch) run(ks *kwayScratch, pr *pairInfo, list []int32, lgain []int64, fresh bool, out []int32) []int32 {
+	a, b := pr.a, pr.b
+	ncon := ks.cg.NCon
+	ps.g, ps.part, ps.localID, ps.caps = ks.cg, ks.cpart, ks.localID, ks.ccaps
+	ps.a, ps.b, ps.bias = a, b, ks.cbias
 	ps.pwa = growI64(ps.pwa, ncon)
 	copy(ps.pwa, ks.pw[int(a)*ncon:int(a)*ncon+ncon])
 	ps.pwb = growI64(ps.pwb, ncon)
 	copy(ps.pwb, ks.pw[int(b)*ncon:int(b)*ncon+ncon])
+	ps.moves = ps.moves[:0]
+	if fresh {
+		ps.seed(list, lgain, pr.maxDeg)
+	} else {
+		ps.registerAll(list)
+	}
+	out = ps.refine(out)
+	for _, v := range ps.verts {
+		ps.localID[v] = -1
+	}
+	// The arena outlives the call inside a pooled kwayScratch; do not pin
+	// the caller's graph and assignment with it.
+	ps.g, ps.part, ps.localID, ps.caps, ps.bias = nil, nil, nil, nil, moveBias{}
+	return out
+}
+
+// seed registers the initial working set from the sweep's sums: with both
+// parts as the sweep saw them, every list vertex is still in the pair, its
+// gain is the swept weight into the other part minus the weight into its own
+// (plus the bias), and pr.maxDeg bounds their weighted degrees — exactly what
+// registerAll would compute by scanning adjacency again.
+func (ps *pairScratch) seed(list []int32, lgain []int64, maxDeg int64) {
+	n := len(list)
+	ps.verts = append(ps.verts[:0], list...)
+	ps.gain = append(ps.gain[:0], lgain...)
+	if cap(ps.side) < n {
+		ps.side = make([]int8, n)
+	}
+	ps.side = ps.side[:n]
+	ps.locked = growBool(ps.locked, n)
+	for l, v := range list {
+		ps.localID[v] = int32(l)
+		from, to := ps.a, ps.b
+		ps.side[l] = 0
+		if ps.part[v] == ps.b {
+			ps.side[l] = 1
+			from, to = ps.b, ps.a
+		}
+		if ps.bias.origin != nil {
+			ps.gain[l] += ps.bias.delta(v, from, to)
+		}
+	}
+	ps.maxDeg = max(1, maxDeg)
+}
+
+// registerAll registers the initial working set by adjacency scan: the path
+// for a list built before an earlier round of this pass changed one of the
+// pair's parts. Vertices that round moved to a third part are skipped.
+func (ps *pairScratch) registerAll(list []int32) {
 	ps.verts = ps.verts[:0]
 	ps.gain = ps.gain[:0]
 	ps.side = ps.side[:0]
 	ps.locked = ps.locked[:0]
-	ps.moves = ps.moves[:0]
 	ps.maxDeg = 1
-
-	// Register the initial working set. List vertices may have been moved to
-	// a third part by an earlier round of this pass; skip those.
 	for _, v := range list {
-		if pv := part[v]; pv != a && pv != b {
+		if pv := ps.part[v]; pv != ps.a && pv != ps.b {
 			continue
 		}
 		if ps.localID[v] >= 0 {
@@ -472,6 +672,13 @@ func (ps *pairScratch) run(g *graph.Graph, part []int32, ks *kwayScratch, a, b i
 		}
 		ps.register(v)
 	}
+}
+
+// refine is the FM loop of run over the registered working set.
+func (ps *pairScratch) refine(out []int32) []int32 {
+	g, part, caps := ps.g, ps.part, ps.caps
+	a, b := ps.a, ps.b
+	ncon := g.NCon
 	nloc := len(ps.verts)
 	if nloc == 0 {
 		return out
@@ -567,9 +774,6 @@ func (ps *pairScratch) run(g *graph.Graph, part []int32, ks *kwayScratch, a, b i
 		for _, l := range ps.moves[:bestIdx+1] {
 			out = append(out, ps.verts[l])
 		}
-	}
-	for _, v := range ps.verts {
-		ps.localID[v] = -1
 	}
 	return out
 }

@@ -181,19 +181,9 @@ func TestKWayPairColoringDisjoint(t *testing.T) {
 	part := stripedAssignment(n, k)
 	ks := getKwayScratch(n)
 	defer putKwayScratch(ks)
-	ncon := g.NCon
-	ks.pw = growI64(ks.pw, k*ncon)
-	for i := range ks.pw {
-		ks.pw[i] = 0
-	}
-	for v := 0; v < n; v++ {
-		dst := ks.pw[int(part[v])*ncon:]
-		for c, w := range g.WeightVec(int32(v)) {
-			dst[c] += int64(w)
-		}
-	}
+	ks.begin(g, part, k)
 	caps := kwayCaps(g, k, 1.05)
-	kwayPass(g, part, k, caps, ks, nil, moveBias{})
+	kwayPass(g, part, k, caps, ks, nil, moveBias{}, new(kwayStats))
 	if len(ks.pairs) == 0 {
 		t.Fatal("no pairs discovered on a striped assignment")
 	}

@@ -63,22 +63,6 @@ func TestKwayScratchPoolNoPinning(t *testing.T) {
 	putKwayScratch(again)
 }
 
-func TestPairScratchPoolNoPinning(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool bypasses reuse under the race detector")
-	}
-	const big = 1 << 22
-	ps := getPairScratch(big)
-	ps.verts = make([]int32, big)
-	putPairScratch(ps)
-
-	small := getPairScratch(64)
-	if cap(small.verts) >= big {
-		t.Fatalf("small request received the %d-element pair arena — pool pinning", cap(small.verts))
-	}
-	putPairScratch(small)
-}
-
 func TestGraphScratchPoolNoPinning(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses reuse under the race detector")

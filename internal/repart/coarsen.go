@@ -27,6 +27,9 @@ type rlevel struct {
 func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options) error {
 	span := obs.StartSpan(ctx, "repart/refine_warm")
 	defer span.End()
+	// Per-level child spans (repart/coarsen going down, repart/refine coming
+	// back up) tile this one; see TestRefineWarmSpansTile.
+	ctx = obs.ContextWithSpan(ctx, span)
 	opt.Part = optWithRefineDefaults(opt.Part)
 	rng := rand.New(rand.NewSource(opt.Part.Seed))
 	pool := graph.NewPool(opt.Part.Parallelism)
@@ -43,8 +46,13 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 		if n <= coarseTo || ctx.Err() != nil {
 			break
 		}
+		cspan := obs.StartSpan(ctx, "repart/coarsen")
+		cspan.SetInt("level", int64(len(levels)-1))
+		cspan.SetInt("vertices", int64(n))
 		cmap, ncoarse := matchWithinParts(cur.g, cur.origin, rng)
+		cspan.SetInt("coarse_vertices", int64(ncoarse))
 		if ncoarse > n*9/10 { // diminishing returns: stop below 10% shrink
+			cspan.End()
 			break
 		}
 		cg := cur.g.ContractP(cmap, ncoarse, pool)
@@ -65,6 +73,7 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 		}
 		levels[len(levels)-1].cmap = cmap
 		levels = append(levels, next)
+		cspan.End()
 	}
 
 	if span.Active() {
@@ -79,7 +88,9 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	cur := clone32(levels[len(levels)-1].origin)
 	for li := len(levels) - 1; li >= 0; li-- {
 		lv := levels[li]
-		err := partition.RefineKWay(ctx, lv.g, cur, k, partition.RefineOptions{
+		rspan := obs.StartSpan(ctx, "repart/refine")
+		rspan.SetInt("level", int64(li))
+		err := partition.RefineKWay(obs.ContextWithSpan(ctx, rspan), lv.g, cur, k, partition.RefineOptions{
 			ImbalanceTol: opt.Part.ImbalanceTol,
 			Passes:       opt.Part.RefinePasses,
 			Seed:         opt.Part.Seed + int64(li),
@@ -88,6 +99,7 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 			MovePenalty:  lv.pen,
 		})
 		if err != nil {
+			rspan.End()
 			return err
 		}
 		if li > 0 {
@@ -98,6 +110,7 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 			}
 			cur = next
 		}
+		rspan.End()
 	}
 	copy(part, cur)
 	if err := ctx.Err(); err != nil {
@@ -107,7 +120,7 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	// level inside one part's interior (no boundary vertex of that level to
 	// move). The diffusive sweep has no such restriction — finish with it
 	// whenever residual imbalance remains.
-	if partition.NewResult(g, part, k).MaxImbalance() > opt.Part.ImbalanceTol {
+	if partition.MaxImbalanceOf(g, part, k) > opt.Part.ImbalanceTol {
 		return diffuse(ctx, g, part, k, opt)
 	}
 	return nil

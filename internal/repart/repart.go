@@ -153,6 +153,11 @@ func Repartition(ctx context.Context, g *graph.Graph, old *partition.Result, opt
 	if k < 1 {
 		return nil, fmt.Errorf("repart: k = %d, want >= 1", k)
 	}
+	for v, p := range old.Part {
+		if p < 0 || int(p) >= k {
+			return nil, fmt.Errorf("repart: old assignment puts cell %d in part %d, want [0,%d)", v, p, k)
+		}
+	}
 	if opt.MigBytes != nil && len(opt.MigBytes) != n {
 		return nil, fmt.Errorf("repart: %d migration weights for %d cells", len(opt.MigBytes), n)
 	}
@@ -169,7 +174,7 @@ func Repartition(ctx context.Context, g *graph.Graph, old *partition.Result, opt
 	imbBefore := math.NaN()
 	mode := opt.Mode
 	if mode == Auto || span.Active() {
-		imbBefore = partition.NewResult(g, old.Part, k).MaxImbalance()
+		imbBefore = partition.MaxImbalanceOf(g, old.Part, k)
 	}
 	if mode == Auto {
 		switch {

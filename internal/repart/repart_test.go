@@ -40,6 +40,17 @@ func TestRepartitionValidates(t *testing.T) {
 	if _, err := Repartition(context.Background(), g, old, Options{MigBytes: []int64{1}}); err == nil {
 		t.Error("accepted mismatched MigBytes length")
 	}
+	// A label outside [0, k) used to panic with an index out of range in the
+	// part-weight tables; every mode must refuse it instead.
+	for _, bad := range []int32{-1, 2, 7} {
+		part := clone32(old.Part)
+		part[3] = bad
+		for _, mode := range []Mode{Auto, Keep, Diffuse, Refine, Scratch} {
+			if _, err := Repartition(context.Background(), g, &partition.Result{Part: part, NumParts: 2}, Options{Mode: mode}); err == nil {
+				t.Errorf("mode %v accepted label %d with k = 2", mode, bad)
+			}
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Repartition(ctx, g, old, Options{Mode: Refine}); err == nil {
