@@ -146,15 +146,23 @@ func (b *gainBuckets) update(v, key int32) {
 	b.insert(v, key)
 }
 
-// popMax removes and returns the head of the highest non-empty bucket.
-func (b *gainBuckets) popMax() (int32, bool) {
+// peekMax returns the head of the highest non-empty bucket without removing
+// it.
+func (b *gainBuckets) peekMax() (int32, bool) {
 	if b.count == 0 {
 		return -1, false
 	}
 	for b.top >= 0 && b.heads[b.top] < 0 {
 		b.top--
 	}
-	v := b.heads[b.top]
-	b.remove(v)
-	return v, true
+	return b.heads[b.top], true
+}
+
+// popMax removes and returns the head of the highest non-empty bucket.
+func (b *gainBuckets) popMax() (int32, bool) {
+	v, ok := b.peekMax()
+	if ok {
+		b.remove(v)
+	}
+	return v, ok
 }

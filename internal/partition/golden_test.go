@@ -78,7 +78,7 @@ func refineBiasedDigest(t *testing.T, g *graph.Graph, r goldenRow, par int) stri
 		pen[i] = int64(i%3) + 1
 	}
 	err := RefineKWay(context.Background(), g, part, r.K, RefineOptions{
-		Seed: r.Seed, Parallelism: par, Origin: origin, MovePenalty: pen})
+		Parallelism: par, Origin: origin, MovePenalty: pen})
 	if err != nil {
 		t.Fatalf("%v: %v", r, err)
 	}

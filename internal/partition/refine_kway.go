@@ -14,9 +14,6 @@ type RefineOptions struct {
 	ImbalanceTol float64
 	// Passes bounds the refinement sweeps (default 8).
 	Passes int
-	// Seed is retained for compatibility; the pairwise-FM engine is fully
-	// deterministic and no longer consumes randomness.
-	Seed int64
 	// Parallelism bounds the worker goroutines of the refinement engine
 	// (<= 0: one per core). The refined assignment is byte-identical at
 	// every setting; see Options.Parallelism.

@@ -2,9 +2,11 @@ package partition
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tempart/internal/graph"
@@ -15,6 +17,11 @@ import (
 // vertex weights 1..3 — the shape coarse levels have (heavy, uneven edges),
 // which the unit-weight dual graphs do not.
 func weightedGrid(t *testing.T, nx, ny, ncon int) *graph.Graph {
+	return gridWeightsFrom(t, nx, ny, ncon, 1)
+}
+
+// gridWeightsFrom is weightedGrid with edge weights minW..9.
+func gridWeightsFrom(t *testing.T, nx, ny, ncon int, minW int32) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(nx*ny + ncon)))
 	b := graph.NewBuilder(ncon)
@@ -29,10 +36,10 @@ func weightedGrid(t *testing.T, nx, ny, ncon int) *graph.Graph {
 		for j := 0; j < ny; j++ {
 			v := int32(i*ny + j)
 			if j+1 < ny {
-				b.AddEdge(v, v+1, 1+rng.Int31n(9))
+				b.AddEdge(v, v+1, minW+rng.Int31n(10-minW))
 			}
 			if i+1 < nx {
-				b.AddEdge(v, v+int32(ny), 1+rng.Int31n(9))
+				b.AddEdge(v, v+int32(ny), minW+rng.Int31n(10-minW))
 			}
 		}
 	}
@@ -80,10 +87,9 @@ func testBias(part []int32, on bool) moveBias {
 }
 
 // TestIdlePairSkipMatchesExhaustive: skipping a pair must be exactly "the run
-// would have returned no move". Every skipped slot is re-run on the spot by
-// adjacency scan and must come back empty, and the refined assignment must
-// equal that of an exhaustive refinement whose idle records are wiped after
-// every pass. The inputs must also reach the case that makes the bookkeeping
+// would have returned no move". Every skipped slot is re-run on the spot and
+// must come back empty, and the refined assignment must equal that of an
+// exhaustive refinement whose idle records are wiped after every pass. The inputs must also reach the case that makes the bookkeeping
 // subtle: a pair that runs idle after an earlier round of the same pass
 // changed one of its parts (its list is stale, so the idle result says
 // nothing about the next pass).
@@ -126,7 +132,7 @@ func TestIdlePairSkipMatchesExhaustive(t *testing.T) {
 			probe := new(pairScratch)
 			ks.onSkip = func(pi int32) {
 				skipped[pi] = true
-				if mv := probe.run(ks, &ks.pairs[pi], ks.lists[pi], nil, false, nil); len(mv) != 0 {
+				if mv := probe.run(ks, &ks.pairs[pi], ks.lists[pi], nil); len(mv) != 0 {
 					pr := ks.pairs[pi]
 					t.Errorf("pair (%d,%d) was skipped but has %d moves to make", pr.a, pr.b, len(mv))
 				}
@@ -179,10 +185,151 @@ func TestIdlePairSkipMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestSweepGainsMatchRegister: the gains, sides and degree bound the sweep
-// hands to a pair are exactly what the adjacency scan computes, for every
-// list vertex of every pair.
+// connTableErr compares the arena's connectivity table against a fresh
+// adjacency scan of (g, part): every vertex's own weight and row (part,
+// weight, edge count), no row entry for the own part or without edges, and
+// every row within its capacity and the arena.
+func connTableErr(g *graph.Graph, part []int32, ks *kwayScratch) error {
+	n := g.NumVertices()
+	var want []connEntry
+	for v := int32(0); v < int32(n); v++ {
+		want = want[:0]
+		var own int64
+		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+			p, w := part[g.Adjncy[i]], int64(g.AdjWgt[i])
+			if p == part[v] {
+				own += w
+				continue
+			}
+			j := slices.IndexFunc(want, func(e connEntry) bool { return e.p == p })
+			if j < 0 {
+				j = len(want)
+				want = append(want, connEntry{p: p})
+			}
+			want[j].n++
+			want[j].w += w
+		}
+		if ks.own[v] != own {
+			return fmt.Errorf("vertex %d: own weight %d, scan %d", v, ks.own[v], own)
+		}
+		var got []connEntry
+		if at := ks.rowAt[v]; at >= 0 {
+			if ks.rowN[v] > ks.rowCap[v] || int(at+ks.rowCap[v]) > len(ks.ents) {
+				return fmt.Errorf("vertex %d: %d entries in a row of %d at %d, arena %d", v, ks.rowN[v], ks.rowCap[v], at, len(ks.ents))
+			}
+			got = ks.ents[at : at+ks.rowN[v]]
+		} else if ks.rowN[v] != 0 {
+			return fmt.Errorf("vertex %d: %d entries without a row", v, ks.rowN[v])
+		}
+		if len(got) != len(want) {
+			return fmt.Errorf("vertex %d in part %d: row %v, scan %v", v, part[v], got, want)
+		}
+		for _, e := range want {
+			if !slices.Contains(got, e) {
+				return fmt.Errorf("vertex %d in part %d: row %v, scan %v", v, part[v], got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// TestConnTableMatchesScan: the connectivity table the commit patches is
+// exact — after begin and after every commit round it equals a fresh
+// adjacency scan (connTableErr), on every refineInputs graph and on one with
+// zero-weight edges. The pair runs share a four-worker pool, so under -race
+// their reads of the table are checked against the commits' writes.
+func TestConnTableMatchesScan(t *testing.T) {
+	pool := graph.NewPool(4)
+	// Edge weights 0..9: some vertices touch another part through
+	// zero-weight edges only, which the sweep must still list.
+	inputs := append(refineInputs(t), refineInput{"grid-zero-weight-edges", gridWeightsFrom(t, 40, 40, 1, 0), 8, true})
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			g, k := in.g, in.k
+			n := g.NumVertices()
+			part := stripedAssignment(n, k)
+			bias := testBias(part, in.bias)
+			caps := kwayCaps(g, k, 1.05)
+			ks := getKwayScratch(n)
+			defer putKwayScratch(ks)
+			ks.begin(g, part, k)
+			if err := connTableErr(g, part, ks); err != nil {
+				t.Fatalf("after begin: %v", err)
+			}
+			rounds, weightless := 0, 0 // entries whose edges all weigh 0
+			ks.onCommit = func() {
+				rounds++
+				if err := connTableErr(g, part, ks); err != nil {
+					t.Fatalf("after commit round %d: %v", rounds, err)
+				}
+				for v, at := range ks.rowAt {
+					if at < 0 {
+						continue
+					}
+					for _, e := range ks.ents[at : at+ks.rowN[v]] {
+						if e.w == 0 {
+							weightless++
+						}
+					}
+				}
+			}
+			defer func() { ks.onCommit = nil }()
+			st := kwayRefineWith(context.Background(), g, part, k, caps, 12, pool, bias, ks)
+			if st.moves == 0 {
+				t.Fatalf("no move committed (%+v): the table was never patched", st)
+			}
+			if in.name == "grid-zero-weight-edges" && weightless == 0 {
+				t.Error("no row entry carried only zero-weight edges: count-based removal is untested")
+			}
+			t.Logf("%+v, %d commit rounds checked, %d weightless entries seen", st, rounds, weightless)
+		})
+	}
+}
+
+// scanRegister is registration by adjacency scan: v's gain toward the pair's
+// other part, its side and its weighted degree into a ∪ b against the run's
+// effective state, where locally moved vertices count on their moved side.
+func scanRegister(ps *pairScratch, v int32) (gain int64, side int8, deg int64) {
+	g := ps.g
+	var ca, cb int64
+	for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+		u := g.Adjncy[i]
+		pu := ps.part[u]
+		if pu != ps.a && pu != ps.b {
+			continue
+		}
+		su := int8(0)
+		if pu == ps.b {
+			su = 1
+		}
+		if lu := ps.localID[u]; lu >= 0 {
+			su = ps.side[lu]
+		}
+		if su == 0 {
+			ca += int64(g.AdjWgt[i])
+		} else {
+			cb += int64(g.AdjWgt[i])
+		}
+	}
+	from, to := ps.a, ps.b
+	gain = cb - ca
+	if ps.part[v] == ps.b {
+		side, gain, from, to = 1, ca-cb, ps.b, ps.a
+	}
+	if ps.bias.origin != nil {
+		gain += ps.bias.delta(v, from, to)
+	}
+	return gain, side, ca + cb
+}
+
+// TestSweepGainsMatchRegister: every vertex a pair run registers — the
+// initial working set built from the sweep's list, on fresh and stale pairs,
+// and every vertex that joins after a move — gets from the connectivity
+// table exactly the gain and side an adjacency scan of the run's state
+// computes, and the run's bucket key bound is the scan's largest weighted
+// degree into the pair over the initial working set.
 func TestSweepGainsMatchRegister(t *testing.T) {
+	var stale, joined int
 	for _, in := range refineInputs(t) {
 		t.Run(in.name, func(t *testing.T) {
 			g, k := in.g, in.k
@@ -198,46 +345,46 @@ func TestSweepGainsMatchRegister(t *testing.T) {
 					}
 				}
 			}
-			// Not returned to the pool: a bare sweep leaves the pair index set.
+			caps := kwayCaps(g, k, 1.05)
 			ks := getKwayScratch(n)
-			ks.begin(g, part, k)
-			ks.sweep(g, part, k)
-			if len(ks.pairs) == 0 {
-				t.Fatal("no pairs discovered on a striped assignment")
+			defer putKwayScratch(ks)
+			checked := 0
+			ks.onRegister = func(ps *pairScratch, l int32) {
+				checked++
+				v := ps.verts[l]
+				gain, side, _ := scanRegister(ps, v)
+				if ps.gain[l] != gain || ps.side[l] != side || ps.locked[l] {
+					t.Fatalf("pair (%d,%d) vertex %d after %d moves: table gives gain %d side %d locked %v, scan gain %d side %d",
+						ps.a, ps.b, v, len(ps.moves), ps.gain[l], ps.side[l], ps.locked[l], gain, side)
+				}
+				if len(ps.moves) > 0 {
+					joined++
+					return
+				}
+				if ps.ks.ver[ps.a] == ps.ks.stamp || ps.ks.ver[ps.b] == ps.ks.stamp {
+					stale++
+				}
+				if l != 0 {
+					return
+				}
+				maxDeg := int64(1)
+				for _, u := range ps.verts {
+					_, _, deg := scanRegister(ps, u)
+					maxDeg = max(maxDeg, deg)
+				}
+				if ps.maxDeg != maxDeg {
+					t.Fatalf("pair (%d,%d): key bound %d from the table, %d from the scan", ps.a, ps.b, ps.maxDeg, maxDeg)
+				}
 			}
-			arm := func(pr *pairInfo) *pairScratch {
-				return &pairScratch{g: g, part: part, localID: ks.localID, a: pr.a, b: pr.b, bias: bias}
-			}
-			for pi := range ks.pairs {
-				pr := &ks.pairs[pi]
-				list := ks.lists[pi]
-				scan := arm(pr)
-				scan.registerAll(list)
-				for _, v := range scan.verts {
-					ks.localID[v] = -1
-				}
-				swept := arm(pr)
-				swept.seed(list, ks.lgain[pi], pr.maxDeg)
-				for _, v := range swept.verts {
-					ks.localID[v] = -1
-				}
-				if len(scan.verts) != len(list) || len(swept.verts) != len(list) {
-					t.Fatalf("pair (%d,%d): %d list vertices, scan registered %d, sweep %d", pr.a, pr.b, len(list), len(scan.verts), len(swept.verts))
-				}
-				if scan.maxDeg != swept.maxDeg {
-					t.Errorf("pair (%d,%d): maxDeg %d from the sweep, %d from the scan", pr.a, pr.b, swept.maxDeg, scan.maxDeg)
-				}
-				for l, v := range list {
-					if scan.verts[l] != v || swept.verts[l] != v {
-						t.Fatalf("pair (%d,%d) local %d: vertex %d, scan has %d, sweep %d", pr.a, pr.b, l, v, scan.verts[l], swept.verts[l])
-					}
-					if scan.gain[l] != swept.gain[l] || scan.side[l] != swept.side[l] || swept.locked[l] {
-						t.Fatalf("pair (%d,%d) vertex %d: sweep gives gain %d side %d locked %v, scan gain %d side %d",
-							pr.a, pr.b, v, swept.gain[l], swept.side[l], swept.locked[l], scan.gain[l], scan.side[l])
-					}
-				}
+			defer func() { ks.onRegister = nil }()
+			st := kwayRefineWith(context.Background(), g, part, k, caps, 12, nil, bias, ks)
+			if checked == 0 || st.moves == 0 {
+				t.Fatalf("%d registrations checked, %+v", checked, st)
 			}
 		})
+	}
+	if stale == 0 || joined == 0 {
+		t.Errorf("%d registrations on stale pairs, %d after a move: a case is untested", stale, joined)
 	}
 }
 
@@ -260,7 +407,7 @@ func TestPairArenasLiveWithKwayArena(t *testing.T) {
 	before := map[*pairScratch]bool{}
 	for _, ps := range ks.pairFree {
 		before[ps] = true
-		if ps.g != nil || ps.part != nil || ps.localID != nil || ps.caps != nil || ps.bias.origin != nil {
+		if ps.ks != nil || ps.g != nil || ps.part != nil || ps.localID != nil || ps.caps != nil || ps.bias.origin != nil {
 			t.Errorf("idle pair arena still references its last run's inputs")
 		}
 		if cap(ps.verts) == 0 {

@@ -1,10 +1,11 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"tempart/internal/graph"
@@ -15,8 +16,9 @@ import (
 // k-way boundary refinement into pairwise FM subproblems — one per adjacent
 // part pair — and schedules non-adjacent pairs concurrently:
 //
-//  1. One sweep over the graph discovers the part-adjacency pairs, their
-//     boundary vertices, and their boundary edge weight.
+//  1. One sweep over the connectivity table's rows discovers the
+//     part-adjacency pairs, their boundary vertices, and their boundary edge
+//     weight.
 //  2. The pairs, sorted by descending weight (heaviest boundaries first get
 //     the smallest colors and the most refinement), are greedily
 //     edge-colored on the part-adjacency graph, so every color class is a
@@ -42,19 +44,27 @@ import (
 //   - A pair run is a pure function of the membership of its two parts and
 //     the boundary list the sweep built from it. A pair that returned no
 //     move is not run again until one of its parts changes (kwayScratch.idle).
-//   - The sweep already sums every boundary vertex's edge weight per
-//     adjacent part; it also sums the weight into the vertex's own part, so a
-//     pair whose parts are unchanged since the sweep starts from those gains
-//     instead of rescanning adjacency (pairScratch.seed).
+//   - Every vertex's edge weight into its own part and, for boundary
+//     vertices, into each adjacent part is kept in one connectivity table,
+//     built by begin and patched by the serial commit (kwayScratch.moveVertex).
+//     The sweep and every gain a pair run needs are lookups in it; no pass
+//     scans adjacency except to apply a committed move.
 //   - Pair arenas are owned by the k-way arena (kwayScratch.getPair), not by
 //     a sync.Pool a GC can empty between two pair runs.
 
 // pairInfo is one adjacent part pair discovered during the boundary sweep.
 type pairInfo struct {
-	a, b   int32 // a < b
-	w      int64 // total boundary edge weight (counted from both endpoints)
-	maxDeg int64 // largest weighted degree into a ∪ b over the pair's list
-	color  int32
+	a, b  int32 // a < b
+	w     int64 // total boundary edge weight (counted from both endpoints)
+	color int32
+}
+
+// connEntry is one entry of a vertex's connectivity row: its edges into one
+// adjacent part other than its own.
+type connEntry struct {
+	p int32 // the adjacent part
+	n int32 // edge count into p; the entry is dropped when it reaches 0
+	w int64 // edge weight into p
 }
 
 // kwayStats counts the work of one kwayRefineWith call. Every scheduled pair
@@ -90,20 +100,27 @@ func densePairs(k int) bool { return k*k <= maxDensePairs }
 type kwayScratch struct {
 	caps    []int64 // kwayCapsInto buffer (RefineKWay)
 	pw      []int64 // part weights, k*ncon flattened
-	mark    []int32 // per-part stamp for the boundary sweep
-	wsum    []int64 // per-part edge weight of the vertex under review
-	touched []int32 // distinct adjacent parts of the vertex under review
 	pairIdx []int32 // dense (a*k+b) -> pair index, -1 when absent
 	pairMap map[int64]int32
 	pairs   []pairInfo
-	lists   [][]int32 // per-pair boundary vertex lists (slot-reused)
-	lgain   [][]int64 // per list vertex: edge weight into the other part minus into its own
-	order   []int32   // pair indices in coloring order
-	sorter  pairSorter
+	lists   [][]int32  // per-pair boundary vertex lists (slot-reused)
+	order   []int32    // pair indices in coloring order
 	colors  [][]uint64 // per-part used-color bitset
 	rounds  [][]int32  // pair indices grouped by color, in order
 	results [][]int32  // per-slot committed move lists of the active round
 	localID []int32    // global vertex -> pair-local id, -1 outside any pair
+
+	// The part-connectivity table of the call, exact at every round start:
+	// own[v] is v's edge weight into its own part. A vertex that has had a
+	// neighbour in another part during the call owns a row of rowCap[v]
+	// entries at ents[rowAt[v]:] (rowAt -1: no row), whose first rowN[v]
+	// entries are its adjacent parts.
+	own    []int64
+	rowAt  []int32
+	rowN   []int32
+	rowCap []int32
+	ents   []connEntry
+	adj    []int32 // begin's distinct adjacent parts of the vertex under count
 
 	// Change tracking, in pass stamps: stamp numbers the passes this arena
 	// has run (begin takes one too), ver[p] is the stamp of the pass that
@@ -121,9 +138,14 @@ type kwayScratch struct {
 	pairMu   sync.Mutex
 	pairFree []*pairScratch
 
-	// onSkip, when set (tests only), is called with the pair index of every
-	// skipped slot before its round runs.
-	onSkip func(pi int32)
+	// Test-only hooks, nil otherwise: onSkip is called with the pair index
+	// of every skipped slot before its round runs, onRegister with every
+	// vertex a pair run registers once its gain is settled (after the whole
+	// initial working set, or after the move that made it join), onCommit
+	// after every commit round.
+	onSkip     func(pi int32)
+	onRegister func(ps *pairScratch, l int32)
+	onCommit   func()
 
 	// Active-round state read by runOne. The closure is built once per
 	// arena and reused, so steady-state passes allocate nothing.
@@ -135,8 +157,8 @@ type kwayScratch struct {
 	runOne func(i int)
 }
 
-// kwayScratchPools is size-classed by localID capacity (the arena's dominant,
-// vertex-count-sized array); see sizeclass.go for the filing discipline.
+// kwayScratchPools is size-classed by localID capacity (one of the arena's
+// vertex-count-sized arrays); see sizeclass.go for the filing discipline.
 var kwayScratchPools [sizeClasses]sync.Pool
 
 // getKwayScratch returns an arena whose localID covers n vertices. The
@@ -171,26 +193,6 @@ func getKwayScratch(n int) *kwayScratch {
 }
 
 func putKwayScratch(ks *kwayScratch) { kwayScratchPools[capClass(cap(ks.localID))].Put(ks) }
-
-// pairSorter orders pair indices by descending boundary weight, ties by
-// (a, b) — a pure function of the pair set, never of discovery scheduling.
-type pairSorter struct {
-	order []int32
-	pairs []pairInfo
-}
-
-func (s *pairSorter) Len() int      { return len(s.order) }
-func (s *pairSorter) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
-func (s *pairSorter) Less(i, j int) bool {
-	pi, pj := &s.pairs[s.order[i]], &s.pairs[s.order[j]]
-	if pi.w != pj.w {
-		return pi.w > pj.w
-	}
-	if pi.a != pj.a {
-		return pi.a < pj.a
-	}
-	return pi.b < pj.b
-}
 
 // kwayRefine runs parallel pairwise-FM k-way refinement passes in place; see
 // the engine comment above. Passes stop early when a full pass commits no
@@ -228,9 +230,10 @@ func kwayRefineWith(ctx context.Context, g *graph.Graph, part []int32, k int, ca
 }
 
 // begin prepares the arena for one refinement call over (g, part, k): the
-// part weights the commit phase maintains across passes, and the change
-// tracking — every part counts as changed now, which outdates whatever an
-// earlier call left in the idle table. kwayPass relies on it.
+// part weights and the connectivity table the commit phase maintains across
+// passes, and the change tracking — every part counts as changed now, which
+// outdates whatever an earlier call left in the idle table. kwayPass relies
+// on it.
 func (ks *kwayScratch) begin(g *graph.Graph, part []int32, k int) {
 	n, ncon := g.NumVertices(), g.NCon
 	ks.pw = growI64(ks.pw, k*ncon)
@@ -242,6 +245,40 @@ func (ks *kwayScratch) begin(g *graph.Graph, part []int32, k int) {
 		wv := g.WeightVec(int32(v))
 		for c := 0; c < ncon; c++ {
 			dst[c] += int64(wv[c])
+		}
+	}
+
+	// The table in two sweeps. The first takes the own weights and counts
+	// each vertex's distinct adjacent parts; the second lays the boundary's
+	// rows out back to back at exactly that capacity, in an arena reserved
+	// once with 1/8 headroom for rows that later commits acquire or outgrow.
+	ks.own = growI64(ks.own, n)
+	ks.rowAt = growI32(ks.rowAt, n)
+	ks.rowN = growI32(ks.rowN, n)
+	ks.rowCap = growI32(ks.rowCap, n)
+	var rows int
+	for v := 0; v < n; v++ {
+		var own int64
+		adj := ks.adj[:0]
+		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+			if p := part[g.Adjncy[i]]; p == part[v] {
+				own += int64(g.AdjWgt[i])
+			} else if !slices.Contains(adj, p) {
+				adj = append(adj, p)
+			}
+		}
+		ks.adj = adj
+		ks.own[v], ks.rowAt[v], ks.rowN[v], ks.rowCap[v] = own, -1, 0, int32(len(adj))
+		rows += len(adj)
+	}
+	if need := rows + rows/8; cap(ks.ents) < need {
+		ks.ents = make([]connEntry, 0, need)
+	}
+	ks.ents = ks.ents[:0]
+	for v := int32(0); v < int32(n); v++ {
+		if c := ks.rowCap[v]; c > 0 {
+			ks.place(v, c)
+			ks.scanRow(g, part, v)
 		}
 	}
 
@@ -257,6 +294,118 @@ func (ks *kwayScratch) begin(g *graph.Graph, part []int32, k int) {
 	for p := range ks.ver {
 		ks.ver[p] = now
 	}
+}
+
+// scanRow recomputes v's own weight and row from its adjacency.
+func (ks *kwayScratch) scanRow(g *graph.Graph, part []int32, v int32) {
+	pv := part[v]
+	var own int64
+	ks.rowN[v] = 0
+	for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+		w := int64(g.AdjWgt[i])
+		if p := part[g.Adjncy[i]]; p == pv {
+			own += w
+		} else {
+			ks.connect(g, v, p, w)
+		}
+	}
+	ks.own[v] = own
+}
+
+// connect adds one edge of weight w from v into part p ≠ part[v]. A vertex
+// without a row first gets one of capacity 2, a full row moves to one of
+// twice its capacity; neither exceeds deg(v), the most distinct parts v can
+// touch.
+func (ks *kwayScratch) connect(g *graph.Graph, v, p int32, w int64) {
+	at := ks.rowAt[v]
+	if at >= 0 {
+		row := ks.ents[at : at+ks.rowN[v]]
+		for j := range row {
+			if row[j].p == p {
+				row[j].n++
+				row[j].w += w
+				return
+			}
+		}
+	}
+	if ks.rowN[v] == ks.rowCap[v] {
+		ks.place(v, min(g.Xadj[v+1]-g.Xadj[v], max(2, 2*ks.rowCap[v])))
+	}
+	ks.ents[ks.rowAt[v]+ks.rowN[v]] = connEntry{p: p, n: 1, w: w}
+	ks.rowN[v]++
+}
+
+// place gives v a row of capacity c at the end of the arena, moving its live
+// entries there if it had one.
+func (ks *kwayScratch) place(v, c int32) {
+	at := len(ks.ents)
+	ks.ents = slices.Grow(ks.ents, int(c))[:at+int(c)]
+	if old := ks.rowAt[v]; old >= 0 {
+		copy(ks.ents[at:], ks.ents[old:old+ks.rowN[v]])
+	}
+	ks.rowAt[v], ks.rowCap[v] = int32(at), c
+}
+
+// disconnect removes one edge of weight w from v into part p. The entry goes
+// when its edge count reaches 0 — not its weight, which zero-weight edges
+// leave at 0 while v still touches p.
+func (ks *kwayScratch) disconnect(v, p int32, w int64) {
+	at := ks.rowAt[v]
+	row := ks.ents[at : at+ks.rowN[v]]
+	for j := range row {
+		if row[j].p != p {
+			continue
+		}
+		row[j].n--
+		row[j].w -= w
+		if row[j].n == 0 {
+			row[j] = row[len(row)-1]
+			ks.rowN[v]--
+		}
+		return
+	}
+}
+
+// connWeight returns v's edge weight into part p ≠ part[v].
+func (ks *kwayScratch) connWeight(v, p int32) int64 {
+	if at := ks.rowAt[v]; at >= 0 {
+		for _, e := range ks.ents[at : at+ks.rowN[v]] {
+			if e.p == p {
+				return e.w
+			}
+		}
+	}
+	return 0
+}
+
+// moveVertex commits the move of v to part to: the part weights, part[v],
+// and the connectivity table — each neighbour's own weight and row, then v's
+// row rebuilt against its new part.
+func (ks *kwayScratch) moveVertex(g *graph.Graph, part []int32, v, to int32) {
+	from := part[v]
+	ncon := g.NCon
+	fw, tw := ks.pw[int(from)*ncon:], ks.pw[int(to)*ncon:]
+	wv := g.WeightVec(v)
+	for c := 0; c < ncon; c++ {
+		fw[c] -= int64(wv[c])
+		tw[c] += int64(wv[c])
+	}
+	part[v] = to
+	for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+		u, w := g.Adjncy[i], int64(g.AdjWgt[i])
+		switch part[u] {
+		case from:
+			ks.own[u] -= w
+			ks.connect(g, u, to, w)
+		case to:
+			ks.disconnect(u, from, w)
+			ks.own[u] += w
+		default:
+			ks.disconnect(u, from, w)
+			ks.connect(g, u, to, w)
+		}
+	}
+	ks.scanRow(g, part, v)
 }
 
 // tick starts the next stamp. On the (theoretical) wrap the idle records are
@@ -326,10 +475,9 @@ func (ks *kwayScratch) putPair(ps *pairScratch) {
 }
 
 // sweep discovers the adjacent part pairs, their boundary vertices and
-// weights. A vertex joins the list of every pair formed by its part and a
-// distinct adjacent part, together with its initial gain for that pair.
-func (ks *kwayScratch) sweep(g *graph.Graph, part []int32, k int) {
-	n := g.NumVertices()
+// weights from the connectivity rows: a vertex joins the list of every pair
+// formed by its part and an adjacent part of its row.
+func (ks *kwayScratch) sweep(part []int32, k int) {
 	ks.pairs = ks.pairs[:0]
 	dense := densePairs(k)
 	if dense {
@@ -337,32 +485,13 @@ func (ks *kwayScratch) sweep(g *graph.Graph, part []int32, k int) {
 	} else if ks.pairMap == nil {
 		ks.pairMap = make(map[int64]int32)
 	}
-	ks.mark = growI32(ks.mark, k)
-	for i := range ks.mark {
-		ks.mark[i] = 0
-	}
-	ks.wsum = growI64(ks.wsum, k)
-	touched := ks.touched[:0]
-	for v := 0; v < n; v++ {
-		from := part[v]
-		stamp := int32(v) + 1
-		touched = touched[:0]
-		var own int64
-		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			p := part[g.Adjncy[i]]
-			if p == from {
-				own += int64(g.AdjWgt[i])
-				continue
-			}
-			if ks.mark[p] != stamp {
-				ks.mark[p] = stamp
-				ks.wsum[p] = 0
-				touched = append(touched, p)
-			}
-			ks.wsum[p] += int64(g.AdjWgt[i])
+	for v, nr := range ks.rowN {
+		if nr == 0 {
+			continue
 		}
-		for _, p := range touched {
-			a, b := from, p
+		from, at := part[v], ks.rowAt[v]
+		for _, e := range ks.ents[at : at+nr] {
+			a, b := from, e.p
 			if a > b {
 				a, b = b, a
 			}
@@ -385,23 +514,14 @@ func (ks *kwayScratch) sweep(g *graph.Graph, part []int32, k int) {
 				}
 				if int(pi) < len(ks.lists) {
 					ks.lists[pi] = ks.lists[pi][:0]
-					ks.lgain[pi] = ks.lgain[pi][:0]
 				} else {
 					ks.lists = append(ks.lists, nil)
-					ks.lgain = append(ks.lgain, nil)
 				}
 			}
-			pr := &ks.pairs[pi]
-			ext := ks.wsum[p]
-			pr.w += ext
-			if ext+own > pr.maxDeg {
-				pr.maxDeg = ext + own
-			}
+			ks.pairs[pi].w += e.w
 			ks.lists[pi] = append(ks.lists[pi], int32(v))
-			ks.lgain[pi] = append(ks.lgain[pi], ext-own)
 		}
 	}
-	ks.touched = touched
 }
 
 // kwayPass runs one full refinement pass over an arena prepared by begin and
@@ -409,20 +529,28 @@ func (ks *kwayScratch) sweep(g *graph.Graph, part []int32, k int) {
 func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch, pool *graph.Pool, bias moveBias, st *kwayStats) {
 	now := ks.tick()
 	st.passes++
-	ks.sweep(g, part, k)
+	ks.sweep(part, k)
 	np := len(ks.pairs)
 	if np == 0 {
 		return
 	}
 
 	// Greedy edge coloring of the part-adjacency graph, heaviest pair first:
-	// each pair takes the smallest color unused at both endpoints.
+	// each pair takes the smallest color unused at both endpoints. The order
+	// (w desc, a, b) is total — a pure function of the pair set, never of
+	// discovery order.
 	ks.order = ks.order[:0]
 	for i := 0; i < np; i++ {
 		ks.order = append(ks.order, int32(i))
 	}
-	ks.sorter.order, ks.sorter.pairs = ks.order, ks.pairs
-	sort.Sort(&ks.sorter)
+	pairs := ks.pairs
+	slices.SortFunc(ks.order, func(i, j int32) int {
+		pi, pj := &pairs[i], &pairs[j]
+		if pi.w != pj.w {
+			return cmp.Compare(pj.w, pi.w)
+		}
+		return cmp.Or(cmp.Compare(pi.a, pj.a), cmp.Compare(pi.b, pj.b))
+	})
 	for len(ks.colors) < k {
 		ks.colors = append(ks.colors, nil)
 	}
@@ -455,16 +583,12 @@ func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch
 	// for the rest concurrently against the read-only pre-round state, then
 	// commit serially in round order (a skipped pair has nothing to commit,
 	// so the commit order is that of the full round).
-	ncon := g.NCon
 	ks.cg, ks.cpart, ks.ccaps, ks.cbias = g, part, caps, bias
 	if ks.runOne == nil {
 		ks.runOne = func(i int) {
 			pi := ks.cround[i]
-			pr := &ks.pairs[pi]
 			ps := ks.getPair()
-			// Parts untouched by this pass's commits are as the sweep saw them.
-			fresh := ks.ver[pr.a] < ks.stamp && ks.ver[pr.b] < ks.stamp
-			ks.results[i] = ps.run(ks, pr, ks.lists[pi], ks.lgain[pi], fresh, ks.results[i][:0])
+			ks.results[i] = ps.run(ks, &ks.pairs[pi], ks.lists[pi], ks.results[i][:0])
 			ks.putPair(ps)
 		}
 	}
@@ -495,21 +619,16 @@ func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch
 			}
 			ks.ver[pr.a], ks.ver[pr.b] = now, now
 			for _, v := range ks.results[i] {
-				from := part[v]
 				to := pr.a
-				if from == pr.a {
+				if part[v] == pr.a {
 					to = pr.b
 				}
-				fw := ks.pw[int(from)*ncon:]
-				tw := ks.pw[int(to)*ncon:]
-				wv := g.WeightVec(v)
-				for ci := 0; ci < ncon; ci++ {
-					fw[ci] -= int64(wv[ci])
-					tw[ci] += int64(wv[ci])
-				}
-				part[v] = to
+				ks.moveVertex(g, part, v, to)
 			}
 			st.moves += len(ks.results[i])
+		}
+		if ks.onCommit != nil {
+			ks.onCommit()
 		}
 	}
 
@@ -577,6 +696,7 @@ func setColorBit(set []uint64, c int) []uint64 {
 // (kwayScratch.getPair). The run's parameters are stored as fields so the hot
 // helpers are methods (closures here would escape to the heap on every run).
 type pairScratch struct {
+	ks      *kwayScratch // the connectivity table, read-only during the run
 	g       *graph.Graph
 	part    []int32
 	localID []int32
@@ -592,28 +712,29 @@ type pairScratch struct {
 	pwa    []int64 // pair-local copies of the two part weight vectors
 	pwb    []int64
 	bk     [2]gainBuckets
-	maxDeg int64
+	maxDeg int64 // largest weighted degree into a ∪ b of the initial working set
 }
 
 // run executes pairwise FM between the parts of pr over its boundary vertex
-// list, reading ks.cpart and ks.pw as the immutable pre-round state, and
-// appends the best move prefix (global vertex ids, in order) to out. The
-// caller commits those moves serially; run itself never writes part. fresh
-// says that neither part has changed since the sweep built list and lgain.
-func (ps *pairScratch) run(ks *kwayScratch, pr *pairInfo, list []int32, lgain []int64, fresh bool, out []int32) []int32 {
+// list, reading ks.cpart, ks.pw and the connectivity table as the immutable
+// pre-round state, and appends the best move prefix (global vertex ids, in
+// order) to out. The caller commits those moves serially; run itself never
+// writes part.
+func (ps *pairScratch) run(ks *kwayScratch, pr *pairInfo, list []int32, out []int32) []int32 {
 	a, b := pr.a, pr.b
 	ncon := ks.cg.NCon
-	ps.g, ps.part, ps.localID, ps.caps = ks.cg, ks.cpart, ks.localID, ks.ccaps
+	ps.ks, ps.g, ps.part, ps.localID, ps.caps = ks, ks.cg, ks.cpart, ks.localID, ks.ccaps
 	ps.a, ps.b, ps.bias = a, b, ks.cbias
 	ps.pwa = growI64(ps.pwa, ncon)
 	copy(ps.pwa, ks.pw[int(a)*ncon:int(a)*ncon+ncon])
 	ps.pwb = growI64(ps.pwb, ncon)
 	copy(ps.pwb, ks.pw[int(b)*ncon:int(b)*ncon+ncon])
 	ps.moves = ps.moves[:0]
-	if fresh {
-		ps.seed(list, lgain, pr.maxDeg)
-	} else {
-		ps.registerAll(list)
+	ps.registerAll(list)
+	if ks.onRegister != nil {
+		for l := range ps.verts {
+			ks.onRegister(ps, int32(l))
+		}
 	}
 	out = ps.refine(out)
 	for _, v := range ps.verts {
@@ -621,42 +742,14 @@ func (ps *pairScratch) run(ks *kwayScratch, pr *pairInfo, list []int32, lgain []
 	}
 	// The arena outlives the call inside a pooled kwayScratch; do not pin
 	// the caller's graph and assignment with it.
-	ps.g, ps.part, ps.localID, ps.caps, ps.bias = nil, nil, nil, nil, moveBias{}
+	ps.ks, ps.g, ps.part, ps.localID, ps.caps, ps.bias = nil, nil, nil, nil, nil, moveBias{}
 	return out
 }
 
-// seed registers the initial working set from the sweep's sums: with both
-// parts as the sweep saw them, every list vertex is still in the pair, its
-// gain is the swept weight into the other part minus the weight into its own
-// (plus the bias), and pr.maxDeg bounds their weighted degrees — exactly what
-// registerAll would compute by scanning adjacency again.
-func (ps *pairScratch) seed(list []int32, lgain []int64, maxDeg int64) {
-	n := len(list)
-	ps.verts = append(ps.verts[:0], list...)
-	ps.gain = append(ps.gain[:0], lgain...)
-	if cap(ps.side) < n {
-		ps.side = make([]int8, n)
-	}
-	ps.side = ps.side[:n]
-	ps.locked = growBool(ps.locked, n)
-	for l, v := range list {
-		ps.localID[v] = int32(l)
-		from, to := ps.a, ps.b
-		ps.side[l] = 0
-		if ps.part[v] == ps.b {
-			ps.side[l] = 1
-			from, to = ps.b, ps.a
-		}
-		if ps.bias.origin != nil {
-			ps.gain[l] += ps.bias.delta(v, from, to)
-		}
-	}
-	ps.maxDeg = max(1, maxDeg)
-}
-
-// registerAll registers the initial working set by adjacency scan: the path
-// for a list built before an earlier round of this pass changed one of the
-// pair's parts. Vertices that round moved to a third part are skipped.
+// registerAll registers the initial working set: every list vertex still in
+// the pair. A list built before an earlier round of this pass changed one of
+// the pair's parts can hold vertices that round moved to a third part; they
+// are skipped.
 func (ps *pairScratch) registerAll(list []int32) {
 	ps.verts = ps.verts[:0]
 	ps.gain = ps.gain[:0]
@@ -667,10 +760,9 @@ func (ps *pairScratch) registerAll(list []int32) {
 		if pv := ps.part[v]; pv != ps.a && pv != ps.b {
 			continue
 		}
-		if ps.localID[v] >= 0 {
-			continue
+		if _, deg := ps.register(v); deg > ps.maxDeg {
+			ps.maxDeg = deg
 		}
-		ps.register(v)
 	}
 }
 
@@ -705,7 +797,7 @@ func (ps *pairScratch) refine(out []int32) []int32 {
 	stall := 0
 
 	for ps.bk[0].len()+ps.bk[1].len() > 0 && stall < maxStall {
-		l, newOver, ok := ps.pickMove(curOver, maxKey)
+		l, newOver, ok := ps.pickMove(curOver)
 		if !ok {
 			break
 		}
@@ -741,12 +833,12 @@ func (ps *pairScratch) refine(out []int32) []int32 {
 				continue
 			}
 			lu := ps.localID[u]
-			if lu < 0 {
-				lu = ps.register(u) // gain computed against the post-move state
-				ps.bk[0].grow(len(ps.verts))
-				ps.bk[1].grow(len(ps.verts))
-				ps.bk[ps.side[lu]].insert(lu, satKey(ps.gain[lu], maxKey))
-				continue
+			joins := lu < 0
+			if joins {
+				// Every earlier move registered all of its neighbours, so v is
+				// u's only locally moved neighbour: u's gain is the table's
+				// pre-round value, corrected for this edge like any other.
+				lu, _ = ps.register(u)
 			}
 			w := int64(g.AdjWgt[i])
 			if ps.side[lu] == s {
@@ -754,7 +846,14 @@ func (ps *pairScratch) refine(out []int32) []int32 {
 			} else {
 				ps.gain[lu] -= 2 * w // the edge became internal for u
 			}
-			if !ps.locked[lu] {
+			if joins {
+				ps.bk[0].grow(len(ps.verts))
+				ps.bk[1].grow(len(ps.verts))
+				ps.bk[ps.side[lu]].insert(lu, satKey(ps.gain[lu], maxKey))
+				if ps.ks.onRegister != nil {
+					ps.ks.onRegister(ps, lu)
+				}
+			} else if !ps.locked[lu] {
 				ps.bk[ps.side[lu]].update(lu, satKey(ps.gain[lu], maxKey))
 			}
 		}
@@ -778,41 +877,16 @@ func (ps *pairScratch) refine(out []int32) []int32 {
 	return out
 }
 
-// register adds vertex v (in part a or b, not yet local) to the working set,
-// computing its gain against the current effective state — locally moved
-// vertices count on their moved side.
-func (ps *pairScratch) register(v int32) int32 {
-	g := ps.g
-	var ca, cb int64
-	for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-		u := g.Adjncy[i]
-		pu := ps.part[u]
-		if pu != ps.a && pu != ps.b {
-			continue // includes other pairs' localID entries — not ours
-		}
-		su := int8(0)
-		if pu == ps.b {
-			su = 1
-		}
-		if lu := ps.localID[u]; lu >= 0 {
-			su = ps.side[lu] // locally moved within this pair run
-		}
-		if su == 0 {
-			ca += int64(g.AdjWgt[i])
-		} else {
-			cb += int64(g.AdjWgt[i])
-		}
+// register adds vertex v (in part a or b, not yet local) to the working set
+// with its gain at the pre-round state, read from the connectivity table,
+// and returns its local id and its weighted degree into a ∪ b.
+func (ps *pairScratch) register(v int32) (int32, int64) {
+	from, to, s := ps.a, ps.b, int8(0)
+	if ps.part[v] == ps.b {
+		from, to, s = ps.b, ps.a, 1
 	}
-	var s int8
-	var gv int64
-	from, to := ps.a, ps.b
-	if ps.part[v] == ps.a {
-		gv = cb - ca
-	} else {
-		s = 1
-		gv = ca - cb
-		from, to = ps.b, ps.a
-	}
+	own, ext := ps.ks.own[v], ps.ks.connWeight(v, to)
+	gv := ext - own
 	if ps.bias.origin != nil {
 		gv += ps.bias.delta(v, from, to)
 	}
@@ -822,40 +896,34 @@ func (ps *pairScratch) register(v int32) int32 {
 	ps.gain = append(ps.gain, gv)
 	ps.side = append(ps.side, s)
 	ps.locked = append(ps.locked, false)
-	if wd := ca + cb; wd > ps.maxDeg {
-		ps.maxDeg = wd
-	}
-	return l
+	return l, own + ext
 }
 
 // pickMove selects the best admissible move from either direction's buckets:
-// pop each side's top candidate, drop candidates that would worsen the pair
-// overage (they re-enter when a neighbour move changes their gain), keep the
-// (overage, gain)-best of the two and return the loser. A second probe round
-// avoids stalling on a single inadmissible top entry.
-func (ps *pairScratch) pickMove(curOver int64, maxKey int32) (int32, int64, bool) {
+// look at each side's top candidate, drop candidates that would worsen the
+// pair overage (they re-enter when a neighbour move changes their gain), and
+// take the (overage, gain)-best of the two off its buckets. A second probe
+// round avoids stalling on a single inadmissible top entry.
+func (ps *pairScratch) pickMove(curOver int64) (int32, int64, bool) {
 	for probe := 0; probe < 2; probe++ {
 		best := int32(-1)
 		var bestOver, bestGain int64
 		for s := 0; s < 2; s++ {
-			l, ok := ps.bk[s].popMax()
+			l, ok := ps.bk[s].peekMax()
 			if !ok {
 				continue
 			}
 			no := ps.overAfter(l)
 			if no > curOver {
+				ps.bk[s].remove(l)
 				continue
 			}
 			if best < 0 || no < bestOver || (no == bestOver && ps.gain[l] > bestGain) {
-				if best >= 0 {
-					ps.bk[ps.side[best]].insert(best, satKey(ps.gain[best], maxKey))
-				}
 				best, bestOver, bestGain = l, no, ps.gain[l]
-			} else {
-				ps.bk[s].insert(l, satKey(ps.gain[l], maxKey))
 			}
 		}
 		if best >= 0 {
+			ps.bk[ps.side[best]].remove(best)
 			return best, bestOver, true
 		}
 		if ps.bk[0].len()+ps.bk[1].len() == 0 {

@@ -40,6 +40,7 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	}
 
 	levels := []rlevel{{g: g, origin: clone32(part), pen: penalties(g, opt)}}
+	order := make([]int32, g.NumVertices()) // matching visit order, reused per level
 	for {
 		cur := levels[len(levels)-1]
 		n := cur.g.NumVertices()
@@ -49,7 +50,7 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 		cspan := obs.StartSpan(ctx, "repart/coarsen")
 		cspan.SetInt("level", int64(len(levels)-1))
 		cspan.SetInt("vertices", int64(n))
-		cmap, ncoarse := matchWithinParts(cur.g, cur.origin, rng)
+		cmap, ncoarse := matchWithinParts(cur.g, cur.origin, perm(order, n, rng))
 		cspan.SetInt("coarse_vertices", int64(ncoarse))
 		if ncoarse > n*9/10 { // diminishing returns: stop below 10% shrink
 			cspan.End()
@@ -93,7 +94,6 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 		err := partition.RefineKWay(obs.ContextWithSpan(ctx, rspan), lv.g, cur, k, partition.RefineOptions{
 			ImbalanceTol: opt.Part.ImbalanceTol,
 			Passes:       opt.Part.RefinePasses,
-			Seed:         opt.Part.Seed + int64(li),
 			Parallelism:  opt.Part.Parallelism,
 			Origin:       lv.origin,
 			MovePenalty:  lv.pen,
@@ -120,23 +120,43 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	// level inside one part's interior (no boundary vertex of that level to
 	// move). The diffusive sweep has no such restriction — finish with it
 	// whenever residual imbalance remains.
-	if partition.MaxImbalanceOf(g, part, k) > opt.Part.ImbalanceTol {
+	residual := partition.MaxImbalanceOf(g, part, k) > opt.Part.ImbalanceTol
+	if span.Active() {
+		var fired int64
+		if residual {
+			fired = 1
+		}
+		span.SetInt("residual_diffuse", fired)
+	}
+	if residual {
 		return diffuse(ctx, g, part, k, opt)
 	}
 	return nil
 }
 
+// perm returns rng.Perm(n) in buf[:n]: the same permutation from the same
+// draws, without allocating an []int per level.
+func perm(buf []int32, n int, rng *rand.Rand) []int32 {
+	buf = buf[:n]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = int32(i)
+	}
+	return buf
+}
+
 // matchWithinParts is heavy-edge matching restricted to endpoints sharing
 // the same origin part, so the old assignment projects exactly onto the
-// coarse graph. Unmatched vertices map to singleton coarse vertices.
-func matchWithinParts(g *graph.Graph, origin []int32, rng *rand.Rand) (cmap []int32, ncoarse int) {
+// coarse graph. Vertices are visited in the given order; unmatched ones map
+// to singleton coarse vertices.
+func matchWithinParts(g *graph.Graph, origin []int32, order []int32) (cmap []int32, ncoarse int) {
 	n := g.NumVertices()
 	cmap = make([]int32, n)
 	for i := range cmap {
 		cmap[i] = -1
 	}
-	for _, vi := range rng.Perm(n) {
-		v := int32(vi)
+	for _, v := range order {
 		if cmap[v] >= 0 {
 			continue
 		}

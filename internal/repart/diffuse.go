@@ -8,6 +8,7 @@ import (
 
 	"tempart/internal/graph"
 	"tempart/internal/obs"
+	"tempart/internal/partition"
 )
 
 // diffuse is the diffusive fallback: boundary cells of overloaded parts flow
@@ -49,7 +50,7 @@ func diffuse(ctx context.Context, g *graph.Graph, part []int32, k int, opt Optio
 	// pen is nil). A bounded number of sweeps suffices: each move strictly
 	// reduces total overage.
 	rng := rand.New(rand.NewSource(opt.Part.Seed))
-	order := rng.Perm(n)
+	order := perm(make([]int32, n), n, rng)
 	if pen != nil {
 		sort.SliceStable(order, func(a, b int) bool { return pen[order[a]] < pen[order[b]] })
 	}
@@ -62,8 +63,7 @@ func diffuse(ctx context.Context, g *graph.Graph, part []int32, k int, opt Optio
 			return nil
 		}
 		moves := 0
-		for _, vi := range order {
-			v := int32(vi)
+		for _, v := range order {
 			from := part[v]
 			overFrom := overOf(from)
 			if overFrom == 0 {
@@ -132,7 +132,13 @@ func diffuse(ctx context.Context, g *graph.Graph, part []int32, k int, opt Optio
 	}
 
 	// Repair the cut the diffusion tore open, without sacrificing balance.
-	return refinePolish(ctx, g, part, k, opt, origin)
+	return partition.RefineKWay(ctx, g, part, k, partition.RefineOptions{
+		ImbalanceTol: opt.Part.ImbalanceTol,
+		Passes:       opt.Part.RefinePasses,
+		Parallelism:  opt.Part.Parallelism,
+		Origin:       origin,
+		MovePenalty:  pen,
+	})
 }
 
 func maxI64(a, b int64) int64 {

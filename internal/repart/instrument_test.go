@@ -68,7 +68,8 @@ func TestRepartitionUnchangedByTracing(t *testing.T) {
 // TestRefineWarmSpansTile: the per-level coarsen and refine spans (and the
 // diffusive finish, when it runs) cover the warm-start strategy — at one
 // worker its direct children account for at least 95 % of repart/refine_warm,
-// so a traced run says which level the time went to.
+// so a traced run says which level the time went to, and the span's
+// residual_diffuse attribute says whether the diffusive finish ran.
 func TestRefineWarmSpansTile(t *testing.T) {
 	m, old := driftedCylinder(t, goldenScale, goldenK, 0.05)
 	g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
@@ -100,6 +101,11 @@ func TestRefineWarmSpansTile(t *testing.T) {
 	depth, _ := attr(spans[warm], "depth")
 	if byName["repart/refine"] != int(depth) || byName["repart/coarsen"] < int(depth)-1 || depth < 2 {
 		t.Errorf("depth %d hierarchy recorded children %v", depth, byName)
+	}
+	// The diffusive finish is recorded whether or not it fired, and fires
+	// exactly when a repart/diffuse child says it ran.
+	if fired, ok := attr(spans[warm], "residual_diffuse"); !ok || fired != int64(byName["repart/diffuse"]) {
+		t.Errorf("residual_diffuse = %d (recorded %v) with %d repart/diffuse children", fired, ok, byName["repart/diffuse"])
 	}
 	if share := float64(covered) / float64(total); share < 0.95 {
 		t.Errorf("direct children cover %.1f%% of repart/refine_warm (%v), want >= 95%%", 100*share, byName)

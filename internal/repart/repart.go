@@ -277,18 +277,6 @@ func penalties(g *graph.Graph, opt Options) []int64 {
 	return pen
 }
 
-// refinePolish runs penalty-biased k-way refinement on the full graph.
-func refinePolish(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options, origin []int32) error {
-	return partition.RefineKWay(ctx, g, part, k, partition.RefineOptions{
-		ImbalanceTol: opt.Part.ImbalanceTol,
-		Passes:       opt.Part.RefinePasses,
-		Seed:         opt.Part.Seed,
-		Parallelism:  opt.Part.Parallelism,
-		Origin:       origin,
-		MovePenalty:  penalties(g, opt),
-	})
-}
-
 // scratch partitions from scratch and then relabels the new parts to
 // maximise byte overlap with the old assignment, so even the fallback path
 // migrates only what the fresh partition forces.
