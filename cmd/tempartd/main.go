@@ -71,8 +71,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		accessLog    = flag.Bool("access-log", true, "emit one structured log line per request")
 		dataDir      = flag.String("data-dir", "", "durable store directory (empty = in-memory only, no persistence)")
-		batchMax     = flag.Int("store-batch-max", 64, "store commits per batched flush")
-		batchWait    = flag.Duration("store-batch-wait", 20*time.Millisecond, "max time a store commit waits for co-batching (also the durable-commit latency bound)")
 		verify       = flag.Bool("verify", false, "verify the -data-dir provenance chain and blob digests, print a report, and exit (non-zero on corruption)")
 		nodeID       = flag.String("node-id", "", "this daemon's fleet identity; requires -peers and must appear in it")
 		peersSpec    = flag.String("peers", "", `static fleet membership as "id=url,id=url,..." including this node (same list on every member); enables cluster mode`)
@@ -134,12 +132,7 @@ func main() {
 	var st *store.Store
 	if *dataDir != "" {
 		var err error
-		st, err = store.Open(store.Options{
-			Dir:      *dataDir,
-			NodeID:   *nodeID,
-			MaxBatch: *batchMax,
-			MaxWait:  *batchWait,
-		})
+		st, err = store.Open(store.Options{Dir: *dataDir, NodeID: *nodeID})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tempartd: opening store:", err)
 			os.Exit(1)

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,11 +22,10 @@ import (
 	"tempart/internal/temporal"
 )
 
-// openDiskStore opens (or reopens) a disk-backed store with a short batch
-// window so durable commits don't dominate test wall-clock.
+// openDiskStore opens (or reopens) a disk-backed store.
 func openDiskStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, MaxWait: 2 * time.Millisecond})
+	st, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("opening store at %s: %v", dir, err)
 	}
@@ -197,14 +197,65 @@ func TestRestartResumeAsyncJob(t *testing.T) {
 	}
 }
 
+// gatedBlob is an in-memory store.Blob whose Puts block while the gate is
+// held, so a test can keep a store flush open and queue commits behind it.
+// Its map outlives the store that wrote it, like an object store would.
+type gatedBlob struct {
+	mu     sync.Mutex
+	m      map[string][]byte
+	gate   chan struct{}
+	parked chan struct{} // closed by the first Put to reach the gate
+	park   sync.Once
+}
+
+func newGatedBlob() *gatedBlob {
+	return &gatedBlob{m: map[string][]byte{}, gate: make(chan struct{}), parked: make(chan struct{})}
+}
+
+func (g *gatedBlob) Put(ns, key string, data []byte) error {
+	g.park.Do(func() { close(g.parked) })
+	<-g.gate
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.m[ns+"/"+key] = append([]byte(nil), data...)
+	return nil
+}
+
+func (g *gatedBlob) Get(ns, key string) ([]byte, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	data, ok := g.m[ns+"/"+key]
+	if !ok {
+		return nil, store.ErrNotFound
+	}
+	return data, nil
+}
+
+func (g *gatedBlob) List(ns string) ([]string, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var keys []string
+	for k := range g.m {
+		if rest, ok := strings.CutPrefix(k, ns+"/"); ok {
+			keys = append(keys, rest)
+		}
+	}
+	return keys, nil
+}
+
+func (g *gatedBlob) Close() error { return nil }
+
 // TestShutdownFlushesPendingStoreCommits pins the drain ordering: Shutdown
-// must force the batcher flush, so commits still pending at SIGTERM survive
-// even if the process dies (Crash) immediately after the drain returns.
+// must flush the store, so commits still in flight or queued at SIGTERM
+// survive even if the process dies (Crash) immediately after the drain
+// returns.
 func TestShutdownFlushesPendingStoreCommits(t *testing.T) {
 	dir := t.TempDir()
-	// A one-minute window guarantees nothing flushes on its own: only the
-	// Shutdown barrier can make the marker durable.
-	st, err := store.Open(store.Options{Dir: dir, MaxWait: time.Minute})
+	// The gate holds the marker's flush open at its blob write and the
+	// journal record queues behind it: only the Shutdown barrier can wait for
+	// both to become durable.
+	blob := newGatedBlob()
+	st, err := store.Open(store.Options{Dir: dir, Blob: blob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,15 +265,28 @@ func TestShutdownFlushesPendingStoreCommits(t *testing.T) {
 	sum := sha256.Sum256(data)
 	key := hex.EncodeToString(sum[:])
 	st.CommitAsync(store.Commit{Puts: []store.Put{{NS: store.NSPart, Key: key, Data: data}}})
+	<-blob.parked
+	st.CommitAsync(store.Commit{Jobs: []store.JobRecord{{Job: "queued-at-sigterm", State: store.JobDone, ResultKey: key}}})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Shutdown(ctx) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("shutdown returned (%v) while a store flush was still open", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(blob.gate)
+	if err := <-drained; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	st.Crash() // process dies right after the drain; no Close, no extra sync
 
-	st2 := openDiskStore(t, dir)
+	st2, err := store.Open(store.Options{Dir: dir, Blob: blob})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer st2.Close()
 	got, ok := st2.Get(store.NSPart, key)
 	if !ok {
@@ -233,6 +297,9 @@ func TestShutdownFlushesPendingStoreCommits(t *testing.T) {
 	}
 	if stats := st2.Stats(); stats.ProvEntries != 1 {
 		t.Fatalf("ProvEntries = %d, want 1", stats.ProvEntries)
+	}
+	if r := st2.JobReplays(); len(r) != 1 || r[0].ID != "queued-at-sigterm" || r[0].State != store.JobDone {
+		t.Fatalf("journal record queued at shutdown was lost: replays %+v", r)
 	}
 }
 

@@ -3,9 +3,11 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"tempart/internal/obs"
 )
@@ -50,6 +52,51 @@ func TestRequestIDEchoedAndGenerated(t *testing.T) {
 	resp.Body.Close()
 	if id := resp.Header.Get("X-Request-Id"); id != "client-chose-this" {
 		t.Errorf("X-Request-Id = %q, want the client's id echoed", id)
+	}
+}
+
+// lineWriter hands each access-log line to the test as it is written; the
+// line is logged after the response is out, so the test waits for it.
+type lineWriter chan []byte
+
+func (w lineWriter) Write(p []byte) (int, error) {
+	w <- append([]byte(nil), p...)
+	return len(p), nil
+}
+
+// TestAccessLogRecordsCacheTier: each access-log line names the tier that
+// answered, as X-Tempartd-Cache does — a first request misses, its repeat
+// hits the memory cache.
+func TestAccessLogRecordsCacheTier(t *testing.T) {
+	lines := make(lineWriter, 2) // one line per request
+	_, ts := newTestServer(t, Config{Workers: 1, AccessLog: slog.New(slog.NewJSONHandler(lines, nil))})
+
+	for _, want := range []string{"miss", "hit"} {
+		resp, body := postJSON(t, ts.URL, smallReq(41))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("partition: status %d body %s", resp.StatusCode, body)
+		}
+		var line []byte
+		select {
+		case line = <-lines:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no access-log line within 5s")
+		}
+		var rec struct {
+			ID       string `json:"id"`
+			Endpoint string `json:"endpoint"`
+			Status   int    `json:"status"`
+			Cache    string `json:"cache"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("access-log line %q: %v", line, err)
+		}
+		if rec.Cache != want || rec.Cache != resp.Header.Get("X-Tempartd-Cache") {
+			t.Fatalf("access log cache = %q, header %q, want %q (line %s)", rec.Cache, resp.Header.Get("X-Tempartd-Cache"), want, line)
+		}
+		if rec.ID != resp.Header.Get("X-Request-Id") || rec.Status != http.StatusOK || rec.Endpoint == "" {
+			t.Fatalf("access-log line %s does not match the response", line)
+		}
 	}
 }
 

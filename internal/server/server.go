@@ -74,7 +74,8 @@ type Config struct {
 	// per-request cap stays near the core count instead of oversubscribing.
 	MaxParallelism int
 	// AccessLog, when non-nil, receives one structured line per instrumented
-	// HTTP exchange (method, path, endpoint label, status, duration,
+	// HTTP exchange (method, path, endpoint label, status, cache tier from
+	// X-Tempartd-Cache — hit, store, miss, peer or empty —, duration,
 	// request id). Nil disables access logging entirely.
 	AccessLog *slog.Logger
 
@@ -317,6 +318,7 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 				"path", r.URL.Path,
 				"endpoint", endpoint,
 				"status", code,
+				"cache", w.Header().Get("X-Tempartd-Cache"),
 				"duration_ms", elapsed.Milliseconds(),
 				"remote", r.RemoteAddr,
 			)

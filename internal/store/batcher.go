@@ -4,14 +4,15 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
-// Batcher coalesces many small commits into one backend flush so the fsync
-// cost of the provenance log, job journal, and head replacement is paid once
-// per batch instead of once per commit. A flush fires when either trigger
-// hits: the batch reaches MaxBatch commits, or the oldest pending commit has
-// waited MaxWait. Durable commits block until their batch is flushed, so
+// Batcher is a group commit: one flusher goroutine applies everything
+// pending in one backend flush, so the fsync cost of the provenance log, job
+// journal and head replacement is paid once per batch instead of once per
+// commit. A flush starts as soon as anything is pending and the flusher is
+// free; commits that arrive while a flush runs go out together in the next
+// one, so the batch grows with the fsync time under load and an idle store
+// never waits. Durable commits block until their batch is flushed, so
 // "Commit returned nil" always means "on stable storage"; async commits are
 // fire-and-forget and may be lost in a crash — the daemon uses them only for
 // records that are safe to replay or drop (running-state journal lines,
@@ -22,53 +23,36 @@ var (
 	errCrashed = errors.New("store: crashed (unflushed batch discarded)")
 )
 
-// Clock abstracts time for the Batcher so crash/flush tests drive it
-// deterministically.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 type batchReq struct {
 	commit Commit
 	done   chan error // nil for async commits
-	force  bool       // flush barrier: flush regardless of triggers
 }
 
 // Batcher runs a single flusher goroutine over a pending queue. One flusher
 // serializes backend writes, which is what lets disk appends skip per-commit
 // locking.
 type Batcher struct {
-	apply    func([]Commit) error
-	maxBatch int
-	maxWait  time.Duration
-	clock    Clock
+	apply func([]Commit) error
 
 	mu      sync.Mutex
 	pending []batchReq
 	closed  bool
 	lastErr error
 
+	// kick holds at most one wake-up: a submit that finds it full knows the
+	// flusher has yet to take the pending queue, so its commit rides along.
 	kick    chan struct{}
 	stop    chan struct{}
 	stopped chan struct{}
 	crashed bool // read by flusher only after <-stop
 }
 
-func newBatcher(apply func([]Commit) error, maxBatch int, maxWait time.Duration, clock Clock) *Batcher {
+func newBatcher(apply func([]Commit) error) *Batcher {
 	b := &Batcher{
-		apply:    apply,
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		clock:    clock,
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		stopped:  make(chan struct{}),
+		apply:   apply,
+		kick:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		stopped: make(chan struct{}),
 	}
 	go b.run()
 	return b
@@ -76,7 +60,7 @@ func newBatcher(apply func([]Commit) error, maxBatch int, maxWait time.Duration,
 
 // submit enqueues a commit. Durable submits wait for the flush covering them
 // (or ctx cancellation — the commit itself still lands with a later flush).
-func (b *Batcher) submit(ctx context.Context, c Commit, durable, force bool) error {
+func (b *Batcher) submit(ctx context.Context, c Commit, durable bool) error {
 	var done chan error
 	if durable {
 		done = make(chan error, 1)
@@ -86,7 +70,7 @@ func (b *Batcher) submit(ctx context.Context, c Commit, durable, force bool) err
 		b.mu.Unlock()
 		return errClosed
 	}
-	b.pending = append(b.pending, batchReq{commit: c, done: done, force: force})
+	b.pending = append(b.pending, batchReq{commit: c, done: done})
 	b.mu.Unlock()
 	select {
 	case b.kick <- struct{}{}:
@@ -103,48 +87,15 @@ func (b *Batcher) submit(ctx context.Context, c Commit, durable, force bool) err
 	}
 }
 
-func (b *Batcher) pendingState() (n int, force bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.pending {
-		if b.pending[i].force {
-			force = true
-			break
-		}
-	}
-	return len(b.pending), force
-}
-
 func (b *Batcher) run() {
 	defer close(b.stopped)
-	var timer <-chan time.Time
 	for {
-		n, force := b.pendingState()
-		switch {
-		case n == 0:
-			timer = nil
-			select {
-			case <-b.kick:
-			case <-b.stop:
-				b.drainFinal()
-				return
-			}
-		case n >= b.maxBatch || force:
+		select {
+		case <-b.kick:
 			b.flushOnce()
-			timer = nil
-		default:
-			if timer == nil {
-				timer = b.clock.After(b.maxWait)
-			}
-			select {
-			case <-b.kick:
-			case <-timer:
-				b.flushOnce()
-				timer = nil
-			case <-b.stop:
-				b.drainFinal()
-				return
-			}
+		case <-b.stop:
+			b.drainFinal()
+			return
 		}
 	}
 }

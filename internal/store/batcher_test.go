@@ -2,91 +2,21 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock drives the Batcher deterministically: After registers a waiter,
-// Advance fires every waiter whose deadline has passed. Timers never fire on
-// their own, so tests control exactly when the max-wait trigger happens.
-type fakeClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []fakeWaiter
-}
-
-type fakeWaiter struct {
-	at time.Time
-	ch chan time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1700000000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	c.waiters = append(c.waiters, fakeWaiter{at: c.now.Add(d), ch: ch})
-	return ch
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	var keep []fakeWaiter
-	var fire []fakeWaiter
-	for _, w := range c.waiters {
-		if !w.at.After(c.now) {
-			fire = append(fire, w)
-		} else {
-			keep = append(keep, w)
-		}
-	}
-	c.waiters = keep
-	now := c.now
-	c.mu.Unlock()
-	for _, w := range fire {
-		w.ch <- now
-	}
-}
-
-// waitTimerArmed blocks until the flusher has registered a timer, so Advance
-// is guaranteed to reach it.
-func (c *fakeClock) waitTimerArmed(t *testing.T) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		n := len(c.waiters)
-		c.mu.Unlock()
-		if n > 0 {
-			return
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	t.Fatal("flusher never armed its max-wait timer")
-}
-
-// batchRecorder collects flushed batches and signals each flush.
+// batchRecorder collects flushed batches. When hold is set, the next apply
+// blocks inside the flush until the test closes it.
 type batchRecorder struct {
 	mu      sync.Mutex
 	batches [][]Commit
-	flushed chan struct{}
+	hold    chan struct{}
+	held    chan struct{}
 	err     error
-}
-
-func newBatchRecorder() *batchRecorder {
-	return &batchRecorder{flushed: make(chan struct{}, 64)}
 }
 
 func (r *batchRecorder) apply(commits []Commit) error {
@@ -95,9 +25,24 @@ func (r *batchRecorder) apply(commits []Commit) error {
 	copy(cp, commits)
 	r.batches = append(r.batches, cp)
 	err := r.err
+	hold, held := r.hold, r.held
+	r.hold = nil
 	r.mu.Unlock()
-	r.flushed <- struct{}{}
+	if hold != nil {
+		close(held)
+		<-hold
+	}
 	return err
+}
+
+// holdNext makes the next flush block after recording its batch; the
+// returned held channel closes once a flush is blocked, and closing release
+// lets it finish.
+func (r *batchRecorder) holdNext() (held, release chan struct{}) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.hold, r.held = make(chan struct{}), make(chan struct{})
+	return r.held, r.hold
 }
 
 func (r *batchRecorder) snapshot() [][]Commit {
@@ -108,131 +53,220 @@ func (r *batchRecorder) snapshot() [][]Commit {
 	return out
 }
 
-func (r *batchRecorder) waitFlush(t *testing.T) {
-	t.Helper()
-	select {
-	case <-r.flushed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no flush within 5s")
-	}
-}
-
 func oneCommit(i int) Commit {
 	return Commit{Jobs: []JobRecord{{Job: fmt.Sprintf("j-%d", i), State: JobSubmitted}}}
 }
 
-func TestBatcherCoalescesBySize(t *testing.T) {
-	clk := newFakeClock()
-	rec := newBatchRecorder()
-	b := newBatcher(rec.apply, 4, time.Hour, clk)
-	defer b.close(true)
+func pendingLen(b *Batcher) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending)
+}
 
-	for i := 0; i < 3; i++ {
-		if err := b.submit(context.Background(), oneCommit(i), false, false); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// gatedBlob is a Blob whose Puts block while the gate is held, so a test
+// can keep one flush open and pile commits up behind it.
+type gatedBlob struct {
+	Blob
+	mu     sync.Mutex
+	gate   chan struct{} // nil: Puts pass straight through
+	held   chan struct{} // closed when the first Put reaches a held gate
+	parked bool
+	err    error // what Puts released from the gate return
+}
+
+func (g *gatedBlob) hold() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.gate, g.held, g.parked, g.err = make(chan struct{}), make(chan struct{}), false, nil
+}
+
+// waitHeld blocks until a Put is parked at the gate.
+func (g *gatedBlob) waitHeld(t *testing.T) {
+	t.Helper()
+	g.mu.Lock()
+	held := g.held
+	g.mu.Unlock()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no Put reached the gate within 5s")
+	}
+}
+
+// release opens the gate. Puts parked there return err without writing when
+// it is non-nil; later Puts pass through.
+func (g *gatedBlob) release(err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.gate == nil {
+		return
+	}
+	g.err = err
+	close(g.gate)
+	g.gate = nil
+}
+
+func (g *gatedBlob) Put(ns, key string, data []byte) error {
+	g.mu.Lock()
+	gate := g.gate
+	if gate != nil && !g.parked {
+		g.parked = true
+		close(g.held)
+	}
+	g.mu.Unlock()
+	if gate != nil {
+		<-gate
+		g.mu.Lock()
+		err := g.err
+		g.mu.Unlock()
+		if err != nil {
+			return err
 		}
 	}
-	select {
-	case <-rec.flushed:
-		t.Fatal("flushed below MaxBatch with the timer never firing")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if err := b.submit(context.Background(), oneCommit(3), false, false); err != nil {
-		t.Fatalf("submit 3: %v", err)
-	}
-	rec.waitFlush(t)
-	batches := rec.snapshot()
-	if len(batches) != 1 || len(batches[0]) != 4 {
-		t.Fatalf("got %d batches (first of %d commits), want 1 batch of 4", len(batches), len(batches[0]))
-	}
+	return g.Blob.Put(ns, key, data)
 }
 
-func TestBatcherFlushesOnMaxWait(t *testing.T) {
-	clk := newFakeClock()
-	rec := newBatchRecorder()
-	b := newBatcher(rec.apply, 100, 50*time.Millisecond, clk)
-	defer b.close(true)
-
-	if err := b.submit(context.Background(), oneCommit(0), false, false); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	clk.waitTimerArmed(t)
-	clk.Advance(49 * time.Millisecond)
-	select {
-	case <-rec.flushed:
-		t.Fatal("flushed before MaxWait elapsed")
-	case <-time.After(10 * time.Millisecond):
-	}
-	clk.Advance(time.Millisecond)
-	rec.waitFlush(t)
-	if batches := rec.snapshot(); len(batches) != 1 || len(batches[0]) != 1 {
-		t.Fatalf("batches = %+v", batches)
-	}
-}
-
-func TestBatcherDurableCommitWaitsForFlush(t *testing.T) {
-	clk := newFakeClock()
-	rec := newBatchRecorder()
-	b := newBatcher(rec.apply, 2, time.Hour, clk)
+func TestBatcherFlushesLoneDurableCommit(t *testing.T) {
+	rec := &batchRecorder{}
+	b := newBatcher(rec.apply)
 	defer b.close(true)
 
 	done := make(chan error, 1)
-	go func() { done <- b.submit(context.Background(), oneCommit(0), true, false) }()
-	select {
-	case err := <-done:
-		t.Fatalf("durable submit returned (%v) before any flush", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	// A second commit reaches MaxBatch and releases the durable waiter.
-	if err := b.submit(context.Background(), oneCommit(1), false, false); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	go func() { done <- b.submit(context.Background(), oneCommit(0), true) }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("durable commit: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("durable waiter never released")
+		t.Fatal("a lone durable commit never flushed")
+	}
+	if batches := rec.snapshot(); len(batches) != 1 || len(batches[0]) != 1 {
+		t.Fatalf("batches = %+v, want one batch of the lone commit", batches)
+	}
+}
+
+func TestBatcherGroupsCommitsBehindRunningFlush(t *testing.T) {
+	rec := &batchRecorder{}
+	b := newBatcher(rec.apply)
+	defer b.close(true)
+
+	held, release := rec.holdNext()
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before close(true), which would wait on a held flush
+	if err := b.submit(context.Background(), oneCommit(0), false); err != nil {
+		t.Fatalf("submit 0: %v", err)
+	}
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an async commit on an idle batcher never started a flush")
+	}
+
+	// Commits 1..4 arrive while flush 0 is open; the odd ones are durable
+	// and must stay blocked until the batch carrying them is applied.
+	const n = 5
+	var durable []chan error
+	for i := 1; i < n; i++ {
+		if i%2 == 0 {
+			if err := b.submit(context.Background(), oneCommit(i), false); err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		} else {
+			done := make(chan error, 1)
+			durable = append(durable, done)
+			go func(i int) { done <- b.submit(context.Background(), oneCommit(i), true) }(i)
+		}
+		waitUntil(t, fmt.Sprintf("commit %d to queue", i), func() bool { return pendingLen(b) == i })
+	}
+	for _, done := range durable {
+		select {
+		case err := <-done:
+			t.Fatalf("durable commit returned (%v) while its batch was still pending", err)
+		default:
+		}
+	}
+	unblock()
+	for i, done := range durable {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("durable waiter %d: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("durable waiter %d never released", i)
+		}
+	}
+
+	batches := rec.snapshot()
+	if len(batches) != 2 || len(batches[0]) != 1 || len(batches[1]) != n-1 {
+		t.Fatalf("got %d batches %+v, want [1 commit] then [%d commits]", len(batches), batches, n-1)
+	}
+	for i, c := range batches[1] {
+		if want := fmt.Sprintf("j-%d", i+1); c.Jobs[0].Job != want {
+			t.Fatalf("second batch[%d] = %s, want %s (submission order)", i, c.Jobs[0].Job, want)
+		}
 	}
 }
 
 func TestBatcherForceBarrierFlushesImmediately(t *testing.T) {
-	clk := newFakeClock()
-	rec := newBatchRecorder()
-	b := newBatcher(rec.apply, 100, time.Hour, clk)
+	rec := &batchRecorder{}
+	b := newBatcher(rec.apply)
 	defer b.close(true)
 
-	if err := b.submit(context.Background(), oneCommit(0), false, false); err != nil {
-		t.Fatalf("submit: %v", err)
+	for i := 0; i < 3; i++ {
+		if err := b.submit(context.Background(), oneCommit(i), false); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
 	}
-	if err := b.submit(context.Background(), Commit{}, true, true); err != nil {
+	// The barrier is an empty durable commit: when it returns, every commit
+	// submitted before it has been applied, in order.
+	if err := b.submit(context.Background(), Commit{}, true); err != nil {
 		t.Fatalf("barrier: %v", err)
 	}
-	batches := rec.snapshot()
-	if len(batches) != 1 || len(batches[0]) != 2 {
-		t.Fatalf("batches = %+v", batches)
+	var got []string
+	for _, batch := range rec.snapshot() {
+		for _, c := range batch {
+			if !c.empty() {
+				got = append(got, c.Jobs[0].Job)
+			}
+		}
+	}
+	if fmt.Sprint(got) != "[j-0 j-1 j-2]" {
+		t.Fatalf("applied before the barrier returned: %v, want [j-0 j-1 j-2]", got)
 	}
 }
 
 func TestBatcherReportsApplyError(t *testing.T) {
-	clk := newFakeClock()
-	rec := newBatchRecorder()
+	rec := &batchRecorder{}
 	rec.err = fmt.Errorf("disk full")
-	b := newBatcher(rec.apply, 1, time.Hour, clk)
+	b := newBatcher(rec.apply)
 	defer b.close(true)
 
-	if err := b.submit(context.Background(), oneCommit(0), true, false); err == nil || err.Error() != "disk full" {
+	if err := b.submit(context.Background(), oneCommit(0), true); err == nil || err.Error() != "disk full" {
 		t.Fatalf("durable submit error = %v, want disk full", err)
 	}
 }
 
 func TestBatcherSubmitAfterCloseFails(t *testing.T) {
-	b := newBatcher(func([]Commit) error { return nil }, 1, time.Hour, newFakeClock())
+	b := newBatcher(func([]Commit) error { return nil })
 	if err := b.close(true); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := b.submit(context.Background(), oneCommit(0), true, false); err != errClosed {
+	if err := b.submit(context.Background(), oneCommit(0), true); !errors.Is(err, errClosed) {
 		t.Fatalf("submit after close = %v, want errClosed", err)
 	}
 	if err := b.close(true); err != nil {
@@ -240,12 +274,68 @@ func TestBatcherSubmitAfterCloseFails(t *testing.T) {
 	}
 }
 
-// BenchmarkBatcherCommit measures durable commit throughput against a disk
-// store, batched (MaxBatch 64 / 5ms window, parallel submitters sharing
-// fsyncs) vs per-commit (MaxBatch 1 — one fsync set per commit).
+// TestCommitAsyncBecomesVisible: an async commit is flushed on its own; no
+// later durable commit or Flush has to carry it.
+func TestCommitAsyncBecomesVisible(t *testing.T) {
+	s := mustOpen(t, Options{Dir: t.TempDir()})
+	data := []byte("async only")
+	key := hexSum(data)
+	s.CommitAsync(Commit{Puts: []Put{{NS: NSPart, Key: key, Data: data}}})
+	waitUntil(t, "the async put to become visible", func() bool {
+		got, ok := s.Get(NSPart, key)
+		return ok && string(got) == string(data)
+	})
+}
+
+// TestFlushCoversEarlierCommits: Flush returns only once everything
+// submitted before it — the flush in progress and the commits queued behind
+// it — is committed.
+func TestFlushCoversEarlierCommits(t *testing.T) {
+	dir := t.TempDir()
+	db, err := newDiskBlob(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := &gatedBlob{Blob: db}
+	s := mustOpen(t, Options{Dir: dir, Blob: gb})
+	t.Cleanup(func() { gb.release(nil) })
+
+	gb.hold()
+	first, second := []byte("in flight"), []byte("queued behind")
+	s.CommitAsync(Commit{Puts: []Put{{NS: NSPart, Key: hexSum(first), Data: first}}})
+	gb.waitHeld(t)
+	s.CommitAsync(Commit{Puts: []Put{{NS: NSPart, Key: hexSum(second), Data: second}}})
+	s.CommitAsync(Commit{Jobs: []JobRecord{{Job: "queued-1", State: JobDone}}})
+	waitUntil(t, "both commits to queue", func() bool { return pendingLen(s.batcher) == 2 })
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- s.Flush(context.Background()) }()
+	waitUntil(t, "the barrier to queue", func() bool { return pendingLen(s.batcher) == 3 })
+	gb.release(nil)
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush never returned")
+	}
+	for _, data := range [][]byte{first, second} {
+		if got, ok := s.Get(NSPart, hexSum(data)); !ok || string(got) != string(data) {
+			t.Fatalf("%q not committed when Flush returned", data)
+		}
+	}
+	if st := s.Stats(); st.JournalRecords != 1 || st.ProvEntries != 2 {
+		t.Fatalf("stats after Flush = %+v", st)
+	}
+}
+
+// BenchmarkBatcherCommit measures durable commits against a disk store on
+// default Options: one committer at a time (each commit pays a full flush),
+// and parallel committers that share flushes.
 func BenchmarkBatcherCommit(b *testing.B) {
-	bench := func(b *testing.B, maxBatch int, maxWait time.Duration, parallel bool) {
-		s, err := Open(Options{Dir: b.TempDir(), MaxBatch: maxBatch, MaxWait: maxWait})
+	bench := func(b *testing.B, parallel bool) {
+		s, err := Open(Options{Dir: b.TempDir()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,6 +367,6 @@ func BenchmarkBatcherCommit(b *testing.B) {
 			}
 		}
 	}
-	b.Run("batched-parallel", func(b *testing.B) { bench(b, 64, 5*time.Millisecond, true) })
-	b.Run("per-commit", func(b *testing.B) { bench(b, 1, time.Millisecond, false) })
+	b.Run("durable-serial", func(b *testing.B) { bench(b, false) })
+	b.Run("durable-parallel", func(b *testing.B) { bench(b, true) })
 }

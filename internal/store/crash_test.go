@@ -3,54 +3,70 @@ package store
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 )
 
-// TestCrashMidBatchLosesOnlyUnacked is the crash-recovery satellite: a fake
-// clock holds a batch open mid-flight, Crash() cuts the power, and replay at
-// reopen must show exactly the acknowledged history — the durable prefix
-// byte-identical, the unflushed tail gone, nothing in between.
-func TestCrashMidBatchLosesOnlyUnacked(t *testing.T) {
-	dir := t.TempDir()
-	clk := newFakeClock()
-	s, err := Open(Options{Dir: dir, MaxBatch: 100, MaxWait: time.Minute, Clock: clk})
+// openGated opens a disk store whose blob writes pass through a gatedBlob,
+// so a test can hold one flush open and queue commits behind it.
+func openGated(t *testing.T, dir string) (*Store, *gatedBlob) {
+	t.Helper()
+	db, err := newDiskBlob(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gb := &gatedBlob{Blob: db}
+	s, err := Open(Options{Dir: dir, Blob: gb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gb.release(nil) })
+	return s, gb
+}
+
+// TestCrashMidBatchLosesOnlyUnacked is the crash-recovery satellite: a gated
+// blob holds a flush open mid-flight with more commits queued behind it,
+// Crash() cuts the power, and replay at reopen must show exactly the
+// acknowledged history — the durable prefix byte-identical, the in-flight
+// and queued tail gone, nothing in between.
+func TestCrashMidBatchLosesOnlyUnacked(t *testing.T) {
+	dir := t.TempDir()
+	s, gb := openGated(t, dir)
 	ctx := context.Background()
 
 	// Acked: a mesh blob plus the job's submitted record, durably committed.
-	// The fake clock pins the flush timer, so drive the max-wait trigger by
-	// hand: wait for the flusher to arm it, then advance past the window.
 	mesh := []byte("TMSH durable mesh")
 	meshKey := hexSum(mesh)
 	req := json.RawMessage(`{"mesh":"upload","k":8}`)
-	acked := make(chan error, 1)
-	go func() {
-		acked <- s.Commit(ctx, Commit{
-			Puts: []Put{{NS: NSMesh, Key: meshKey, Data: mesh}},
-			Jobs: []JobRecord{{Job: "job-1", State: JobSubmitted, Kind: "partition", Req: req, MeshDigest: meshKey}},
-		})
-	}()
-	clk.waitTimerArmed(t)
-	clk.Advance(time.Minute)
-	if err := <-acked; err != nil {
+	if err := s.Commit(ctx, Commit{
+		Puts: []Put{{NS: NSMesh, Key: meshKey, Data: mesh}},
+		Jobs: []JobRecord{{Job: "job-1", State: JobSubmitted, Kind: "partition", Req: req, MeshDigest: meshKey}},
+	}); err != nil {
 		t.Fatalf("durable commit: %v", err)
 	}
 
-	// Unacked: a running transition and a result blob sit in the open batch
-	// (MaxBatch 100, fake clock pinned — the flush trigger never fires).
-	s.CommitAsync(Commit{Jobs: []JobRecord{{Job: "job-1", State: JobRunning}}})
+	// Unacked: a result blob whose flush is held open at the blob write, and
+	// a running transition queued behind it.
+	gb.hold()
 	s.CommitAsync(Commit{Puts: []Put{{NS: NSResult, Key: hexSum([]byte("req addr")), Data: []byte(`{"part":[0]}`)}}})
+	gb.waitHeld(t)
+	s.CommitAsync(Commit{Jobs: []JobRecord{{Job: "job-1", State: JobRunning}}})
 
-	// A durable commit stuck in the same batch must unblock with an error.
+	// A durable commit queued behind the open flush must unblock with an error.
 	durableErr := make(chan error, 1)
 	go func() {
 		durableErr <- s.Commit(ctx, Commit{Jobs: []JobRecord{{Job: "job-2", State: JobSubmitted, Kind: "partition", Req: req}}})
 	}()
-	time.Sleep(10 * time.Millisecond) // let the submit enqueue
-	s.Crash()
+	waitUntil(t, "the unacked commits to queue", func() bool { return pendingLen(s.batcher) == 2 })
+
+	// Cut the power while the blob write is in flight: the write never
+	// completes, so its flush fails and nothing queued behind it is applied.
+	crashed := make(chan struct{})
+	go func() { s.Crash(); close(crashed) }()
+	waitUntil(t, "Crash to mark the store", s.crashed.Load)
+	gb.release(errors.New("power cut mid-write"))
+	<-crashed
 	select {
 	case err := <-durableErr:
 		if err == nil {
@@ -95,21 +111,24 @@ func TestCrashMidBatchLosesOnlyUnacked(t *testing.T) {
 }
 
 // TestCloseFlushesPendingBatch is the shutdown-ordering satellite at the
-// store level: commits sitting in an open batch (timer pinned by the fake
-// clock) must reach disk when Close runs the final drain — a drained daemon
+// store level: a commit whose flush is held open and a commit queued behind
+// it must both reach disk when Close runs the final drain — a drained daemon
 // may not lose anything it accepted.
 func TestCloseFlushesPendingBatch(t *testing.T) {
 	dir := t.TempDir()
-	clk := newFakeClock()
-	s, err := Open(Options{Dir: dir, MaxBatch: 100, MaxWait: time.Minute, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, gb := openGated(t, dir)
 	part := []byte("TPRT pending partition")
 	partKey := hexSum(part)
+	gb.hold()
 	s.CommitAsync(Commit{Puts: []Put{{NS: NSPart, Key: partKey, Data: part}}})
+	gb.waitHeld(t)
 	s.CommitAsync(Commit{Jobs: []JobRecord{{Job: "drain-1", State: JobDone, ResultKey: "abcd12"}}})
-	if err := s.Close(); err != nil {
+	waitUntil(t, "the journal record to queue", func() bool { return pendingLen(s.batcher) == 1 })
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	gb.release(nil)
+	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
@@ -136,7 +155,7 @@ func TestCloseFlushesPendingBatch(t *testing.T) {
 // replayable even though the log handles closed without a final sync.
 func TestCrashAfterFlushKeepsFlushedState(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, MaxBatch: 1})
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func FuzzStoreRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x7f}, 333))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		s, err := Open(Options{Dir: dir, MaxBatch: 1})
+		s, err := Open(Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 // seedDir builds a small committed history and returns the keys written.
 func seedDir(t *testing.T, dir string) (meshKey, partKey string) {
 	t.Helper()
-	s, err := Open(Options{Dir: dir, MaxBatch: 1})
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestOpenRepairsTrailingHead(t *testing.T) {
 }
 
 func TestMemoryStoreVerifyDetectsBlobTamper(t *testing.T) {
-	s := mustOpen(t, Options{MaxBatch: 1})
+	s := mustOpen(t, Options{})
 	data := []byte("memory artifact")
 	key := commitBlob(t, s, NSPart, data)
 	// Reach into the backend and corrupt the stored bytes.

@@ -3,10 +3,10 @@
 // a small in-memory index keyed by the daemon's existing content hashes, an
 // append-only hash-chained provenance log whose entries embed obs run
 // manifests, and a job journal that lets interrupted async jobs resume after
-// a restart. All writes funnel through a Batcher that coalesces commits and
-// amortizes fsyncs (size OR max-wait trigger), so many small partition and
-// evaluate requests cost one provenance-log fsync per batch, not per
-// request.
+// a restart. All writes funnel through a Batcher, a group commit: a flush
+// starts as soon as the flusher is free, and commits that arrive during a
+// flush share the next one, so concurrent partition and evaluate requests
+// cost one provenance-log fsync per batch, not per request.
 //
 // Two backends ship in-tree: memory (tests, ephemeral daemons — no
 // durability) and disk (content-addressed files written with atomic rename +
@@ -37,15 +37,6 @@ type Options struct {
 	// Blob overrides the artifact backend (e.g. an object store); logs and
 	// head still live under Dir (or in memory when Dir is empty).
 	Blob Blob
-	// MaxBatch flushes the Batcher when this many commits are pending.
-	// Default 64.
-	MaxBatch int
-	// MaxWait bounds how long a pending commit waits for co-batched
-	// company before a flush fires anyway. It is also the upper bound on
-	// durable-commit latency. Default 20ms.
-	MaxWait time.Duration
-	// Clock injects time for tests. Default: the real clock.
-	Clock Clock
 	// NodeID, when set, stamps every provenance entry with the identity of
 	// the cluster member that wrote it. The id is covered by the chain hash
 	// like every other field, so a fleet's per-node chains stay individually
@@ -53,19 +44,6 @@ type Options struct {
 	// entry and the peer entries for the subtrees it farmed out all name
 	// their executing node.
 	NodeID string
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 20 * time.Millisecond
-	}
-	if o.Clock == nil {
-		o.Clock = realClock{}
-	}
-	return o
 }
 
 // Put is one artifact write inside a Commit: blob bytes plus the provenance
@@ -128,7 +106,6 @@ type Store struct {
 	node    string
 	blob    Blob
 	batcher *Batcher
-	clock   Clock
 
 	mu    sync.Mutex // guards index, chain, logs ordering, stats
 	index map[string]indexMeta
@@ -145,12 +122,10 @@ type Store struct {
 // provenance log into the index and folding the job journal into the replay
 // set exposed by JobReplays.
 func Open(opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	s := &Store{
 		dir:   opts.Dir,
 		node:  opts.NodeID,
 		blob:  opts.Blob,
-		clock: opts.Clock,
 		index: map[string]indexMeta{},
 	}
 	if opts.Dir == "" {
@@ -171,7 +146,7 @@ func Open(opts Options) (*Store, error) {
 			s.stats.JobsPending++
 		}
 	}
-	s.batcher = newBatcher(s.applyBatch, opts.MaxBatch, opts.MaxWait, opts.Clock)
+	s.batcher = newBatcher(s.applyBatch)
 	return s, nil
 }
 
@@ -273,13 +248,13 @@ func writeHead(dir string, h headState) error {
 }
 
 // Commit applies c durably: when it returns nil, every put and journal
-// record is flushed and fsynced (disk backend). Latency is bounded by
-// Options.MaxWait — the commit waits at most one batch window.
+// record is flushed and fsynced (disk backend). On an idle store it waits
+// for one flush; under load, for at most the flush in progress plus its own.
 func (s *Store) Commit(ctx context.Context, c Commit) error {
 	if c.empty() {
 		return nil
 	}
-	return s.batcher.submit(ctx, c, true, false)
+	return s.batcher.submit(ctx, c, true)
 }
 
 // CommitAsync enqueues c without waiting for the flush. Use it only for
@@ -289,12 +264,13 @@ func (s *Store) CommitAsync(c Commit) {
 	if c.empty() {
 		return
 	}
-	_ = s.batcher.submit(context.Background(), c, false, false)
+	_ = s.batcher.submit(context.Background(), c, false)
 }
 
-// Flush forces an immediate batch flush and waits for it.
+// Flush is a barrier: it returns once everything submitted before it is on
+// stable storage.
 func (s *Store) Flush(ctx context.Context) error {
-	return s.batcher.submit(ctx, Commit{}, true, true)
+	return s.batcher.submit(ctx, Commit{}, true)
 }
 
 // Get returns a committed blob, verifying its bytes against the digest
@@ -365,7 +341,7 @@ func (s *Store) applyBatch(commits []Commit) error {
 	s.stats.BatchFlushes++
 	s.stats.BatchedCommits += int64(len(commits))
 
-	nowMS := s.clock.Now().UnixMilli()
+	nowMS := time.Now().UnixMilli()
 	var provLines, jourLines [][]byte
 	// Stage chain mutations so a mid-batch blob failure doesn't desync the
 	// in-memory tip from the log.

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"tempart/internal/obs"
 )
@@ -44,7 +43,7 @@ func commitBlob(t *testing.T, s *Store, ns string, data []byte) string {
 func TestRoundTripMemoryAndDisk(t *testing.T) {
 	for _, backend := range []string{"memory", "disk"} {
 		t.Run(backend, func(t *testing.T) {
-			opts := Options{MaxBatch: 4, MaxWait: 5 * time.Millisecond}
+			opts := Options{}
 			if backend == "disk" {
 				opts.Dir = t.TempDir()
 			}
@@ -84,7 +83,7 @@ func TestRoundTripMemoryAndDisk(t *testing.T) {
 func TestResultKeyDiffersFromDataHash(t *testing.T) {
 	// NSResult blobs are keyed by the request's content address, not by the
 	// payload digest — the provenance entry must still pin the payload bytes.
-	s := mustOpen(t, Options{Dir: t.TempDir(), MaxBatch: 1})
+	s := mustOpen(t, Options{Dir: t.TempDir()})
 	payload := []byte(`{"part":[0,1,1,0]}`)
 	key := hexSum([]byte("some request address"))
 	if err := s.Commit(context.Background(), Commit{Puts: []Put{{NS: NSResult, Key: key, Data: payload}}}); err != nil {
@@ -105,7 +104,7 @@ func TestReopenRestoresIndexAndChain(t *testing.T) {
 	var keys []string
 	var blobs [][]byte
 	{
-		s := mustOpen(t, Options{Dir: dir, MaxBatch: 2, MaxWait: time.Millisecond})
+		s := mustOpen(t, Options{Dir: dir})
 		for i := 0; i < 5; i++ {
 			data := []byte(fmt.Sprintf("partition %d", i))
 			keys = append(keys, commitBlob(t, s, NSPart, data))
@@ -132,7 +131,7 @@ func TestReopenRestoresIndexAndChain(t *testing.T) {
 }
 
 func TestDedupSkipsRecommit(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), MaxBatch: 1})
+	s := mustOpen(t, Options{Dir: t.TempDir()})
 	data := []byte("same bytes twice")
 	k1 := commitBlob(t, s, NSPart, data)
 	k2 := commitBlob(t, s, NSPart, data)
@@ -149,7 +148,7 @@ func TestJournalReplayFoldsStates(t *testing.T) {
 	dir := t.TempDir()
 	req := json.RawMessage(`{"mesh":"CYLINDER","k":4}`)
 	{
-		s := mustOpen(t, Options{Dir: dir, MaxBatch: 1})
+		s := mustOpen(t, Options{Dir: dir})
 		ctx := context.Background()
 		must := func(c Commit) {
 			if err := s.Commit(ctx, c); err != nil {
@@ -195,7 +194,7 @@ func TestJournalReplayFoldsStates(t *testing.T) {
 func TestPartialTailLinesAreDropped(t *testing.T) {
 	dir := t.TempDir()
 	{
-		s := mustOpen(t, Options{Dir: dir, MaxBatch: 1})
+		s := mustOpen(t, Options{Dir: dir})
 		commitBlob(t, s, NSPart, []byte("good entry"))
 		if err := s.Commit(context.Background(), Commit{Jobs: []JobRecord{{Job: "x-1", State: JobSubmitted, Kind: "partition", Req: json.RawMessage(`{}`)}}}); err != nil {
 			t.Fatalf("Commit: %v", err)
@@ -232,7 +231,7 @@ func TestPartialTailLinesAreDropped(t *testing.T) {
 }
 
 func TestConcurrentCommitsKeepChainConsistent(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), MaxBatch: 8, MaxWait: time.Millisecond})
+	s := mustOpen(t, Options{Dir: t.TempDir()})
 	const n = 32
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -265,7 +264,7 @@ func TestConcurrentCommitsKeepChainConsistent(t *testing.T) {
 
 func TestManifestEmbeddedInProvenance(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, MaxBatch: 1})
+	s := mustOpen(t, Options{Dir: dir})
 	man := obs.NewManifest("tempartd")
 	man.Inputs["strategy"] = "MC_TL"
 	data := []byte("artifact with manifest")
