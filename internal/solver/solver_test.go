@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"testing"
+	"time"
 
 	"tempart/internal/flusim"
 	"tempart/internal/fv"
@@ -124,27 +125,49 @@ func TestTraceRecordedOnLastIteration(t *testing.T) {
 // duration virtual makespans favour MC_TL over SC_OC. The mesh must be large
 // enough that kernel time dominates per-task overhead (µs-sized tasks are
 // critical-path-bound and penalise fine granularity — see EXPERIMENTS.md),
-// hence the ~64k-cell mesh and 3-iteration minimum-duration measurement.
+// hence the ~64k-cell mesh and minimum-duration measurement. The two
+// strategies are measured in alternating rounds, so load from other processes
+// (e.g. other test packages on a shared machine) hits both alike instead of
+// whichever happened to run second, and the per-task minimum over all rounds
+// filters it out.
 func TestProductionStyleGain(t *testing.T) {
 	m := mesh.Nozzle(0.01)
 	cluster := flusim.Cluster{NumProcs: 6, WorkersPerProc: 4}
-	virtual := func(strat partition.Strategy) int64 {
+	strats := []partition.Strategy{partition.SCOC, partition.MCTL}
+	solvers := make([]*Solver, len(strats))
+	durs := make([][]time.Duration, len(strats))
+	for i, strat := range strats {
 		s, err := New(context.Background(), m, Config{NumDomains: 12, Strategy: strat, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.Run(3)
-		if err != nil {
-			t.Fatal(err)
+		solvers[i] = s
+	}
+	const rounds = 4
+	for r := 0; r < rounds; r++ {
+		for i, s := range solvers {
+			rep, err := s.Run(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if durs[i] == nil {
+				durs[i] = rep.Durations
+				continue
+			}
+			for k, d := range rep.Durations {
+				durs[i][k] = min(durs[i][k], d)
+			}
 		}
-		res, err := s.VirtualMakespan(rep, cluster, flusim.Eager, false)
+	}
+	virtual := func(i int) int64 {
+		res, err := solvers[i].VirtualMakespan(&Report{Durations: durs[i]}, cluster, flusim.Eager, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Makespan
 	}
-	sc := virtual(partition.SCOC)
-	mc := virtual(partition.MCTL)
+	sc := virtual(0)
+	mc := virtual(1)
 	t.Logf("virtual makespans: SC_OC=%d MC_TL=%d ratio=%.2f", sc, mc, float64(sc)/float64(mc))
 	if mc >= sc {
 		t.Errorf("MC_TL virtual makespan %d not better than SC_OC %d", mc, sc)
