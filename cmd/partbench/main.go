@@ -192,7 +192,7 @@ func main() {
 		procs    = flag.Int("procs", 16, "emulated processes")
 		workers  = flag.Int("workers", 32, "cores per process")
 		seed     = flag.Int64("seed", 1, "random seed")
-		parallel = flag.Int("parallel", 0, "worker goroutines for partitioning, task-graph build and evaluation fan-out (0 = GOMAXPROCS, 1 = serial); results are identical at every setting")
+		parallel = flag.Int("parallel", 0, "worker goroutines for partitioning and the evaluation fan-out (0 = GOMAXPROCS, 1 = serial); results are identical at every setting")
 		commLat  = flag.Int64("comm-latency", 0, "time units per cross-process dependency edge")
 		kway     = flag.Bool("kway", false, "also run SC_OC/MC_TL with the direct k-way method")
 		phases   = flag.Bool("phases", false, "record the per-phase partition seconds split (coarsen/initial/refine/reorder) per strategy, printed after the table and included in -json")
@@ -620,12 +620,10 @@ func writeFile(path string, write func(w io.Writer) error) {
 }
 
 // measureEvalPipeline measures the evaluation pipeline's allocation counts
-// and build throughput on the given decomposition. Builds are measured
-// serial (parallel shards add goroutine allocations but identical output);
-// the simulator is measured warmed, which is the steady state every sweep
-// runs in.
+// and build throughput on the given decomposition. The simulator is measured
+// warmed, which is the steady state every sweep runs in.
 func measureEvalPipeline(m *mesh.Mesh, part []int32, domains int, procOf []int32, cluster flusim.Cluster, commLat int64) *evalSection {
-	opt := taskgraph.Options{Parallelism: 1}
+	var opt taskgraph.Options
 	tg, err := taskgraph.Build(m, part, domains, opt)
 	check(err)
 	cfg := flusim.Config{Cluster: cluster, CommLatency: commLat}

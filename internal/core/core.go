@@ -44,8 +44,7 @@ type Decomposition struct {
 	Result   *partition.Result
 	Quality  metrics.PartitionQuality
 
-	parallelism int
-	tg          *taskgraph.TaskGraph
+	tg *taskgraph.TaskGraph
 }
 
 // Decompose partitions the mesh into k domains under the given strategy and
@@ -58,11 +57,10 @@ func Decompose(ctx context.Context, m *mesh.Mesh, k int, strat partition.Strateg
 		return nil, err
 	}
 	return &Decomposition{
-		Mesh:        m,
-		Strategy:    strat,
-		Result:      res,
-		Quality:     metrics.EvaluatePartition(m, res, strat.String()),
-		parallelism: opt.Parallelism,
+		Mesh:     m,
+		Strategy: strat,
+		Result:   res,
+		Quality:  metrics.EvaluatePartition(m, res, strat.String()),
 	}, nil
 }
 
@@ -70,8 +68,7 @@ func Decompose(ctx context.Context, m *mesh.Mesh, k int, strat partition.Strateg
 // first use, cached).
 func (d *Decomposition) TaskGraph() (*taskgraph.TaskGraph, error) {
 	if d.tg == nil {
-		tg, err := taskgraph.Build(d.Mesh, d.Result.Part, d.Result.NumParts,
-			taskgraph.Options{Parallelism: d.parallelism})
+		tg, err := taskgraph.Build(d.Mesh, d.Result.Part, d.Result.NumParts, taskgraph.Options{})
 		if err != nil {
 			return nil, err
 		}

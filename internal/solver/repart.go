@@ -114,7 +114,7 @@ func (s *Solver) maybeRepartition(ctx context.Context, it int, rep *Report) erro
 	// Rebuild the task graph over the same mesh ordering (no second
 	// renumbering — the FV state indexes the current arrays).
 	tg, err := taskgraph.Build(s.Mesh, res.Part, s.cfg.NumDomains,
-		taskgraph.Options{RecordObjects: true, Parallelism: s.cfg.PartOpts.Parallelism})
+		taskgraph.Options{RecordObjects: true})
 	if err != nil {
 		return fmt.Errorf("solver: rebuilding task graph after iteration %d: %w", it, err)
 	}

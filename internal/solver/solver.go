@@ -156,7 +156,7 @@ func NewFromPartition(m *mesh.Mesh, res *partition.Result, cfg Config) (*Solver,
 	}
 	ordered, newPart, _ := m.ReorderByDomain(res.Part, res.NumParts)
 	tg, err := taskgraph.Build(ordered, newPart, cfg.NumDomains,
-		taskgraph.Options{RecordObjects: true, Parallelism: cfg.PartOpts.Parallelism})
+		taskgraph.Options{RecordObjects: true})
 	if err != nil {
 		return nil, err
 	}

@@ -10,9 +10,8 @@ import (
 )
 
 // BenchmarkTaskGraphBuild measures DAG construction over a paper-shaped
-// decomposition (CYLINDER, 128 domains) serially and with the default
-// parallel fan-out. The tasks/s metric is what the evaluation pipeline's
-// throughput ultimately hangs off.
+// decomposition (CYLINDER, 128 domains). The tasks/s metric is what the
+// evaluation pipeline's throughput ultimately hangs off.
 func BenchmarkTaskGraphBuild(b *testing.B) {
 	m := mesh.Cylinder(0.005)
 	res, err := partition.PartitionMesh(context.Background(), m, 128, partition.MCTL,
@@ -20,29 +19,19 @@ func BenchmarkTaskGraphBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, par := range []int{1, 0} {
-		name := "serial"
-		if par == 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			// Warm the mesh's lazy caches (cell→face adjacency) so the loop
-			// times graph construction only.
-			tg, err := Build(m, res.Part, 128, Options{Parallelism: par})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tasks := tg.NumTasks()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Build(m, res.Part, 128, Options{Parallelism: par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(tasks)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
-		})
+	tg, err := Build(m, res.Part, 128, Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
+	tasks := tg.NumTasks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(m, res.Part, 128, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tasks)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
 }
 
 // BenchmarkBuildIterations tracks the multi-iteration DAG used by the deeper
