@@ -75,9 +75,12 @@ func main() {
 	} else if *model != "scalar" {
 		check(fmt.Errorf("unknown model %q", *model))
 	}
-	pol := map[string]runtime.Policy{
+	pol, ok := map[string]runtime.Policy{
 		"central": runtime.Central, "worksteal": runtime.WorkStealing, "domainlocal": runtime.DomainLocal,
 	}[*policy]
+	if !ok {
+		check(fmt.Errorf("unknown policy %q (want central, worksteal or domainlocal)", *policy))
+	}
 
 	fmt.Printf("mesh %s: %d cells, census %v\n", m.Name, m.NumCells(), m.Census())
 	t0 := time.Now()
