@@ -319,6 +319,11 @@ func TestBuildRejectsBadPart(t *testing.T) {
 	if _, err := Build(m, []int32{0}, 1, Options{}); err == nil {
 		t.Fatal("Build accepted wrong-length part")
 	}
+	for _, part := range [][]int32{{0, 1, 2}, {0, -1, 0}} {
+		if _, err := Build(m, part, 2, Options{}); err == nil {
+			t.Fatalf("Build accepted part %v for 2 domains", part)
+		}
+	}
 }
 
 // Property: task generation is deterministic and the number of tasks per
