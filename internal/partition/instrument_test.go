@@ -104,10 +104,31 @@ func TestRefineKWayUnchangedByTracing(t *testing.T) {
 		if len(spans) != 1 || spans[0].Name != "partition/refine" {
 			t.Fatalf("parallelism %d: spans %+v, want one partition/refine", par, spans)
 		}
-		checkKWayCounters(t, spans[0])
+		checkGreedyCounters(t, spans[0])
 		if moves, _ := intAttr(spans[0], "moves"); moves == 0 {
 			t.Errorf("parallelism %d: striped assignment refined with no move", par)
 		}
+	}
+}
+
+// checkGreedyCounters checks the work counters of a greedy refinement span
+// (RefineKWay): at least one pass ran, and every committed or stale move was
+// a candidate of a scan.
+func checkGreedyCounters(t *testing.T, sp obs.SpanRecord) {
+	t.Helper()
+	val := func(key string) int64 {
+		v, ok := intAttr(sp, key)
+		if !ok {
+			t.Errorf("greedy refine span lacks %q", key)
+		}
+		return v
+	}
+	passes, cands, moves, stale := val("passes"), val("candidates"), val("moves"), val("stale")
+	if passes < 1 || moves < 0 || stale < 0 || moves+stale > cands {
+		t.Errorf("implausible counters passes=%d candidates=%d moves=%d stale=%d", passes, cands, moves, stale)
+	}
+	if _, pairs := intAttr(sp, "pairs_run"); pairs {
+		t.Errorf("greedy refine span carries pair counters")
 	}
 }
 

@@ -157,8 +157,8 @@ func kwayCapsInto(dst []int64, g *graph.Graph, k int, tol float64) []int64 {
 // part: leaving origin subtracts pen[v] from the move's gain, returning to
 // origin adds it back, lateral moves between two non-origin parts are
 // neutral. It is how incremental repartitioning (internal/repart) expresses
-// "restore balance, but migrate as little data as possible" through the
-// existing refinement machinery. The zero moveBias is "unbiased".
+// "restore balance, but migrate as little data as possible" through
+// RefineKWay's greedy passes. The zero moveBias is "unbiased".
 type moveBias struct {
 	origin []int32
 	pen    []int64

@@ -60,7 +60,8 @@ type refineInput struct {
 }
 
 // refineInputs covers one and four constraints, unit and weighted edges,
-// biased and unbiased, and a k whose pair tables are maps.
+// biased and unbiased, and a k whose pair tables are maps. The pairwise
+// engine has no bias; its tests take the unbiased rows (pairInputs).
 func refineInputs(t *testing.T) []refineInput {
 	cyl := mesh.Cylinder(0.002).DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
 	return []refineInput{
@@ -73,6 +74,17 @@ func refineInputs(t *testing.T) []refineInput {
 		// in maps.
 		{"grid-map-fallback", weightedGrid(t, 110, 110, 1), 2100, false},
 	}
+}
+
+// pairInputs is the unbiased part of refineInputs.
+func pairInputs(t *testing.T) []refineInput {
+	var out []refineInput
+	for _, in := range refineInputs(t) {
+		if !in.bias {
+			out = append(out, in)
+		}
+	}
+	return out
 }
 
 func testBias(part []int32, on bool) moveBias {
@@ -96,7 +108,7 @@ func testBias(part []int32, on bool) moveBias {
 func TestIdlePairSkipMatchesExhaustive(t *testing.T) {
 	const passes = 12
 	staleIdleAnywhere := 0
-	for _, in := range refineInputs(t) {
+	for _, in := range pairInputs(t) {
 		t.Run(in.name, func(t *testing.T) {
 			g, k := in.g, in.k
 			n := g.NumVertices()
@@ -104,7 +116,6 @@ func TestIdlePairSkipMatchesExhaustive(t *testing.T) {
 				t.Fatalf("k = %d: dense = %v", k, densePairs(k))
 			}
 			initial := stripedAssignment(n, k)
-			bias := testBias(initial, in.bias)
 			caps := kwayCaps(g, k, 1.05)
 
 			// Exhaustive reference: no idle record survives a pass.
@@ -113,7 +124,7 @@ func TestIdlePairSkipMatchesExhaustive(t *testing.T) {
 			ref.begin(g, want, k)
 			for pass := 0; pass < passes; pass++ {
 				var st kwayStats
-				kwayPass(g, want, k, caps, ref, nil, bias, &st)
+				kwayPass(g, want, k, caps, ref, nil, &st)
 				if st.pairsSkipped != 0 {
 					t.Fatalf("reference pass %d skipped %d pairs", pass, st.pairsSkipped)
 				}
@@ -144,7 +155,7 @@ func TestIdlePairSkipMatchesExhaustive(t *testing.T) {
 			for pass := 0; pass < passes; pass++ {
 				skipped = map[int32]bool{}
 				before := total.moves
-				kwayPass(g, got, k, caps, ks, nil, bias, &total)
+				kwayPass(g, got, k, caps, ks, nil, &total)
 				// Pairs that ran idle in this pass although a pair of an
 				// earlier color had already moved vertices of one of their parts.
 				for pi := range ks.pairs {
@@ -233,55 +244,67 @@ func connTableErr(g *graph.Graph, part []int32, ks *kwayScratch) error {
 	return nil
 }
 
-// TestConnTableMatchesScan: the connectivity table the commit patches is
-// exact — after begin and after every commit round it equals a fresh
-// adjacency scan (connTableErr), on every refineInputs graph and on one with
-// zero-weight edges. The pair runs share a four-worker pool, so under -race
-// their reads of the table are checked against the commits' writes.
+// TestConnTableMatchesScan: the connectivity table the commits patch is
+// exact — after begin, after every commit round of the pairwise engine and
+// after every greedy sub-pass it equals a fresh adjacency scan
+// (connTableErr), on every refineInputs graph and on one with zero-weight
+// edges. The pairwise engine runs on the unbiased rows, the greedy passes
+// on every row with its bias. Both share a four-worker pool, so under -race
+// the concurrent pair runs' and candidate scans' reads of the table are
+// checked against the commits' writes.
 func TestConnTableMatchesScan(t *testing.T) {
 	pool := graph.NewPool(4)
 	// Edge weights 0..9: some vertices touch another part through
-	// zero-weight edges only, which the sweep must still list.
+	// zero-weight edges only, which the sweep and the scans must still list.
 	inputs := append(refineInputs(t), refineInput{"grid-zero-weight-edges", gridWeightsFrom(t, 40, 40, 1, 0), 8, true})
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			g, k := in.g, in.k
 			n := g.NumVertices()
-			part := stripedAssignment(n, k)
-			bias := testBias(part, in.bias)
 			caps := kwayCaps(g, k, 1.05)
 			ks := getKwayScratch(n)
 			defer putKwayScratch(ks)
-			ks.begin(g, part, k)
-			if err := connTableErr(g, part, ks); err != nil {
-				t.Fatalf("after begin: %v", err)
-			}
-			rounds, weightless := 0, 0 // entries whose edges all weigh 0
-			ks.onCommit = func() {
-				rounds++
+			defer func() { ks.onCommit = nil }()
+			check := func(engine string, refine func(part []int32) kwayStats) {
+				part := stripedAssignment(n, k)
+				ks.begin(g, part, k)
 				if err := connTableErr(g, part, ks); err != nil {
-					t.Fatalf("after commit round %d: %v", rounds, err)
+					t.Fatalf("%s: after begin: %v", engine, err)
 				}
-				for v, at := range ks.rowAt {
-					if at < 0 {
-						continue
+				rounds, weightless := 0, 0 // entries whose edges all weigh 0
+				ks.onCommit = func() {
+					rounds++
+					if err := connTableErr(g, part, ks); err != nil {
+						t.Fatalf("%s: after commit round %d: %v", engine, rounds, err)
 					}
-					for _, e := range ks.ents[at : at+ks.rowN[v]] {
-						if e.w == 0 {
-							weightless++
+					for v, at := range ks.rowAt {
+						if at < 0 {
+							continue
+						}
+						for _, e := range ks.ents[at : at+ks.rowN[v]] {
+							if e.w == 0 {
+								weightless++
+							}
 						}
 					}
 				}
+				st := refine(part)
+				if st.moves == 0 {
+					t.Fatalf("%s: no move committed (%+v): the table was never patched", engine, st)
+				}
+				if in.name == "grid-zero-weight-edges" && weightless == 0 {
+					t.Errorf("%s: no row entry carried only zero-weight edges: count-based removal is untested", engine)
+				}
+				t.Logf("%s: %+v, %d commit rounds checked, %d weightless entries seen", engine, st, rounds, weightless)
 			}
-			defer func() { ks.onCommit = nil }()
-			st := kwayRefineWith(context.Background(), g, part, k, caps, 12, pool, bias, ks)
-			if st.moves == 0 {
-				t.Fatalf("no move committed (%+v): the table was never patched", st)
+			if !in.bias {
+				check("pairwise", func(part []int32) kwayStats {
+					return kwayRefineWith(context.Background(), g, part, k, caps, 12, pool, ks)
+				})
 			}
-			if in.name == "grid-zero-weight-edges" && weightless == 0 {
-				t.Error("no row entry carried only zero-weight edges: count-based removal is untested")
-			}
-			t.Logf("%+v, %d commit rounds checked, %d weightless entries seen", st, rounds, weightless)
+			check("greedy", func(part []int32) kwayStats {
+				return kwayGreedy(context.Background(), g, part, k, caps, 12, pool, testBias(part, in.bias), ks)
+			})
 		})
 	}
 }
@@ -311,13 +334,9 @@ func scanRegister(ps *pairScratch, v int32) (gain int64, side int8, deg int64) {
 			cb += int64(g.AdjWgt[i])
 		}
 	}
-	from, to := ps.a, ps.b
 	gain = cb - ca
 	if ps.part[v] == ps.b {
-		side, gain, from, to = 1, ca-cb, ps.b, ps.a
-	}
-	if ps.bias.origin != nil {
-		gain += ps.bias.delta(v, from, to)
+		side, gain = 1, ca-cb
 	}
 	return gain, side, ca + cb
 }
@@ -330,21 +349,11 @@ func scanRegister(ps *pairScratch, v int32) (gain int64, side int8, deg int64) {
 // degree into the pair over the initial working set.
 func TestSweepGainsMatchRegister(t *testing.T) {
 	var stale, joined int
-	for _, in := range refineInputs(t) {
+	for _, in := range pairInputs(t) {
 		t.Run(in.name, func(t *testing.T) {
 			g, k := in.g, in.k
 			n := g.NumVertices()
 			part := stripedAssignment(n, k)
-			bias := testBias(part, in.bias)
-			if in.bias {
-				// Move the origins off the current parts for a third of the
-				// vertices so both signs of the bias occur.
-				for v := range bias.origin {
-					if v%3 == 0 {
-						bias.origin[v] = (bias.origin[v] + 1) % int32(k)
-					}
-				}
-			}
 			caps := kwayCaps(g, k, 1.05)
 			ks := getKwayScratch(n)
 			defer putKwayScratch(ks)
@@ -377,7 +386,7 @@ func TestSweepGainsMatchRegister(t *testing.T) {
 				}
 			}
 			defer func() { ks.onRegister = nil }()
-			st := kwayRefineWith(context.Background(), g, part, k, caps, 12, nil, bias, ks)
+			st := kwayRefineWith(context.Background(), g, part, k, caps, 12, nil, ks)
 			if checked == 0 || st.moves == 0 {
 				t.Fatalf("%d registrations checked, %+v", checked, st)
 			}
@@ -400,14 +409,14 @@ func TestPairArenasLiveWithKwayArena(t *testing.T) {
 	pool := graph.NewPool(4)
 	ks := getKwayScratch(n)
 	defer putKwayScratch(ks)
-	kwayRefineWith(context.Background(), g, stripedAssignment(n, k), k, caps, 4, pool, moveBias{}, ks)
+	kwayRefineWith(context.Background(), g, stripedAssignment(n, k), k, caps, 4, pool, ks)
 	if got := len(ks.pairFree); got < 1 || got > pool.Width() {
 		t.Fatalf("%d pair arenas after a run on %d workers", got, pool.Width())
 	}
 	before := map[*pairScratch]bool{}
 	for _, ps := range ks.pairFree {
 		before[ps] = true
-		if ps.ks != nil || ps.g != nil || ps.part != nil || ps.localID != nil || ps.caps != nil || ps.bias.origin != nil {
+		if ps.ks != nil || ps.g != nil || ps.part != nil || ps.localID != nil || ps.caps != nil {
 			t.Errorf("idle pair arena still references its last run's inputs")
 		}
 		if cap(ps.verts) == 0 {
@@ -416,7 +425,7 @@ func TestPairArenasLiveWithKwayArena(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.GC()
-	kwayRefineWith(context.Background(), g, stripedAssignment(n, k), k, caps, 4, nil, moveBias{}, ks)
+	kwayRefineWith(context.Background(), g, stripedAssignment(n, k), k, caps, 4, nil, ks)
 	reused := 0
 	for _, ps := range ks.pairFree {
 		if before[ps] {
@@ -443,7 +452,7 @@ func TestKWayStampWrap(t *testing.T) {
 	ks := getKwayScratch(n)
 	defer putKwayScratch(ks)
 	ks.stamp = math.MaxInt32 - 3 // wraps in the third pass
-	st := kwayRefineWith(context.Background(), g, got, k, caps, 12, nil, moveBias{}, ks)
+	st := kwayRefineWith(context.Background(), g, got, k, caps, 12, nil, ks)
 	if st.passes < 5 || ks.stamp > 64 {
 		t.Fatalf("stamp %d after %d passes: the wrap was not crossed", ks.stamp, st.passes)
 	}

@@ -67,21 +67,33 @@ type connEntry struct {
 	w int64 // edge weight into p
 }
 
-// kwayStats counts the work of one kwayRefineWith call. Every scheduled pair
-// slot is either run or skipped; idle counts the runs that returned no move.
+// kwayStats counts the work of one k-way refinement call. For the pairwise
+// engine every scheduled pair slot is either run or skipped, and idle counts
+// the runs that returned no move. For the greedy passes (kwayGreedy, greedy
+// set) candidates counts the scans' admissible moves and stale those the
+// commit re-check rejected.
 type kwayStats struct {
-	passes, pairsRun, pairsSkipped, pairsIdle, moves int
+	passes, moves                     int
+	pairsRun, pairsSkipped, pairsIdle int
+	greedy                            bool
+	candidates, stale                 int
 }
 
-// annotate attaches the counters to a refinement span.
+// annotate attaches the counters of the engine that ran to a refinement
+// span.
 func (s kwayStats) annotate(span obs.Span) {
 	if !span.Active() {
 		return
 	}
 	span.SetInt("passes", int64(s.passes))
-	span.SetInt("pairs_run", int64(s.pairsRun))
-	span.SetInt("pairs_skipped", int64(s.pairsSkipped))
-	span.SetInt("pairs_idle", int64(s.pairsIdle))
+	if s.greedy {
+		span.SetInt("candidates", int64(s.candidates))
+		span.SetInt("stale", int64(s.stale))
+	} else {
+		span.SetInt("pairs_run", int64(s.pairsRun))
+		span.SetInt("pairs_skipped", int64(s.pairsSkipped))
+		span.SetInt("pairs_idle", int64(s.pairsIdle))
+	}
 	span.SetInt("moves", int64(s.moves))
 }
 
@@ -94,9 +106,11 @@ const maxDensePairs = 1 << 22
 // k*k tables (pairIdx, idleAt) rather than the maps.
 func densePairs(k int) bool { return k*k <= maxDensePairs }
 
-// kwayScratch is the pooled arena of the k-way refinement engine: every
-// per-pass working array lives here, so steady-state refinement allocates
-// nothing once the buffers have grown to the problem size.
+// kwayScratch is the pooled arena of the k-way refinement engines — the
+// pairwise FM of this file and the greedy passes of refine_kway.go, which
+// share its part weights and connectivity table: every per-pass working
+// array lives here, so steady-state refinement allocates nothing once the
+// buffers have grown to the problem size.
 type kwayScratch struct {
 	caps    []int64 // kwayCapsInto buffer (RefineKWay)
 	pw      []int64 // part weights, k*ncon flattened
@@ -134,6 +148,10 @@ type kwayScratch struct {
 	idleAt  []int32
 	idleMap map[int64]int32
 
+	// The greedy passes' candidate moves: the sub-pass's, and per scan chunk.
+	cands      []greedyMove
+	chunkCands [][]greedyMove
+
 	// Pair arenas, one per concurrent runner of the active round.
 	pairMu   sync.Mutex
 	pairFree []*pairScratch
@@ -142,17 +160,18 @@ type kwayScratch struct {
 	// of every skipped slot before its round runs, onRegister with every
 	// vertex a pair run registers once its gain is settled (after the whole
 	// initial working set, or after the move that made it join), onCommit
-	// after every commit round.
-	onSkip     func(pi int32)
-	onRegister func(ps *pairScratch, l int32)
-	onCommit   func()
+	// after every commit round and every greedy sub-pass, onGreedyMove with
+	// every greedy move just before it is committed.
+	onSkip       func(pi int32)
+	onRegister   func(ps *pairScratch, l int32)
+	onCommit     func()
+	onGreedyMove func(m greedyMove, up bool)
 
 	// Active-round state read by runOne. The closure is built once per
 	// arena and reused, so steady-state passes allocate nothing.
 	cg     *graph.Graph
 	cpart  []int32
 	ccaps  []int64
-	cbias  moveBias
 	cround []int32 // the round's pairs that run, in commit order
 	runOne func(i int)
 }
@@ -204,13 +223,11 @@ func kwayRefine(ctx context.Context, g *graph.Graph, part []int32, k int, caps [
 	}
 	ks := getKwayScratch(n)
 	defer putKwayScratch(ks)
-	return kwayRefineWith(ctx, g, part, k, caps, passes, pool, moveBias{}, ks)
+	return kwayRefineWith(ctx, g, part, k, caps, passes, pool, ks)
 }
 
-// kwayRefineWith is kwayRefine against a caller-held scratch arena, with an
-// optional migration bias applied to every move's gain (zero moveBias =
-// unbiased).
-func kwayRefineWith(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, bias moveBias, ks *kwayScratch) kwayStats {
+// kwayRefineWith is kwayRefine against a caller-held scratch arena.
+func kwayRefineWith(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, ks *kwayScratch) kwayStats {
 	var st kwayStats
 	if g.NumVertices() == 0 || k <= 1 {
 		return st
@@ -221,7 +238,7 @@ func kwayRefineWith(ctx context.Context, g *graph.Graph, part []int32, k int, ca
 			break
 		}
 		before := st.moves
-		kwayPass(g, part, k, caps, ks, pool, bias, &st)
+		kwayPass(g, part, k, caps, ks, pool, &st)
 		if st.moves == before {
 			break
 		}
@@ -526,7 +543,7 @@ func (ks *kwayScratch) sweep(part []int32, k int) {
 
 // kwayPass runs one full refinement pass over an arena prepared by begin and
 // adds its work to st.
-func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch, pool *graph.Pool, bias moveBias, st *kwayStats) {
+func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch, pool *graph.Pool, st *kwayStats) {
 	now := ks.tick()
 	st.passes++
 	ks.sweep(part, k)
@@ -583,7 +600,7 @@ func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch
 	// for the rest concurrently against the read-only pre-round state, then
 	// commit serially in round order (a skipped pair has nothing to commit,
 	// so the commit order is that of the full round).
-	ks.cg, ks.cpart, ks.ccaps, ks.cbias = g, part, caps, bias
+	ks.cg, ks.cpart, ks.ccaps = g, part, caps
 	if ks.runOne == nil {
 		ks.runOne = func(i int) {
 			pi := ks.cround[i]
@@ -640,7 +657,7 @@ func kwayPass(g *graph.Graph, part []int32, k int, caps []int64, ks *kwayScratch
 	} else {
 		clear(ks.pairMap)
 	}
-	ks.cg, ks.cpart, ks.ccaps, ks.cbias = nil, nil, nil, moveBias{}
+	ks.cg, ks.cpart, ks.ccaps = nil, nil, nil
 }
 
 // growPairIdx returns buf resized to n with every entry -1. Entries of a
@@ -702,7 +719,6 @@ type pairScratch struct {
 	localID []int32
 	caps    []int64
 	a, b    int32
-	bias    moveBias
 
 	verts  []int32 // local id -> global vertex
 	gain   []int64 // exact gain of moving the vertex to the pair's other part
@@ -724,7 +740,7 @@ func (ps *pairScratch) run(ks *kwayScratch, pr *pairInfo, list []int32, out []in
 	a, b := pr.a, pr.b
 	ncon := ks.cg.NCon
 	ps.ks, ps.g, ps.part, ps.localID, ps.caps = ks, ks.cg, ks.cpart, ks.localID, ks.ccaps
-	ps.a, ps.b, ps.bias = a, b, ks.cbias
+	ps.a, ps.b = a, b
 	ps.pwa = growI64(ps.pwa, ncon)
 	copy(ps.pwa, ks.pw[int(a)*ncon:int(a)*ncon+ncon])
 	ps.pwb = growI64(ps.pwb, ncon)
@@ -742,7 +758,7 @@ func (ps *pairScratch) run(ks *kwayScratch, pr *pairInfo, list []int32, out []in
 	}
 	// The arena outlives the call inside a pooled kwayScratch; do not pin
 	// the caller's graph and assignment with it.
-	ps.ks, ps.g, ps.part, ps.localID, ps.caps, ps.bias = nil, nil, nil, nil, nil, moveBias{}
+	ps.ks, ps.g, ps.part, ps.localID, ps.caps = nil, nil, nil, nil, nil
 	return out
 }
 
@@ -881,15 +897,12 @@ func (ps *pairScratch) refine(out []int32) []int32 {
 // with its gain at the pre-round state, read from the connectivity table,
 // and returns its local id and its weighted degree into a ∪ b.
 func (ps *pairScratch) register(v int32) (int32, int64) {
-	from, to, s := ps.a, ps.b, int8(0)
+	to, s := ps.b, int8(0)
 	if ps.part[v] == ps.b {
-		from, to, s = ps.b, ps.a, 1
+		to, s = ps.a, 1
 	}
 	own, ext := ps.ks.own[v], ps.ks.connWeight(v, to)
 	gv := ext - own
-	if ps.bias.origin != nil {
-		gv += ps.bias.delta(v, from, to)
-	}
 	l := int32(len(ps.verts))
 	ps.localID[v] = l
 	ps.verts = append(ps.verts, v)
@@ -967,7 +980,7 @@ func overage(pw, caps []int64) int64 {
 // satKey saturates an int64 gain into the bucket key range. The buckets
 // clamp keys to ±maxKey anyway; saturating first just avoids int32 overflow.
 // Exact gains stay in the caller's arrays — clamping only coarsens the
-// ordering of extreme (usually bias-dominated) gains.
+// ordering of extreme gains.
 func satKey(gv int64, maxKey int32) int32 {
 	if gv > int64(maxKey) {
 		return maxKey

@@ -18,11 +18,11 @@ func stripedAssignment(n, k int) []int32 {
 	return part
 }
 
-// TestRefineKWayDeterministicAcrossParallelism extends the PR 3 determinism
-// contract to the pairwise-FM engine: the refined assignment is
+// TestRefineKWayDeterministicAcrossParallelism extends the determinism
+// contract to RefineKWay's greedy passes: the refined assignment is
 // byte-identical at every Parallelism setting, biased and unbiased. Run
-// under -race in CI, this also exercises the compute/commit protocol for
-// data races.
+// under -race in CI, this also checks the concurrent candidate scans
+// against the serial commit for data races.
 func TestRefineKWayDeterministicAcrossParallelism(t *testing.T) {
 	m := mesh.Cylinder(0.002)
 	g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
@@ -100,11 +100,11 @@ func TestRefineKWayDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestRefineKWayRepairsImbalance: the pairwise engine must still perform the
+// TestRefineKWayRepairsImbalance: RefineKWay must perform the
 // balance-restoring duty repart relies on — moves that reduce cap overage
 // are admissible regardless of gain. The overload sits on a shared boundary
 // (like repart's warm starts after drift): chain migration through saturated
-// non-adjacent parts is diffusion's job, not boundary FM's.
+// non-adjacent parts is diffusion's job, not boundary refinement's.
 func TestRefineKWayRepairsImbalance(t *testing.T) {
 	g := graph.Grid(24, 24)
 	n := g.NumVertices()
@@ -183,7 +183,7 @@ func TestKWayPairColoringDisjoint(t *testing.T) {
 	defer putKwayScratch(ks)
 	ks.begin(g, part, k)
 	caps := kwayCaps(g, k, 1.05)
-	kwayPass(g, part, k, caps, ks, nil, moveBias{}, new(kwayStats))
+	kwayPass(g, part, k, caps, ks, nil, new(kwayStats))
 	if len(ks.pairs) == 0 {
 		t.Fatal("no pairs discovered on a striped assignment")
 	}

@@ -12,7 +12,8 @@ import (
 // TestRepartitionUnchangedByTracing is partition's
 // TestPartitionUnchangedByTracing for the warm paths: a recorder on the
 // context changes no assignment, at any parallelism, and the refinement
-// spans account for every scheduled pair slot.
+// spans account for their work — the greedy counters on the warm paths'
+// RefineKWay spans, the pair counters on the scratch path's k-way polish.
 func TestRepartitionUnchangedByTracing(t *testing.T) {
 	m, old := driftedCylinder(t, 0.002, 8, 0.3)
 	g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
@@ -35,15 +36,11 @@ func TestRepartitionUnchangedByTracing(t *testing.T) {
 					t.Fatalf("%v parallelism %d: traced repartition diverges at cell %d", mode, par, v)
 				}
 			}
-			refines := 0
+			var greedy, pairs, moves int64
 			for _, sp := range rec.Snapshot() {
 				if sp.Name != "partition/refine" {
 					continue
 				}
-				if _, kway := attr(sp, "pairs_run"); !kway {
-					continue // a 2-way refinement inside the scratch partition
-				}
-				refines++
 				val := func(key string) int64 {
 					v, ok := attr(sp, key)
 					if !ok {
@@ -51,15 +48,33 @@ func TestRepartitionUnchangedByTracing(t *testing.T) {
 					}
 					return v
 				}
+				if _, ok := attr(sp, "candidates"); ok {
+					greedy++
+					passes, cands, mv, stale := val("passes"), val("candidates"), val("moves"), val("stale")
+					if passes < 1 || mv+stale > cands {
+						t.Errorf("%v parallelism %d: implausible greedy counters passes=%d candidates=%d moves=%d stale=%d",
+							mode, par, passes, cands, mv, stale)
+					}
+					moves += mv
+					continue
+				}
+				if _, ok := attr(sp, "pairs_run"); !ok {
+					continue // a 2-way refinement inside the scratch partition
+				}
+				pairs++
 				passes, run, skipped := val("passes"), val("pairs_run"), val("pairs_skipped")
-				idle, moves := val("pairs_idle"), val("moves")
-				if passes < 1 || idle > run || (moves > 0 && idle == run) || run+skipped < passes {
-					t.Errorf("%v parallelism %d: implausible counters passes=%d run=%d skipped=%d idle=%d moves=%d",
-						mode, par, passes, run, skipped, idle, moves)
+				idle, mv := val("pairs_idle"), val("moves")
+				if passes < 1 || idle > run || (mv > 0 && idle == run) || run+skipped < passes {
+					t.Errorf("%v parallelism %d: implausible pair counters passes=%d run=%d skipped=%d idle=%d moves=%d",
+						mode, par, passes, run, skipped, idle, mv)
 				}
 			}
-			if refines == 0 {
-				t.Errorf("%v parallelism %d: no k-way refinement span recorded", mode, par)
+			if mode == Scratch {
+				if pairs == 0 || greedy != 0 {
+					t.Errorf("scratch parallelism %d: %d pairwise and %d greedy refine spans, want the polish only", par, pairs, greedy)
+				}
+			} else if greedy == 0 || moves == 0 || pairs != 0 {
+				t.Errorf("%v parallelism %d: %d greedy spans moving %d vertices, %d pairwise spans", mode, par, greedy, moves, pairs)
 			}
 		}
 	}

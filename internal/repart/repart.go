@@ -14,15 +14,15 @@
 //
 //   - Refine: warm-started multilevel refinement. The dual graph is
 //     coarsened with matching restricted to the old parts (so the old
-//     assignment projects exactly onto every level), then the existing
-//     multi-constraint k-way refinement runs coarsest-to-finest with a
-//     migration-penalty term biasing moves toward cells that are cheap to
-//     ship.
+//     assignment projects exactly onto every level), then
+//     partition.RefineKWay's greedy multi-constraint boundary passes run
+//     coarsest-to-finest with a migration-penalty term biasing moves toward
+//     cells that are cheap to ship.
 //
 //   - Diffuse: a diffusive fallback that shifts boundary cells along
 //     overloaded→underloaded part pairs, one constraint at a time, then
-//     polishes the edge cut with penalty-biased refinement. Cheaper than
-//     Refine and sufficient for small drift.
+//     polishes the edge cut with the same penalty-biased greedy refinement.
+//     Cheaper than Refine and sufficient for small drift.
 //
 // Auto (the default) picks a strategy from the measured drift: partitions
 // still inside tolerance are kept untouched, mild drift diffuses, heavy
@@ -100,7 +100,9 @@ type Options struct {
 	Part partition.Options
 	// MigrationPenalty scales how strongly refinement resists moving cells
 	// off their current domain, in units of the mean incident edge weight.
-	// 0 uses the default (0.5); negative disables the penalty.
+	// 0 uses the default (0.5); negative (-Inf included) disables the
+	// penalty; NaN and +Inf are errors. Large values saturate: no cell's
+	// penalty exceeds maxPenaltySum / cells (see penalties).
 	MigrationPenalty float64
 	// MigBytes[v], when set, is the serialized size of cell v — the cost of
 	// migrating it. Nil treats all cells as equally expensive.
@@ -160,6 +162,9 @@ func Repartition(ctx context.Context, g *graph.Graph, old *partition.Result, opt
 	}
 	if opt.MigBytes != nil && len(opt.MigBytes) != n {
 		return nil, fmt.Errorf("repart: %d migration weights for %d cells", len(opt.MigBytes), n)
+	}
+	if math.IsNaN(opt.MigrationPenalty) || math.IsInf(opt.MigrationPenalty, 1) {
+		return nil, fmt.Errorf("repart: migration penalty %v, want a finite value", opt.MigrationPenalty)
 	}
 	opt = opt.withDefaults()
 
@@ -232,13 +237,22 @@ func Repartition(ctx context.Context, g *graph.Graph, old *partition.Result, opt
 	return res, nil
 }
 
+// maxPenaltySum bounds the sum of one call's migration penalties. The
+// warm-start hierarchy adds the penalties of the cells a coarse vertex
+// holds, and refinement adds a penalty to a cut gain, whose magnitude is at
+// most the graph's total edge weight (below 2^62: int32 weights on
+// int32-indexed adjacency). Keeping every penalty sum at or below 2^61 keeps
+// that arithmetic inside int64.
+const maxPenaltySum = 1 << 61
+
 // penalties converts migration byte costs into refinement-gain units:
-// pen[v] = MigrationPenalty · wbar · MigBytes[v]/migbar, floored at 1, where
-// wbar is the mean incident edge weight. This keeps the penalty commensurate
-// with edge-cut gains regardless of the byte scale, so one option value
-// behaves consistently across meshes. A negative MigrationPenalty disables
-// the bias: the result is nil, which every consumer (the diffusive sweep's
-// cost ordering and RefineKWay's MovePenalty) treats as zero penalty.
+// pen[v] = MigrationPenalty · wbar · MigBytes[v]/migbar, floored at 1 and
+// saturated at maxPenaltySum / n, where wbar is the mean incident edge
+// weight. This keeps the penalty commensurate with edge-cut gains
+// regardless of the byte scale, so one option value behaves consistently
+// across meshes. A negative MigrationPenalty disables the bias: the result
+// is nil, which every consumer (the diffusive sweep's cost ordering and
+// RefineKWay's MovePenalty) treats as zero penalty.
 func penalties(g *graph.Graph, opt Options) []int64 {
 	if opt.MigrationPenalty < 0 {
 		return nil
@@ -263,18 +277,24 @@ func penalties(g *graph.Graph, opt Options) []int64 {
 		}
 	}
 	pen := make([]int64, n)
+	top := penaltyCap(n)
 	for v := range pen {
 		mig := 1.0
 		if opt.MigBytes != nil {
 			mig = float64(opt.MigBytes[v])
 		}
-		p := int64(math.Round(opt.MigrationPenalty * wbar * mig / migbar))
-		if p < 1 {
-			p = 1
+		p := top
+		if f := math.Round(opt.MigrationPenalty * wbar * mig / migbar); f < float64(top) {
+			p = max(int64(f), 1)
 		}
 		pen[v] = p
 	}
 	return pen
+}
+
+// penaltyCap is the largest per-cell penalty on a graph of n cells.
+func penaltyCap(n int) int64 {
+	return maxPenaltySum / int64(max(n, 1))
 }
 
 // scratch partitions from scratch and then relabels the new parts to

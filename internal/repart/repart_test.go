@@ -156,6 +156,46 @@ func TestRepartitionNegativePenaltyDisablesBias(t *testing.T) {
 	}
 }
 
+// TestRepartitionPenaltyRange: a NaN or +Inf MigrationPenalty is an error,
+// -Inf disables the bias like any negative value, and a finite penalty too
+// large for int64 gain units saturates at the cap instead of wrapping to
+// the weakest bias.
+func TestRepartitionPenaltyRange(t *testing.T) {
+	m, old := driftedCylinder(t, 0.001, 8, 0.3)
+	g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
+	bytes := MeshMigrationBytes(m)
+	run := func(pen float64) (*Result, error) {
+		return Repartition(context.Background(), g, old, Options{
+			Mode: Refine, MigrationPenalty: pen, MigBytes: bytes, Part: partition.Options{Seed: 1}})
+	}
+	digest := func(pen float64) string {
+		res, err := run(pen)
+		if err != nil {
+			t.Fatalf("penalty %v: %v", pen, err)
+		}
+		return partDigest(res.Part)
+	}
+	for _, pen := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := run(pen); err == nil {
+			t.Errorf("penalty %v accepted", pen)
+		}
+	}
+	if digest(math.Inf(-1)) != digest(-1) {
+		t.Error("-Inf does not disable the bias like -1")
+	}
+	top := penaltyCap(g.NumVertices())
+	for _, pen := range []float64{1e30, 1e20} {
+		for v, p := range penalties(g, Options{MigrationPenalty: pen, MigBytes: bytes}) {
+			if p != top {
+				t.Fatalf("penalty %g: cell %d gets %d, cap %d", pen, v, p, top)
+			}
+		}
+	}
+	if digest(1e30) != digest(1e20) {
+		t.Error("two penalties above the cap repartition differently")
+	}
+}
+
 func TestIncrementalMovesLessThanScratch(t *testing.T) {
 	m, old := driftedCylinder(t, 0.002, 8, 0.2)
 	g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
