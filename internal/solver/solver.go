@@ -148,6 +148,15 @@ func NewFromPartition(m *mesh.Mesh, res *partition.Result, cfg Config) (*Solver,
 	if cfg.NumDomains != res.NumParts {
 		return nil, fmt.Errorf("solver: config wants %d domains, partition has %d", cfg.NumDomains, res.NumParts)
 	}
+	// Reordering indexes by domain, so check the part vector before it.
+	if len(res.Part) != m.NumCells() {
+		return nil, fmt.Errorf("solver: %d domain assignments for %d cells", len(res.Part), m.NumCells())
+	}
+	for c, d := range res.Part {
+		if d < 0 || int(d) >= res.NumParts {
+			return nil, fmt.Errorf("solver: cell %d in domain %d, want [0, %d)", c, d, res.NumParts)
+		}
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}

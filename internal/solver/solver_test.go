@@ -19,6 +19,34 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
+func TestNewFromPartitionRejectsBadPartVectors(t *testing.T) {
+	m := mesh.Cube(0.01)
+	good, err := partition.PartitionMesh(context.Background(), m, 4, partition.SCOC, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(part []int32) []int32
+	}{
+		{"entry equal to NumParts", func(p []int32) []int32 { p[len(p)/2] = 4; return p }},
+		{"negative entry", func(p []int32) []int32 { p[0] = -1; return p }},
+		{"shorter than the mesh", func(p []int32) []int32 { return p[:len(p)-1] }},
+		{"longer than the mesh", func(p []int32) []int32 { return append(p, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *good
+			bad.Part = tc.edit(append([]int32(nil), good.Part...))
+			if _, err := NewFromPartition(m, &bad, Config{}); err == nil {
+				t.Fatal("accepted a bad part vector")
+			}
+		})
+	}
+	if _, err := NewFromPartition(m, good, Config{}); err != nil {
+		t.Fatalf("rejected a valid partition: %v", err)
+	}
+}
+
 func TestRunConservesMass(t *testing.T) {
 	m := mesh.Cylinder(0.0005)
 	s, err := New(context.Background(), m, Config{NumDomains: 4, Strategy: partition.MCTL, Workers: 2})
@@ -199,8 +227,8 @@ func TestEulerModelThroughRuntime(t *testing.T) {
 	ref.InitBlast(cx, cy, cz, 0.25, 2.0)
 	ref.RunIteration()
 	ref.RunIteration()
-	for c := range ref.Rho {
-		if ref.Rho[c] != s.EulerState.Rho[c] || ref.E[c] != s.EulerState.E[c] {
+	for c := 0; c < ref.NumCells(); c++ {
+		if ref.Density(c) != s.EulerState.Density(c) || ref.Energy(c) != s.EulerState.Energy(c) {
 			t.Fatalf("cell %d: parallel Euler differs from serial (determinism broken)", c)
 		}
 	}
