@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tempart/internal/flusim"
+	"tempart/internal/fv"
 	"tempart/internal/mesh"
 	"tempart/internal/partition"
 	"tempart/internal/runtime"
@@ -54,7 +55,7 @@ func main() {
 	}
 	fmt.Printf("mass drift: %.2e (exact conservation to round-off)\n", rep.MassDriftRel)
 	fmt.Printf("total energy: %.6f\n", sv.EulerState.TotalEnergy())
-	fmt.Printf("peak density: %.4f\n", maxOf(sv.EulerState.Rho))
+	fmt.Printf("peak density: %.4f\n", peakDensity(sv.EulerState))
 
 	// Replay on a virtual 8×4 cluster and export the trace.
 	virt, err := sv.VirtualMakespan(rep, flusim.Cluster{NumProcs: 8, WorkersPerProc: 4}, flusim.Eager, true)
@@ -74,11 +75,11 @@ func main() {
 	fmt.Println("wrote blastwave_trace.json — open in chrome://tracing or Perfetto")
 }
 
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
+func peakDensity(s *fv.EulerState) float64 {
+	m := s.Density(0)
+	for c := 1; c < s.NumCells(); c++ {
+		if d := s.Density(c); d > m {
+			m = d
 		}
 	}
 	return m

@@ -18,9 +18,9 @@ func TestEulerUniformIsSteadySingleLevel(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.RunIteration()
 	}
-	for c := range s.Rho {
-		if s.Rho[c] != 1.0 || s.Mx[c] != 0 {
-			t.Fatalf("uniform single-level state drifted at cell %d: rho=%v mx=%v", c, s.Rho[c], s.Mx[c])
+	for c := 0; c < s.NumCells(); c++ {
+		if mx, _, _ := s.Momentum(c); s.Density(c) != 1.0 || mx != 0 {
+			t.Fatalf("uniform single-level state drifted at cell %d: rho=%v mx=%v", c, s.Density(c), mx)
 		}
 	}
 }
@@ -35,8 +35,9 @@ func TestEulerUniformNearSteadyMultiLevel(t *testing.T) {
 	m0, e0 := s.Mass(), s.TotalEnergy()
 	ripple := func() float64 {
 		w := 0.0
-		for c := range s.Mx {
-			if a := math.Abs(s.Mx[c]); a > w {
+		for c := 0; c < s.NumCells(); c++ {
+			mx, _, _ := s.Momentum(c)
+			if a := math.Abs(mx); a > w {
 				w = a
 			}
 		}
@@ -59,9 +60,9 @@ func TestEulerUniformNearSteadyMultiLevel(t *testing.T) {
 	if late > early {
 		t.Errorf("ripple grows: %v -> %v (instability)", early, late)
 	}
-	for c := range s.Rho {
-		if math.Abs(s.Rho[c]-1) > 1e-3 {
-			t.Fatalf("uniform state drifted: rho[%d] = %v", c, s.Rho[c])
+	for c := 0; c < s.NumCells(); c++ {
+		if math.Abs(s.Density(c)-1) > 1e-3 {
+			t.Fatalf("uniform state drifted: rho[%d] = %v", c, s.Density(c))
 		}
 	}
 	if math.Abs(s.Mass()-m0) > 1e-10*m0 || math.Abs(s.TotalEnergy()-e0) > 1e-10*e0 {
@@ -107,15 +108,15 @@ func TestEulerBlastExpands(t *testing.T) {
 			centre, bestD = c, d
 		}
 	}
-	e0 := s.E[centre]
+	e0 := s.Energy(centre)
 	for i := 0; i < 12; i++ {
 		s.RunIteration()
 	}
 	if err := s.CheckFinite(); err != nil {
 		t.Fatal(err)
 	}
-	if s.E[centre] >= e0 {
-		t.Errorf("centre energy did not decrease: %v -> %v", e0, s.E[centre])
+	if s.Energy(centre) >= e0 {
+		t.Errorf("centre energy did not decrease: %v -> %v", e0, s.Energy(centre))
 	}
 	// Net radial momentum flux: sample cells at r ≈ 0.25 and check their
 	// momentum points outward on average.
@@ -129,7 +130,8 @@ func TestEulerBlastExpands(t *testing.T) {
 		if r < 0.15 || r > 0.35 {
 			continue
 		}
-		radial += (s.Mx[c]*dx + s.My[c]*dy + s.Mz[c]*dz) / r
+		mx, my, mz := s.Momentum(c)
+		radial += (mx*dx + my*dy + mz*dz) / r
 		n++
 	}
 	if n == 0 || radial <= 0 {
@@ -156,15 +158,15 @@ func TestEulerSodShockTube(t *testing.T) {
 	if rel := math.Abs(s.Mass()-m0) / m0; rel > 1e-10 {
 		t.Errorf("mass drift %.3e", rel)
 	}
-	for c := range s.Rho {
-		if s.Rho[c] < 0.124 || s.Rho[c] > 1.001 {
-			t.Fatalf("density %v at cell %d outside Sod bounds", s.Rho[c], c)
+	for c := 0; c < s.NumCells(); c++ {
+		if rho := s.Density(c); rho < 0.124 || rho > 1.001 {
+			t.Fatalf("density %v at cell %d outside Sod bounds", rho, c)
 		}
 	}
 	// Shock moved right: some cell beyond x=120 has compressed gas.
 	compressed := false
 	for c := 120; c < 180; c++ {
-		if s.Rho[c] > 0.2 {
+		if s.Density(c) > 0.2 {
 			compressed = true
 			break
 		}
@@ -174,8 +176,8 @@ func TestEulerSodShockTube(t *testing.T) {
 	}
 	// The left end is still undisturbed (wave hasn't reached it... with 300
 	// iterations and smax≈1.2 the expansion foot stays right of cell 20).
-	if s.Rho[2] < 0.99 {
-		t.Errorf("left state disturbed too early: rho[2] = %v", s.Rho[2])
+	if s.Density(2) < 0.99 {
+		t.Errorf("left state disturbed too early: rho[2] = %v", s.Density(2))
 	}
 }
 
@@ -213,9 +215,9 @@ func TestEulerKernelPartitionInvariance(t *testing.T) {
 			}
 		}
 	}
-	for c := range a.Rho {
-		if math.Abs(a.Rho[c]-b.Rho[c]) > 1e-13 || math.Abs(a.E[c]-b.E[c]) > 1e-13 {
-			t.Fatalf("cell %d diverged: rho %v/%v E %v/%v", c, a.Rho[c], b.Rho[c], a.E[c], b.E[c])
+	for c := 0; c < a.NumCells(); c++ {
+		if math.Abs(a.Density(c)-b.Density(c)) > 1e-13 || math.Abs(a.Energy(c)-b.Energy(c)) > 1e-13 {
+			t.Fatalf("cell %d diverged: rho %v/%v E %v/%v", c, a.Density(c), b.Density(c), a.Energy(c), b.Energy(c))
 		}
 	}
 }
