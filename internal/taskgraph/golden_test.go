@@ -105,7 +105,9 @@ func digestGraph(r goldenRow, tg *TaskGraph) goldenRow {
 // TestGoldenTaskGraphs pins the DAG (Tasks, PredStart, Preds, Objects) of
 // every goldenRows configuration to the committed digests: makespans, cached
 // graphs and solver schedules all hang off these bytes, so an output change
-// has to edit the golden file on purpose (-update).
+// has to edit the golden file on purpose (-update). Each row is built twice,
+// with object lists (the solver's build) and without (the evaluations'), and
+// both builds must agree on everything but Objects.
 func TestGoldenTaskGraphs(t *testing.T) {
 	parts := map[string]*partition.Result{}
 	meshes := map[string]*mesh.Mesh{}
@@ -138,7 +140,21 @@ func TestGoldenTaskGraphs(t *testing.T) {
 		if err := tg.Validate(); err != nil {
 			t.Fatalf("%v: %v", r, err)
 		}
-		return digestGraph(r, tg)
+		got := digestGraph(r, tg)
+		// Evaluations build without object lists: that graph must carry the
+		// same Tasks, PredStart and Preds, and no Objects.
+		bare, err := BuildIterations(m, res.Part, r.K, r.Iterations, Options{})
+		if err != nil {
+			t.Fatalf("%v without objects: %v", r, err)
+		}
+		if len(bare.Objects) != 0 {
+			t.Errorf("%v without objects: %d object lists", r, len(bare.Objects))
+		}
+		if b := digestGraph(r, bare); b.NumTasks != got.NumTasks || b.NumDeps != got.NumDeps ||
+			b.Tasks != got.Tasks || b.PredStart != got.PredStart || b.Preds != got.Preds {
+			t.Errorf("%v without objects: got %+v, with objects %+v", r, b, got)
+		}
+		return got
 	}
 
 	if *updateGolden {
