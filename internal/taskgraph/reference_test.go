@@ -113,6 +113,16 @@ func referenceBuildIterations(m *mesh.Mesh, part []int32, numDomains, iterations
 	return tg
 }
 
+// faceLevel is the temporal level of a face: the finer (minimum) level of
+// its adjacent cells, or the cell's own level for boundary faces.
+func faceLevel(m *mesh.Mesh, f mesh.Face) temporal.Level {
+	l := m.Level[f.C0]
+	if !f.IsBoundary() && m.Level[f.C1] < l {
+		l = m.Level[f.C1]
+	}
+	return l
+}
+
 // buildPart returns a representative decomposition for a test mesh.
 func buildPart(t *testing.T, m *mesh.Mesh, domains int) []int32 {
 	t.Helper()

@@ -32,16 +32,19 @@
 // all objects of a group always share one last writer — the group's latest
 // task — and the per-object data flow above reduces exactly to which groups
 // touch which: a face group reads the cell groups its faces border, a cell
-// group the face groups of its cells. One pass over the faces records that
-// adjacency. At each activation a task's predecessors are then the latest
-// tasks of its adjacent groups plus its own group's previous task. They are
-// distinct (each task writes a single group), so sorting them yields the
-// same CSR row a per-object scan would, at a cost independent of how many
-// objects the activation touches.
+// group the face groups of its cells. Two in-order passes over the faces
+// count the groups and record that adjacency without bucketing any object.
+// At each activation a task's predecessors are then the latest tasks of its
+// adjacent groups plus its own group's previous task. They are distinct
+// (each task writes a single group), so sorting them yields the same CSR row
+// a per-object scan would, at a cost independent of how many objects the
+// activation touches.
 package taskgraph
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -124,16 +127,17 @@ type TaskGraph struct {
 // Options tunes task generation.
 type Options struct {
 	// FaceCost and CellCost are the work units per processed face/cell.
-	// Zero values default to 1.
+	// Zero values default to 1; negative ones are an error.
 	FaceCost, CellCost int32
 	// RecordObjects stores each task's object-id list in TaskGraph.Objects
 	// so an executor can run real kernels over them. Lists alias shared
-	// group storage and must be treated as read-only.
+	// group storage and must be treated as read-only. Only this option makes
+	// the build bucket faces and cells by group.
 	RecordObjects bool
 	// Parallelism is ignored: the build is serial. The field remains only
 	// because existing callers still set it.
 	Parallelism int
-	// Obs, when non-nil, records build-phase spans (classify/group/census/
+	// Obs, when non-nil, records build-phase spans (classify/census/group/
 	// discover) into the given recorder. Nil (the default) is a
 	// zero-allocation no-op and never perturbs the build.
 	Obs *obs.Recorder
@@ -278,16 +282,6 @@ func (tg *TaskGraph) Validate() error {
 	return nil
 }
 
-// faceLevel is the temporal level of a face: the finer (minimum) level of
-// its adjacent cells, or the cell's own level for boundary faces.
-func faceLevel(m *mesh.Mesh, f mesh.Face) temporal.Level {
-	l := m.Level[f.C0]
-	if !f.IsBoundary() && m.Level[f.C1] < l {
-		l = m.Level[f.C1]
-	}
-	return l
-}
-
 // Build generates the task graph of one iteration for the given domain
 // decomposition (part[cell] ∈ [0, numDomains)).
 func Build(m *mesh.Mesh, part []int32, numDomains int, opt Options) (*TaskGraph, error) {
@@ -307,13 +301,16 @@ func BuildIterations(m *mesh.Mesh, part []int32, numDomains, iterations int, opt
 	if iterations < 1 {
 		return nil, fmt.Errorf("taskgraph: iterations = %d, want >= 1", iterations)
 	}
-	for c, d := range part {
-		if d < 0 || int(d) >= numDomains {
-			return nil, fmt.Errorf("taskgraph: cell %d in domain %d, want [0, %d)", c, d, numDomains)
-		}
+	if opt.FaceCost < 0 || opt.CellCost < 0 {
+		return nil, fmt.Errorf("taskgraph: face cost %d, cell cost %d, want >= 0", opt.FaceCost, opt.CellCost)
+	}
+	scheme := m.Scheme()
+	numLevels := scheme.NumLevels()
+	numGroups := numDomains * numLevels * 2
+	if numDomains < 0 || numGroups > math.MaxInt32 {
+		return nil, fmt.Errorf("taskgraph: %d domains × %d levels, want [0, 2^31) groups", numDomains, numLevels)
 	}
 	opt = opt.withDefaults()
-	scheme := m.Scheme()
 	tg := &TaskGraph{NumDomains: numDomains, Scheme: scheme}
 
 	root := opt.Obs.Start("taskgraph/build")
@@ -324,66 +321,180 @@ func BuildIterations(m *mesh.Mesh, part []int32, numDomains, iterations int, opt
 		root.SetInt("iterations", int64(iterations))
 	}
 
-	// Classify every object into its group (see groupIndex). A cell is
-	// external iff some face-neighbour is in another domain; an interior cut
-	// face belongs to C0's domain and is external, same-domain and boundary
-	// faces are internal.
-	clspan := root.Start("taskgraph/classify")
-	numLevels := scheme.NumLevels()
-	cellGroup := make([]int32, m.NumCells())
-	for c, d := range part {
-		cellGroup[c] = groupIndex(d, m.Level[c], numLevels, false)
+	// Every per-group array lives in one slab.
+	slab := make([]int32, 10*numGroups+2+numLevels)
+	next := func(n int) []int32 {
+		s := slab[:n:n]
+		slab = slab[n:]
+		return s
 	}
-	faceGroup := make([]int32, m.NumFaces())
-	for i, f := range m.Faces {
-		cut := !f.IsBoundary() && part[f.C0] != part[f.C1]
-		if cut {
-			cellGroup[f.C0] |= 1
-			cellGroup[f.C1] |= 1
+	faceCount, cellCount := next(numGroups), next(numGroups)
+	lastFace, lastCell, lastCut := next(numGroups), next(numGroups), next(numGroups)
+	pairCount, cursor, seen := next(numGroups), next(numGroups), next(numGroups)
+	faceAdj := csr{start: next(numGroups + 1)}
+	cellAdj := csr{start: next(numGroups + 1)}
+	activations := next(numLevels)
+	for g := range lastFace {
+		lastFace[g], lastCell[g], lastCut[g] = -1, -1, -1
+	}
+
+	// Classify. The cell pass checks each domain and packs the cell's group
+	// into one word (see packing), counted as internal.
+	clspan := root.Start("taskgraph/classify")
+	pk := newPacking(numLevels)
+	words := make([]uint32, len(part))
+	for c, d := range part {
+		if uint32(d) >= uint32(numDomains) {
+			clspan.End()
+			root.End()
+			return nil, fmt.Errorf("taskgraph: cell %d in domain %d, want [0, %d)", c, d, numDomains)
 		}
-		faceGroup[i] = groupIndex(part[f.C0], faceLevel(m, f), numLevels, cut)
+		words[c] = uint32(d)<<pk.shift | uint32(m.Level[c])<<1
+	}
+	// An interior face whose cells lie in different domains is cut: both its
+	// cells become external, which fixes everything about the face in this
+	// pass. Its far cell C1 is the only cell any face reads outside the face's
+	// own domain (C0's), so cut faces alone record (face group, cell group)
+	// pairs, skipping a repeat of the face group's previous pair.
+	interior := m.Faces[:m.NumInteriorFaces]
+	pairs := make([]groupPair, numGroups+1)
+	numPairs := 0
+	for _, f := range interior {
+		w0, w1 := words[f.C0], words[f.C1]
+		if (w0^w1)>>pk.shift == 0 {
+			continue
+		}
+		words[f.C0], words[f.C1] = w0|1, w1|1
+		if numPairs == len(pairs) {
+			pairs = slices.Grow(pairs, len(pairs))
+			pairs = pairs[:cap(pairs)]
+		}
+		g, cg := pk.faceGroup(w0, w1), pk.group(w1|1)
+		pairs[numPairs] = groupPair{g, cg}
+		if lastCut[g] != cg {
+			numPairs++
+		}
+		lastCut[g] = cg
+	}
+	pairs = pairs[:numPairs]
+	for _, w := range words {
+		cellCount[pk.group(w)]++
 	}
 	clspan.End()
 
-	// Bucket the objects by group once, and record which groups touch which:
-	// the DAG depends on nothing else.
-	gspan := root.Start("taskgraph/group")
-	numGroups := numDomains * numLevels * 2
-	cellGroups := groupObjects(cellGroup, numGroups)
-	faceGroups := groupObjects(faceGroup, numGroups)
-	faceAdj := faceAdjacency(m, faceGroups, cellGroup, numGroups)
-	cellAdj := faceAdj.transpose(numGroups)
-	gspan.End()
-
-	// Phase schedule, hoisted out of the iteration loop.
+	// Census: one more in-order pass counts the faces of every class, the
+	// pair of its cells' words seen from C0's domain (see packing.class). A
+	// class fixes the face's group and the own-domain cell groups it reads,
+	// so the class counts give each face group's size and slot mask: the
+	// dense half of the adjacency.
 	cspan := root.Start("taskgraph/census")
-	nsub := scheme.NumSubiterations()
-	levelsBySub := make([][]temporal.Level, nsub)
-	activations := make([]int, numLevels)
-	for sub := 0; sub < nsub; sub++ {
-		levelsBySub[sub] = scheme.ActiveLevels(sub)
-		for _, tau := range levelsBySub[sub] {
-			activations[tau]++
+	classes := make([]int32, 2*numGroups*int(pk.span))
+	for _, f := range interior {
+		classes[pk.class(words[f.C0], words[f.C1])]++
+	}
+	// Boundary faces are the suffix and read their C0 alone.
+	for _, f := range m.Faces[m.NumInteriorFaces:] {
+		w := words[f.C0]
+		classes[pk.class(w, w)]++
+	}
+	slots := make([]uint64, numGroups)
+	cls := 0
+	for d := 0; d < numDomains; d++ {
+		for cut := uint32(0); cut < 2; cut++ {
+			for s0 := uint32(0); s0 < uint32(pk.span); s0++ {
+				for s1 := uint32(0); s1 < uint32(pk.span); s1++ {
+					if n := classes[cls]; n > 0 {
+						g := int32(d)*pk.span + int32(min(s0, s1)&^1|cut)
+						faceCount[g] += n
+						slots[g] |= uint64(1)<<s0 | uint64(1-cut)<<s1
+					}
+					cls++
+				}
+			}
 		}
 	}
+	cspan.End()
+
+	// Lay the adjacency out: each face group lists its own-domain slots, then
+	// its far cell groups bucketed and deduplicated. Order within a list is
+	// free, since every task sorts its preds.
+	gspan := root.Start("taskgraph/group")
+	for _, p := range pairs {
+		pairCount[p.face]++
+	}
+	for g := 0; g < numGroups; g++ {
+		faceAdj.start[g+1] = faceAdj.start[g] + int32(bits.OnesCount64(slots[g])) + pairCount[g]
+	}
+	faceAdj.items = make([]int32, faceAdj.start[numGroups])
+	for g := 0; g < numGroups; g++ {
+		i, base := faceAdj.start[g], int32(g)-int32(g)%pk.span
+		for sl := slots[g]; sl != 0; sl &= sl - 1 {
+			faceAdj.items[i] = base + int32(bits.TrailingZeros64(sl))
+			i++
+		}
+		cursor[g] = i
+	}
+	for _, p := range pairs {
+		faceAdj.items[cursor[p.face]] = p.cell
+		cursor[p.face]++
+	}
+	// Compact each list's far cell groups to distinct ones; a group's own
+	// slots are distinct and in another domain already.
+	w := int32(0)
+	for g := 0; g < numGroups; g++ {
+		lo, hi := faceAdj.start[g], faceAdj.start[g+1]
+		faceAdj.start[g] = w
+		own := hi - lo - pairCount[g]
+		copy(faceAdj.items[w:], faceAdj.items[lo:lo+own])
+		w += own
+		for _, cg := range faceAdj.items[lo+own : hi] {
+			if seen[cg] != int32(g)+1 {
+				seen[cg] = int32(g) + 1
+				faceAdj.items[w] = cg
+				w++
+			}
+		}
+	}
+	faceAdj.start[numGroups] = w
+	faceAdj.items = faceAdj.items[:w]
+	cellAdj.items = faceAdj.transposeInto(cellAdj.start, cursor)
+
+	var faceObjs, cellObjs csr
+	if opt.RecordObjects {
+		cellObjs = bucket(cellCount, len(words), func(c int) int32 { return pk.group(words[c]) })
+		faceObjs = bucket(faceCount, m.NumFaces(), func(i int) int32 {
+			f := m.Faces[i]
+			if i >= m.NumInteriorFaces {
+				return pk.faceGroup(words[f.C0], words[f.C0])
+			}
+			return pk.faceGroup(words[f.C0], words[f.C1])
+		})
+	}
+	gspan.End()
+
 	// Exact task census and a tight bound on the edges: every non-empty
 	// group of level τ emits one task per activation of τ per iteration,
 	// with at most one pred per adjacent group plus its own previous task.
+	nsub := scheme.NumSubiterations()
+	for sub := 0; sub < nsub; sub++ {
+		for tau := int(scheme.MaxActiveLevel(sub)); tau >= 0; tau-- {
+			activations[tau]++
+		}
+	}
 	totalTasks, maxPreds := 0, 0
 	for g := 0; g < numGroups; g++ {
-		act := activations[(g/2)%numLevels] // g's level, by groupIndex's layout
-		if len(faceGroups.of(int32(g))) > 0 {
+		act := int(activations[(g/2)%numLevels]) // g's level, by groupIndex's layout
+		if faceCount[g] > 0 {
 			totalTasks += act
 			maxPreds += act * (len(faceAdj.of(int32(g))) + 1)
 		}
-		if len(cellGroups.of(int32(g))) > 0 {
+		if cellCount[g] > 0 {
 			totalTasks += act
 			maxPreds += act * (len(cellAdj.of(int32(g))) + 1)
 		}
 	}
 	totalTasks *= iterations
 	maxPreds *= iterations
-	cspan.End()
 
 	tg.Tasks = make([]Task, 0, totalTasks)
 	if opt.RecordObjects {
@@ -394,31 +505,25 @@ func BuildIterations(m *mesh.Mesh, part []int32, numDomains, iterations int, opt
 
 	// lastFace[g] / lastCell[g] is the latest task that wrote face / cell
 	// group g, the last writer of every object in it (-1 before the first).
-	lastFace := make([]int32, numGroups)
-	lastCell := make([]int32, numGroups)
-	for g := range lastFace {
-		lastFace[g] = -1
-		lastCell[g] = -1
-	}
-
 	dspan := root.Start("taskgraph/discover")
 	for iter := 0; iter < iterations; iter++ {
 		for sub := 0; sub < nsub; sub++ {
-			for _, tau := range levelsBySub[sub] {
+			for t := int(scheme.MaxActiveLevel(sub)); t >= 0; t-- {
+				tau := temporal.Level(t)
 				for _, kind := range [2]Kind{FaceKind, CellKind} {
 					// A face task reads its cells and rewrites its faces; a
 					// cell task reads its faces and rewrites its cells.
-					groups, adj, reads, own, unitCost := faceGroups, faceAdj, lastCell, lastFace, opt.FaceCost
+					count, objs, adj, reads, own, unitCost := faceCount, faceObjs, faceAdj, lastCell, lastFace, opt.FaceCost
 					if kind == CellKind {
-						groups, adj, reads, own, unitCost = cellGroups, cellAdj, lastFace, lastCell, opt.CellCost
+						count, objs, adj, reads, own, unitCost = cellCount, cellObjs, cellAdj, lastFace, lastCell, opt.CellCost
 					}
 					for d := 0; d < numDomains; d++ {
 						internal := groupIndex(int32(d), tau, numLevels, false)
 						// External objects first: their results feed other
 						// domains, so runtimes can overlap communication.
 						for _, g := range [2]int32{internal | 1, internal} {
-							objs := groups.of(g)
-							if len(objs) == 0 {
+							n := count[g]
+							if n == 0 {
 								continue
 							}
 							id := int32(len(tg.Tasks))
@@ -439,11 +544,11 @@ func BuildIterations(m *mesh.Mesh, part []int32, numDomains, iterations int, opt
 							tg.Tasks = append(tg.Tasks, Task{
 								ID: id, Iter: int32(iter), Sub: int32(sub),
 								Tau: tau, Kind: kind, Domain: int32(d),
-								External: g&1 == 1, NumObjects: int32(len(objs)),
-								Cost: int64(unitCost) * int64(len(objs)),
+								External: g&1 == 1, NumObjects: n,
+								Cost: int64(unitCost) * int64(n),
 							})
 							if opt.RecordObjects {
-								tg.Objects = append(tg.Objects, objs)
+								tg.Objects = append(tg.Objects, objs.of(g))
 							}
 						}
 					}
@@ -461,6 +566,50 @@ func BuildIterations(m *mesh.Mesh, part []int32, numDomains, iterations int, opt
 	root.End()
 	return tg, nil
 }
+
+// packing lays a cell's group out in one word: domain<<shift | level<<1 |
+// external. The low shift bits are the cell's slot within its domain, and
+// group = domain*span + slot, as groupIndex numbers it.
+type packing struct {
+	shift uint
+	low   uint32
+	span  int32
+}
+
+func newPacking(numLevels int) packing {
+	shift := uint(bits.Len(uint(2*numLevels - 1)))
+	return packing{shift: shift, low: 1<<shift - 1, span: int32(2 * numLevels)}
+}
+
+// group is the cell group of word w.
+func (p packing) group(w uint32) int32 { return int32(w>>p.shift)*p.span + int32(w&p.low) }
+
+// faceGroup is the group of a face whose cells have words w0 (C0) and w1 (C1,
+// or C0 again for a boundary face): C0's domain, the finer level, external
+// iff the domains differ.
+func (p packing) faceGroup(w0, w1 uint32) int32 {
+	g := int32(w0>>p.shift)*p.span + int32(min(w0&p.low, w1&p.low)&^1)
+	if (w0^w1)>>p.shift != 0 {
+		g |= 1
+	}
+	return g
+}
+
+// class numbers the face whose cells have words w0 (C0) and w1 (C1, or C0
+// again for a boundary face) by C0's domain, whether the face is cut, and
+// both cells' slots: ((domain*2 + cut)*span + slot0)*span + slot1.
+func (p packing) class(w0, w1 uint32) uint32 {
+	cut := uint32(0)
+	if (w0^w1)>>p.shift != 0 {
+		cut = 1
+	}
+	span := uint32(p.span)
+	return (((w0>>p.shift)*2+cut)*span+w0&p.low)*span + w1&p.low
+}
+
+// groupPair is one (face group, cell group) adjacency from a cut face's far
+// cell.
+type groupPair struct{ face, cell int32 }
 
 // groupIndex numbers the (domain, level, external) group of faces or of
 // cells: (domain*numLevels+level)*2 + external.
@@ -480,65 +629,40 @@ type csr struct {
 
 func (c csr) of(i int32) []int32 { return c.items[c.start[i]:c.start[i+1]] }
 
-// groupObjects buckets object ids by group (groupOf[id]); ids within a group
-// stay ascending.
-func groupObjects(groupOf []int32, numGroups int) csr {
-	c := csr{start: make([]int32, numGroups+1), items: make([]int32, len(groupOf))}
-	for _, g := range groupOf {
-		c.start[g+1]++
+// bucket lists the ids [0, n) by group, groupOf(id), into lists sized by
+// counts; ids within a group stay ascending.
+func bucket(counts []int32, n int, groupOf func(int) int32) csr {
+	c := csr{start: make([]int32, len(counts)+1), items: make([]int32, n)}
+	for g, k := range counts {
+		c.start[g+1] = c.start[g] + k
 	}
-	for g := 0; g < numGroups; g++ {
-		c.start[g+1] += c.start[g]
-	}
-	cursor := slices.Clone(c.start[:numGroups])
-	for i, g := range groupOf {
+	cursor := slices.Clone(c.start[:len(counts)])
+	for i := 0; i < n; i++ {
+		g := groupOf(i)
 		c.items[cursor[g]] = int32(i)
 		cursor[g]++
 	}
 	return c
 }
 
-// faceAdjacency lists, for every face group, the distinct cell groups its
-// faces touch.
-func faceAdjacency(m *mesh.Mesh, faceGroups csr, cellGroup []int32, numGroups int) csr {
-	adj := csr{start: make([]int32, numGroups+1)}
-	seen := make([]int32, numGroups) // seen[cg] == g+1: cg already listed for g
-	for g := int32(0); g < int32(numGroups); g++ {
-		for _, f := range faceGroups.of(g) {
-			face := m.Faces[f]
-			if cg := cellGroup[face.C0]; seen[cg] != g+1 {
-				seen[cg] = g + 1
-				adj.items = append(adj.items, cg)
-			}
-			if face.IsBoundary() {
-				continue
-			}
-			if cg := cellGroup[face.C1]; seen[cg] != g+1 {
-				seen[cg] = g + 1
-				adj.items = append(adj.items, cg)
-			}
-		}
-		adj.start[g+1] = int32(len(adj.items))
-	}
-	return adj
-}
-
-// transpose returns the reverse relation: list j holds every i whose list
-// holds j.
-func (c csr) transpose(n int) csr {
-	t := csr{start: make([]int32, n+1), items: make([]int32, len(c.items))}
+// transposeInto returns the items of the reverse relation, whose list j holds
+// every i whose list holds j; start (len n+1, zeroed) receives its offsets
+// and cursor (len n) is scratch.
+func (c csr) transposeInto(start, cursor []int32) []int32 {
+	n := len(cursor)
+	items := make([]int32, len(c.items))
 	for _, j := range c.items {
-		t.start[j+1]++
+		start[j+1]++
 	}
 	for j := 0; j < n; j++ {
-		t.start[j+1] += t.start[j]
+		start[j+1] += start[j]
 	}
-	cursor := slices.Clone(t.start[:n])
+	copy(cursor, start[:n])
 	for i := 0; i+1 < len(c.start); i++ {
 		for _, j := range c.of(int32(i)) {
-			t.items[cursor[j]] = int32(i)
+			items[cursor[j]] = int32(i)
 			cursor[j]++
 		}
 	}
-	return t
+	return items
 }

@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -68,19 +69,29 @@ func TestTwoLevelSubiterationStructure(t *testing.T) {
 	}
 }
 
-// TestFaceLevelIsMinOfCells pins the face-level rule.
+// TestFaceLevelIsMinOfCells pins the face-level rule: an interior face takes
+// the finer level of its cells, a boundary face its cell's level.
 func TestFaceLevelIsMinOfCells(t *testing.T) {
+	// Faces: 0 joins the level-0 and level-1 cells; 1 and 2 are the boundary
+	// faces of cells 0 and 1.
 	m := mesh.Strip([]temporal.Level{0, 1})
-	// Interior face between levels 0 and 1 → level 0.
-	if got := faceLevel(m, m.Faces[0]); got != 0 {
-		t.Errorf("faceLevel = %d, want 0", got)
+	tg, err := Build(m, []int32{0, 0}, 1, Options{RecordObjects: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Boundary face of cell 1 → level 1.
-	for _, f := range m.Faces[m.NumInteriorFaces:] {
-		want := m.Level[f.C0]
-		if got := faceLevel(m, f); got != want {
-			t.Errorf("boundary faceLevel = %d, want %d", got, want)
+	want := map[temporal.Level][]int32{0: {0, 1}, 1: {2}}
+	for i := range tg.Tasks {
+		tk := &tg.Tasks[i]
+		if tk.Kind != FaceKind || tk.Sub != 0 {
+			continue
 		}
+		if got := tg.Objects[i]; !slices.Equal(got, want[tk.Tau]) {
+			t.Errorf("level-%d faces %v, want %v", tk.Tau, got, want[tk.Tau])
+		}
+		delete(want, tk.Tau)
+	}
+	if len(want) != 0 {
+		t.Errorf("no face task for levels %v", want)
 	}
 }
 
@@ -322,6 +333,33 @@ func TestBuildRejectsBadPart(t *testing.T) {
 	for _, part := range [][]int32{{0, 1, 2}, {0, -1, 0}} {
 		if _, err := Build(m, part, 2, Options{}); err == nil {
 			t.Fatalf("Build accepted part %v for 2 domains", part)
+		}
+	}
+	if _, err := Build(mesh.Strip(nil), nil, -1, Options{}); err == nil {
+		t.Fatal("Build accepted -1 domains")
+	}
+}
+
+// TestBuildRejectsNegativeCosts: a negative unit cost would give tasks
+// negative costs, and evaluations negative makespans. Zero still means 1.
+func TestBuildRejectsNegativeCosts(t *testing.T) {
+	m := mesh.Strip([]temporal.Level{0, 1, 0})
+	part := []int32{0, 1, 1}
+	for _, opt := range []Options{{FaceCost: -5}, {CellCost: -1}, {FaceCost: 2, CellCost: -3}} {
+		if _, err := Build(m, part, 2, opt); err == nil {
+			t.Errorf("Build accepted %+v", opt)
+		}
+	}
+	tg, err := Build(m, part, 2, Options{FaceCost: 0, CellCost: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range tg.Tasks {
+		if tk := &tg.Tasks[i]; tk.Cost != int64(tk.NumObjects) {
+			t.Errorf("zero costs: task %d cost %d for %d objects, want 1 each", i, tk.Cost, tk.NumObjects)
 		}
 	}
 }
