@@ -6,21 +6,19 @@
 // Every quality decision in the repo — partbench strategy tables, tuner
 // trials, repartitioning studies, tempartd responses — funnels through
 // taskgraph.Build + flusim.Simulate; this package is their shared front
-// door. Graphs are cached under a content hash of (mesh identity, temporal
-// levels, partition, domain count, iterations, costs), so a repartition
-// request that keeps its parent's partition, or a strategy sweep over one
-// decomposition, reuses the graph instead of rebuilding it. Simulations of
-// independent specs fan out across a bounded graph.Pool.
+// door. A cached graph is found again by comparing everything it was built
+// from (mesh identity, temporal levels, partition, domain count, iterations,
+// costs) against the entry's own copies, so a repartition request that keeps
+// its parent's partition, or a strategy sweep over one decomposition, reuses
+// the graph instead of rebuilding it. Simulations of independent specs fan
+// out across a bounded graph.Pool.
 package eval
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
-	"fmt"
+	"slices"
 	"sync"
 	"time"
-	"unsafe"
 
 	"tempart/internal/flusim"
 	"tempart/internal/graph"
@@ -28,6 +26,7 @@ import (
 	"tempart/internal/metrics"
 	"tempart/internal/obs"
 	"tempart/internal/taskgraph"
+	"tempart/internal/temporal"
 	"tempart/internal/trace"
 )
 
@@ -50,12 +49,11 @@ type Spec struct {
 	// Mesh and Part define the decomposition the task graph is built from.
 	Mesh *mesh.Mesh
 	// MeshID is an optional stable identity for the mesh contents. When
-	// set, cache keys survive re-resolving the same mesh into a different
-	// allocation (e.g. one tempartd request to the next); when empty the
-	// graph cache is keyed per call only through the level/part content,
-	// so distinct meshes MUST set it or differ in those. Callers that
-	// mutate a mesh's Level slice in place (ReassignLevels) are safe either
-	// way: levels are hashed into the key.
+	// set, cached graphs survive re-resolving the same mesh into a different
+	// allocation (e.g. one tempartd request to the next), so distinct meshes
+	// MUST NOT share one; when empty a cached graph matches only the same
+	// mesh allocation. Callers that mutate a mesh's Level slice in place
+	// (ReassignLevels) are safe either way: levels are compared by content.
 	MeshID     string
 	Part       []int32
 	NumDomains int
@@ -70,7 +68,7 @@ type Spec struct {
 	Sim flusim.Config
 	// Obs, when non-nil, records build/simulate spans and graph-cache
 	// hit/miss counters ("eval.graph_cache_hit"/"eval.graph_cache_miss").
-	// Excluded from the graph cache key, so traced and untraced requests for
+	// Not compared by the graph cache, so traced and untraced requests for
 	// the same workload share cached graphs. Nil costs nothing.
 	Obs *obs.Recorder
 }
@@ -103,16 +101,28 @@ type Evaluator struct {
 	pool      *graph.Pool
 	cacheSize int
 
-	mu    sync.Mutex
-	cache map[[32]byte]*cacheEntry
-	seq   int64
+	mu sync.Mutex
+	// cache holds at most cacheSize entries, most recently used first.
+	cache []*cacheEntry
 
 	sims sync.Pool
 }
 
+// cacheEntry is one cached graph with everything it was built from. The
+// level and part vectors are the entry's own copies, so mutating a spec's
+// slices in place after caching cannot make a stale graph match; entries
+// with equal levels share one level copy. Entries are immutable once cached.
 type cacheEntry struct {
-	tg       *taskgraph.TaskGraph
-	lastUsed int64
+	meshID string
+	// mesh is the identity of a spec without a MeshID (nil otherwise); the
+	// entry keeps that mesh alive.
+	mesh               *mesh.Mesh
+	numInteriorFaces   int
+	numDomains, iters  int
+	faceCost, cellCost int32
+	level              []temporal.Level
+	part               []int32
+	tg                 *taskgraph.TaskGraph
 }
 
 // New builds an Evaluator.
@@ -127,44 +137,83 @@ func New(opt Options) *Evaluator {
 	return &Evaluator{
 		pool:      graph.NewPool(opt.Parallelism),
 		cacheSize: size,
-		cache:     make(map[[32]byte]*cacheEntry),
 		sims:      sync.Pool{New: func() any { return flusim.NewSimulator() }},
 	}
 }
 
-// graphKey hashes everything the built DAG depends on. Levels are hashed by
-// content because ReassignLevels mutates them in place between epochs. The
-// key never leaves the process, so the level and part vectors go into the
-// hash as raw byte views, in the machine's byte order.
-func graphKey(spec *Spec) [32]byte {
-	h := sha256.New()
-	var ints [8 * 8]byte
-	for i, v := range [...]int{len(spec.MeshID), len(spec.Mesh.Level), spec.Mesh.NumInteriorFaces,
-		len(spec.Part), spec.NumDomains, spec.iterations(), int(spec.FaceCost), int(spec.CellCost)} {
-		binary.LittleEndian.PutUint64(ints[8*i:], uint64(v))
+// matches reports whether ent was built from exactly what spec describes:
+// the scalar fields first, then the part and level content.
+func (ent *cacheEntry) matches(spec *Spec) bool {
+	if ent.meshID != spec.MeshID || ent.numInteriorFaces != spec.Mesh.NumInteriorFaces ||
+		ent.numDomains != spec.NumDomains || ent.iters != spec.iterations() ||
+		ent.faceCost != spec.FaceCost || ent.cellCost != spec.CellCost {
+		return false
 	}
-	h.Write(ints[:])
-	if spec.MeshID != "" {
-		h.Write([]byte(spec.MeshID))
-	} else {
-		// Pointer identity: callers without a stable content id get cache
-		// hits only while reusing the same mesh allocation, which is the
-		// tuner/partbench pattern.
-		fmt.Fprintf(h, "ptr:%p:%s", spec.Mesh, spec.Mesh.Name)
+	// Without a stable content id, only the same mesh allocation matches:
+	// the tuner pattern, which reuses one mesh across calls.
+	if spec.MeshID == "" && ent.mesh != spec.Mesh {
+		return false
 	}
-	h.Write(bytesOf(spec.Mesh.Level))
-	h.Write(bytesOf(spec.Part))
-	var key [32]byte
-	h.Sum(key[:0])
-	return key
+	return equal(ent.part, spec.Part) && equal(ent.level, spec.Mesh.Level)
 }
 
-// bytesOf views the backing array of s as bytes.
-func bytesOf[T ~uint8 | ~int32](s []T) []byte {
-	if len(s) == 0 {
-		return nil
+// equal reports whether a and b hold the same elements, like slices.Equal,
+// but compares whole blocks: an array comparison compiles to one memory
+// compare, several times faster than slices.Equal's element loop on the
+// 10⁴–10⁶-element vectors every cached lookup reads.
+func equal[T int32 | temporal.Level](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+	const block = 256
+	for len(a) >= block {
+		if *(*[block]T)(a) != *(*[block]T)(b) {
+			return false
+		}
+		a, b = a[block:], b[block:]
+	}
+	return slices.Equal(a, b)
+}
+
+// lookup returns the cached entry matching spec and marks it most recently
+// used, or nil. The caller holds e.mu.
+func (e *Evaluator) lookup(spec *Spec) *cacheEntry {
+	for i, ent := range e.cache {
+		if ent.matches(spec) {
+			copy(e.cache[1:i+1], e.cache[:i])
+			e.cache[0] = ent
+			return ent
+		}
+	}
+	return nil
+}
+
+// insert caches tg as built from spec, most recently used, evicting the
+// least recently used entry beyond the capacity. The caller holds e.mu and
+// has checked that no entry matches spec.
+func (e *Evaluator) insert(spec *Spec, tg *taskgraph.TaskGraph) {
+	ent := &cacheEntry{
+		meshID: spec.MeshID, numInteriorFaces: spec.Mesh.NumInteriorFaces,
+		numDomains: spec.NumDomains, iters: spec.iterations(),
+		faceCost: spec.FaceCost, cellCost: spec.CellCost,
+		part: slices.Clone(spec.Part), tg: tg,
+	}
+	if spec.MeshID == "" {
+		ent.mesh = spec.Mesh
+	}
+	for _, other := range e.cache {
+		if equal(other.level, spec.Mesh.Level) {
+			ent.level = other.level
+			break
+		}
+	}
+	if ent.level == nil {
+		ent.level = slices.Clone(spec.Mesh.Level)
+	}
+	if len(e.cache) == e.cacheSize {
+		e.cache = e.cache[:len(e.cache)-1]
+	}
+	e.cache = slices.Insert(e.cache, 0, ent)
 }
 
 func (spec *Spec) iterations() int {
@@ -183,23 +232,16 @@ func (spec *Spec) tgOptions() taskgraph.Options {
 }
 
 // graphFor returns the task graph for the spec, building (and caching) it
-// when absent. Specs without a MeshID are cached too — the level and part
-// content is part of the key, which in practice distinguishes decompositions
-// of different meshes; callers needing strict isolation set distinct
-// MeshIDs.
+// when absent.
 func (e *Evaluator) graphFor(spec *Spec) (tg *taskgraph.TaskGraph, cached bool, buildSeconds float64, err error) {
-	var key [32]byte
 	if e.cacheSize > 0 {
-		key = graphKey(spec)
 		e.mu.Lock()
-		if ent, ok := e.cache[key]; ok {
-			e.seq++
-			ent.lastUsed = e.seq
-			e.mu.Unlock()
+		ent := e.lookup(spec)
+		e.mu.Unlock()
+		if ent != nil {
 			spec.Obs.Count("eval.graph_cache_hit", 1)
 			return ent.tg, true, 0, nil
 		}
-		e.mu.Unlock()
 	}
 	spec.Obs.Count("eval.graph_cache_miss", 1)
 	t0 := time.Now()
@@ -214,24 +256,11 @@ func (e *Evaluator) graphFor(spec *Spec) (tg *taskgraph.TaskGraph, cached bool, 
 	tg.CriticalPath()
 	if e.cacheSize > 0 {
 		e.mu.Lock()
-		e.seq++
-		if ent, ok := e.cache[key]; ok {
+		if ent := e.lookup(spec); ent != nil {
 			// Another goroutine built it concurrently; keep theirs.
-			ent.lastUsed = e.seq
-			tg = ent.tg
-			cached = true
+			tg, cached = ent.tg, true
 		} else {
-			e.cache[key] = &cacheEntry{tg: tg, lastUsed: e.seq}
-			for len(e.cache) > e.cacheSize {
-				var oldestKey [32]byte
-				oldest := int64(1<<63 - 1)
-				for k, ent := range e.cache {
-					if ent.lastUsed < oldest {
-						oldest, oldestKey = ent.lastUsed, k
-					}
-				}
-				delete(e.cache, oldestKey)
-			}
+			e.insert(spec, tg)
 		}
 		e.mu.Unlock()
 	}

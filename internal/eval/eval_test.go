@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"tempart/internal/flusim"
@@ -159,6 +160,13 @@ func TestGraphKeyMisses(t *testing.T) {
 			sp.Part = p
 			return func() {}
 		}},
+		// The cache owns its copies: the caller's slice changed after
+		// caching must not find the graph built from the old content.
+		{"Part in place", func(sp *Spec) func() {
+			old := part[0]
+			part[0] = (old + 1) % 16
+			return func() { part[0] = old }
+		}},
 	}
 	for _, c := range cases {
 		sp := spec
@@ -179,26 +187,126 @@ func TestGraphKeyMisses(t *testing.T) {
 	if !out.GraphCached {
 		t.Error("the unchanged spec missed the cache")
 	}
+
+	// A fresh part slice with equal content hits: the cache compares content.
+	fresh := spec
+	fresh.Part = slices.Clone(part)
+	if out, err = e.Evaluate(fresh); err != nil {
+		t.Fatal(err)
+	} else if !out.GraphCached {
+		t.Error("an equal part vector in a fresh slice missed the cache")
+	}
 }
 
-// BenchmarkGraphKey measures the cache key every evaluation computes, warm
-// ones included, on PPRIME_NOZZLE at scale 0.005 (62 748 cells).
-func BenchmarkGraphKey(b *testing.B) {
+// TestGraphCacheSharesLevelCopies: entries whose level vectors are equal
+// share one copy, and no entry aliases the mesh's own slice.
+func TestGraphCacheSharesLevelCopies(t *testing.T) {
+	spec, _, part := testSpec(t)
+	e := New(Options{Parallelism: 1})
+	other := spec
+	other.Part = slices.Clone(part)
+	other.Part[0] = (other.Part[0] + 1) % 16
+	for _, sp := range []Spec{spec, other} {
+		if _, err := e.Evaluate(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.CacheLen() != 2 {
+		t.Fatalf("cache holds %d graphs, want 2", e.CacheLen())
+	}
+	a, b := e.cache[0].level, e.cache[1].level
+	if &a[0] != &b[0] {
+		t.Error("entries with equal levels keep separate level copies")
+	}
+	if &a[0] == &spec.Mesh.Level[0] {
+		t.Error("the cache aliases the mesh's level slice")
+	}
+}
+
+// TestEqualMatchesSlicesEqual checks the block compare against slices.Equal
+// around the block size, with one element changed anywhere in the vector.
+func TestEqualMatchesSlicesEqual(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 511, 512, 700} {
+		a := make([]int32, n)
+		for i := range a {
+			a[i] = int32(i * 7)
+		}
+		if !equal(a, slices.Clone(a)) {
+			t.Errorf("n=%d: equal vectors differ", n)
+		}
+		if n > 0 && equal(a, a[:n-1]) {
+			t.Errorf("n=%d: a shorter vector is equal", n)
+		}
+		for i := 0; i < n; i++ {
+			b := slices.Clone(a)
+			b[i]++
+			if equal(a, b) {
+				t.Fatalf("n=%d: a change at %d is not seen", n, i)
+			}
+		}
+	}
+}
+
+// BenchmarkGraphLookup measures the cache lookup every evaluation makes, on
+// PPRIME_NOZZLE at scale 0.005 (62 748 cells) with four entries of one mesh
+// cached. Their parts differ only in the last cell, so every comparison with
+// a non-matching entry reads the whole vector: "hit" finds the least
+// recently used entry behind three such entries, "miss" reads all four.
+func BenchmarkGraphLookup(b *testing.B) {
 	m := mesh.Nozzle(0.005)
 	part := make([]int32, m.NumCells())
 	for i := range part {
 		part[i] = int32(i % 12)
 	}
-	spec := &Spec{Mesh: m, MeshID: "gen:PPRIME_NOZZLE:0.005", Part: part, NumDomains: 12}
-	b.SetBytes(int64(len(m.Level) + 4*len(part)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		keySink = graphKey(spec)
+	spec := func(last int32) *Spec {
+		p := slices.Clone(part)
+		p[len(p)-1] = last
+		return &Spec{Mesh: m, MeshID: "gen:PPRIME_NOZZLE:0.005", Part: p, NumDomains: 12}
 	}
+	e := New(Options{GraphCacheSize: 4})
+	var specs []*Spec
+	for last := int32(0); last < 4; last++ {
+		specs = append(specs, spec(last))
+		e.insert(specs[last], &taskgraph.TaskGraph{})
+	}
+	b.Run("hit", func(b *testing.B) {
+		b.SetBytes(int64(len(m.Level) + 4*len(part)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if e.lookup(specs[i%4]) == nil {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		missing := spec(4)
+		b.SetBytes(int64(len(m.Level) + 4*len(part)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if e.lookup(missing) != nil {
+				b.Fatal("hit")
+			}
+		}
+	})
 }
 
-// keySink keeps BenchmarkGraphKey's call from being optimised away.
-var keySink [32]byte
+// TestEvaluateRejectsNegativeCosts: a negative unit cost is an error, not a
+// negative makespan.
+func TestEvaluateRejectsNegativeCosts(t *testing.T) {
+	spec, _, _ := testSpec(t)
+	e := New(Options{Parallelism: 1})
+	for _, costs := range [][2]int32{{-5, 0}, {0, -5}} {
+		sp := spec
+		sp.FaceCost, sp.CellCost = costs[0], costs[1]
+		if out, err := e.Evaluate(sp); err == nil {
+			t.Errorf("costs %v: makespan %d, want an error", costs, out.Makespan)
+		}
+	}
+	if got := e.CacheLen(); got != 0 {
+		t.Errorf("rejected specs left %d cached graphs", got)
+	}
+}
 
 // TestEvaluateAll checks the fan-out path returns the same outcomes as
 // serial Evaluate calls, builds the shared graph once, and works at
@@ -286,7 +394,7 @@ func TestCacheEviction(t *testing.T) {
 
 // TestMeshIDKeying: the same content under the same MeshID hits across
 // distinct mesh allocations — the tempartd pattern, where every request
-// re-resolves its mesh.
+// re-resolves its mesh — and without a MeshID it does not.
 func TestMeshIDKeying(t *testing.T) {
 	m1 := mesh.Cylinder(0.002)
 	m2 := mesh.Cylinder(0.002)
@@ -311,5 +419,19 @@ func TestMeshIDKeying(t *testing.T) {
 	}
 	if !out.GraphCached {
 		t.Error("same MeshID + content across allocations missed the cache")
+	}
+
+	// Without a MeshID a cached graph belongs to one mesh allocation: equal
+	// levels and part over the other allocation miss.
+	bare1, bare2 := mk(m1), mk(m2)
+	bare1.MeshID, bare2.MeshID = "", ""
+	if _, err := e.Evaluate(bare1); err != nil {
+		t.Fatal(err)
+	}
+	if out, err = e.Evaluate(bare2); err != nil {
+		t.Fatal(err)
+	}
+	if out.GraphCached {
+		t.Error("a MeshID-less spec over another mesh allocation hit the cache")
 	}
 }
