@@ -338,8 +338,8 @@ func BuildIterations(m *mesh.Mesh, part []int32, numDomains, iterations int, opt
 		lastFace[g], lastCell[g], lastCut[g] = -1, -1, -1
 	}
 
-	// Classify. The cell pass checks each domain and packs the cell's group
-	// into one word (see packing), counted as internal.
+	// Classify. The cell pass checks each domain and packs the cell into one
+	// word (see packing), its external bit still clear.
 	clspan := root.Start("taskgraph/classify")
 	pk := newPacking(numLevels)
 	words := make([]uint32, len(part))
@@ -357,7 +357,7 @@ func BuildIterations(m *mesh.Mesh, part []int32, numDomains, iterations int, opt
 	// own domain (C0's), so cut faces alone record (face group, cell group)
 	// pairs, skipping a repeat of the face group's previous pair.
 	interior := m.Faces[:m.NumInteriorFaces]
-	pairs := make([]groupPair, numGroups+1)
+	pairs := make([]groupPair, numGroups+1) // doubled when full
 	numPairs := 0
 	for _, f := range interior {
 		w0, w1 := words[f.C0], words[f.C1]
