@@ -31,17 +31,12 @@ type goldenRow struct {
 	K        int     `json:"k"`
 	Strategy string  `json:"strategy"`
 	Method   string  `json:"method"`
-	Reorder  bool    `json:"reorder,omitempty"`
 	Seed     int64   `json:"seed"`
 	SHA256   string  `json:"sha256"`
 }
 
 func (r goldenRow) String() string {
-	s := fmt.Sprintf("%s@%g/k%d/%s/%s/seed%d", r.Mesh, r.Scale, r.K, r.Strategy, r.Method, r.Seed)
-	if r.Reorder {
-		s += "/reorder"
-	}
-	return s
+	return fmt.Sprintf("%s@%g/k%d/%s/%s/seed%d", r.Mesh, r.Scale, r.K, r.Strategy, r.Method, r.Seed)
 }
 
 // goldenRows lists the pinned configurations (digests empty).
@@ -60,7 +55,6 @@ func goldenRows() []goldenRow {
 	}
 	return append(rows,
 		goldenRow{Mesh: "CUBE", Scale: 0.05, K: 16, Strategy: "MC_TL", Method: "kway", Seed: 1},
-		goldenRow{Mesh: "PPRIME_NOZZLE", Scale: 0.0005, K: 12, Strategy: "MC_TL", Method: "rb", Reorder: true, Seed: 1},
 		goldenRow{Mesh: "CYLINDER", Scale: 0.003, K: 128, Strategy: "MC_TL", Method: methodRefineBiased, Seed: 1})
 }
 
@@ -123,7 +117,7 @@ func TestGoldenPartitions(t *testing.T) {
 		if r.Method == methodRefineBiased {
 			return refineBiasedDigest(t, graphOf(r), r, par)
 		}
-		opt := Options{Seed: r.Seed, Reorder: r.Reorder, Parallelism: par}
+		opt := Options{Seed: r.Seed, Parallelism: par}
 		if r.Method == "kway" {
 			opt.Method = DirectKWay
 		}
