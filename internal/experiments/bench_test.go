@@ -1,42 +1,30 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus component micro-benchmarks. Each experiment benchmark reports the
+// plus the ablations behind the headline result. Each benchmark reports the
 // paper-relevant quantity (speedup ratio, gain %, variance) as a custom
 // metric alongside the usual ns/op.
 //
-// Scale: benchmarks default to 1/100 of the paper's mesh sizes so the full
-// suite finishes in minutes on one core; set TEMPART_SCALE (e.g. "1.0") to
-// run at the published sizes. Shapes — who wins, by what factor, trends —
-// are scale-stable; see EXPERIMENTS.md.
-package tempart_test
+// Scale: the benchmarks run at 1/100 of the paper's mesh sizes so the suite
+// finishes in well under a minute on one core. Shapes — who wins, by what
+// factor, trends — are scale-stable; regenerate a figure at the published
+// size with `go run ./cmd/experiments -exp fig9 -scale 1.0` (EXPERIMENTS.md).
+package experiments_test
 
 import (
 	"context"
-	"os"
-	"strconv"
 	"testing"
 
 	"tempart/internal/core"
-	"tempart/internal/dist"
 	"tempart/internal/experiments"
 	"tempart/internal/flusim"
-	"tempart/internal/fv"
 	"tempart/internal/mesh"
 	"tempart/internal/partition"
 	"tempart/internal/solver"
 	"tempart/internal/taskgraph"
-	"tempart/internal/tuner"
 )
 
-// benchParams returns the experiment parameters honouring TEMPART_SCALE.
+// benchParams returns the experiment parameters every benchmark here runs at.
 func benchParams() experiments.Params {
-	p := experiments.Params{Scale: 0.01, Seed: 1, GanttWidth: 80}
-	if s := os.Getenv("TEMPART_SCALE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			p.Scale = v
-			p.CubeScale = 0 // re-derive from Scale
-		}
-	}
-	return p
+	return experiments.Params{Scale: 0.01, Seed: 1, GanttWidth: 80}
 }
 
 // BenchmarkTable1Meshes regenerates Table I (mesh censuses).
@@ -197,106 +185,6 @@ func BenchmarkFig13Production(b *testing.B) {
 		gain = r.GainPct
 	}
 	b.ReportMetric(gain, "gain_%")
-}
-
-// ---- component micro-benchmarks ----
-
-// BenchmarkPartitionSCOC measures single-constraint partitioning throughput.
-func BenchmarkPartitionSCOC(b *testing.B) {
-	m := mesh.Cylinder(benchParams().Scale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.PartitionMesh(context.Background(), m, 64, partition.SCOC, partition.Options{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.NumCells()), "cells")
-}
-
-// BenchmarkPartitionMCTL measures multi-constraint partitioning throughput.
-func BenchmarkPartitionMCTL(b *testing.B) {
-	m := mesh.Cylinder(benchParams().Scale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.PartitionMesh(context.Background(), m, 64, partition.MCTL, partition.Options{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.NumCells()), "cells")
-}
-
-// BenchmarkTaskGraphBuild measures Algorithm 1 generation.
-func BenchmarkTaskGraphBuild(b *testing.B) {
-	m := mesh.Cylinder(benchParams().Scale)
-	r, err := partition.PartitionMesh(context.Background(), m, 64, partition.MCTL, partition.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tg, err := taskgraph.Build(m, r.Part, 64, taskgraph.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(tg.NumTasks()), "tasks")
-		}
-	}
-}
-
-// BenchmarkFlusimSimulate measures discrete-event scheduling throughput.
-func BenchmarkFlusimSimulate(b *testing.B) {
-	m := mesh.Cylinder(benchParams().Scale)
-	r, err := partition.PartitionMesh(context.Background(), m, 128, partition.MCTL, partition.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tg, err := taskgraph.Build(m, r.Part, 128, taskgraph.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pm := flusim.BlockMap(128, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := flusim.Simulate(tg, pm, flusim.Config{
-			Cluster: flusim.Cluster{NumProcs: 16, WorkersPerProc: 32},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tg.NumTasks()), "tasks")
-}
-
-// BenchmarkFVIteration measures the finite-volume kernel throughput
-// (cells·updates per op).
-func BenchmarkFVIteration(b *testing.B) {
-	m := mesh.Cylinder(benchParams().Scale)
-	s := fv.NewState(m, fv.DefaultParams())
-	s.InitGaussian(1, 0.5, 0.5, 0.3, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunIteration()
-	}
-	b.ReportMetric(float64(m.Scheme().IterationWork(m.Census())), "cell_updates")
-}
-
-// BenchmarkCompareEndToEnd measures the full core.Compare pipeline.
-func BenchmarkCompareEndToEnd(b *testing.B) {
-	m := mesh.Cube(0.2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := core.Compare(context.Background(), m, core.CompareConfig{
-			NumDomains: 32,
-			Cluster:    core.Cluster{NumProcs: 8, WorkersPerProc: 4},
-			Seed:       int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(rows[1].Speedup, "mctl_speedup")
-		}
-	}
 }
 
 // ---- ablation benchmarks: the design choices behind the headline result ----
@@ -494,25 +382,6 @@ func maxInts(xs []int) int {
 	return m
 }
 
-// BenchmarkTunerSweep measures the auto-granularity search of the paper's
-// §IX perspective end-to-end.
-func BenchmarkTunerSweep(b *testing.B) {
-	m := mesh.Cylinder(benchParams().Scale * 0.5)
-	var best float64
-	for i := 0; i < b.N; i++ {
-		res, err := tuner.Tune(context.Background(), m, tuner.Config{
-			Cluster:  flusim.Cluster{NumProcs: 8, WorkersPerProc: 8},
-			Strategy: partition.MCTL,
-			PartOpts: partition.Options{Seed: int64(i)},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = float64(res.Best.Domains)
-	}
-	b.ReportMetric(best, "best_domains")
-}
-
 // BenchmarkFig13EulerProduction repeats the Figure 13 production comparison
 // with the compressible Euler kernels (5 conserved variables — the closest
 // load to FLUSEPA's Navier-Stokes) instead of the scalar model.
@@ -545,26 +414,4 @@ func BenchmarkFig13EulerProduction(b *testing.B) {
 		gains = 100 * (1 - float64(mc)/float64(sc))
 	}
 	b.ReportMetric(gains, "gain_%")
-}
-
-// BenchmarkDistributedIteration measures the message-passing execution path
-// (internal/dist): per-process extracted meshes with explicit halo exchange,
-// reporting the halo traffic a real MPI run would ship per iteration.
-func BenchmarkDistributedIteration(b *testing.B) {
-	m := mesh.Cylinder(benchParams().Scale)
-	r, err := partition.PartitionMesh(context.Background(), m, 8, partition.MCTL, partition.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := dist.New(m, r.Part, 8, fv.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.InitGaussian(1, 0.5, 0.5, 0.3, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunIteration()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(s.BytesExchanged)/float64(b.N), "halo_bytes/iter")
 }

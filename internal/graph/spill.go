@@ -7,27 +7,22 @@ import (
 )
 
 // Bytes returns the heap footprint of the graph's CSR arrays in bytes. It is
-// the unit of account of the partitioner's streaming hierarchy and of the
-// partbench -mem report (bytes/cell at paper scale).
+// the unit of account of the partitioner's streaming hierarchy and the
+// denominator of BenchmarkPaperScale's peak-RSS ratio.
 func (g *Graph) Bytes() int64 {
 	return 4 * int64(len(g.Xadj)+len(g.Adjncy)+len(g.AdjWgt)+len(g.VWgt))
 }
 
-// spillAlign aligns every spilled level on a page boundary so the mmap load
-// path can map levels independently (mmap offsets must be page-aligned).
-const spillAlign = 4096
-
 // SpillStore writes CSR graphs to an anonymous temporary file and reads them
-// back byte-identically — either into a caller-reused heap buffer (Load) or
-// as a read-only memory mapping (LoadMapped, unix only). The multilevel
-// partitioner uses it to keep intermediate coarse graphs out of the heap
+// back byte-identically into a caller-reused heap buffer (Load). The
+// multilevel partitioner uses it to keep intermediate coarse graphs out of the heap
 // between coarsening and uncoarsening: the spilled bytes ARE the original
 // arrays, so a reloaded graph is indistinguishable from a retained one and
 // partitions stay byte-identical whether or not a level was ever offloaded.
 //
 // The backing file is unlinked at creation; the data disappears with the
-// last descriptor (or mapping) no matter how the process exits. A SpillStore
-// must not be used concurrently.
+// last descriptor no matter how the process exits. A SpillStore must not be
+// used concurrently.
 type SpillStore struct {
 	f   *os.File
 	off int64
@@ -51,7 +46,7 @@ func NewSpillStore() (*SpillStore, error) {
 		return nil, fmt.Errorf("graph: spill store: %w", err)
 	}
 	// Unlink immediately: the kernel reclaims the blocks when the descriptor
-	// (and any mapping) goes away, even on abnormal exit.
+	// goes away, even on abnormal exit.
 	_ = os.Remove(f.Name())
 	return &SpillStore{f: f}, nil
 }
@@ -70,7 +65,7 @@ func (s *SpillStore) Spill(g *Graph) (SpillRef, error) {
 		}
 		off += 4 * int64(len(arr))
 	}
-	s.off = (off + spillAlign - 1) &^ (spillAlign - 1)
+	s.off = off
 	return ref, nil
 }
 
@@ -93,23 +88,6 @@ func (s *SpillStore) Load(r SpillRef, buf []int32) (*Graph, []int32, error) {
 	return r.slice(buf), buf, nil
 }
 
-// LoadMapped maps the referenced graph read-only from the backing file and
-// returns it with an unmap closure. On platforms without mmap support it
-// returns an error; callers fall back to Load. Mapped graphs must be treated
-// as immutable — writing through them faults.
-func (s *SpillStore) LoadMapped(r SpillRef) (*Graph, func() error, error) {
-	nbytes := 4 * r.Words()
-	if nbytes == 0 {
-		return r.slice(nil), func() error { return nil }, nil
-	}
-	b, err := mmapFile(s.f, r.off, nbytes)
-	if err != nil {
-		return nil, nil, fmt.Errorf("graph: spill mmap: %w", err)
-	}
-	g := r.slice(unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), r.Words()))
-	return g, func() error { return munmapBytes(b) }, nil
-}
-
 // WordRef addresses one spilled []int32 inside its store.
 type WordRef struct {
 	off int64
@@ -127,7 +105,7 @@ func (s *SpillStore) SpillWords(ws []int32) (WordRef, error) {
 			return WordRef{}, fmt.Errorf("graph: spill write: %w", err)
 		}
 	}
-	s.off = (s.off + 4*int64(len(ws)) + spillAlign - 1) &^ (spillAlign - 1)
+	s.off += 4 * int64(len(ws))
 	return ref, nil
 }
 
@@ -164,8 +142,7 @@ func (r SpillRef) slice(buf []int32) *Graph {
 	}
 }
 
-// Close releases the backing file. Outstanding mappings stay valid until
-// their unmap closures run (the kernel holds the blocks for them).
+// Close releases the backing file.
 func (s *SpillStore) Close() error {
 	if s.f == nil {
 		return nil

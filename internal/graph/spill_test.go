@@ -48,52 +48,6 @@ func TestSpillRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpillLoadMapped checks the mmap path returns the same bytes as the heap
-// path and that unmapping works. Skipped where the platform has no mmap.
-func TestSpillLoadMapped(t *testing.T) {
-	s, err := NewSpillStore()
-	if err != nil {
-		t.Fatalf("NewSpillStore: %v", err)
-	}
-	defer s.Close()
-
-	g := spillFixture(5)
-	ref, err := s.Spill(g)
-	if err != nil {
-		t.Fatalf("Spill: %v", err)
-	}
-	got, unmap, err := s.LoadMapped(ref)
-	if err != nil {
-		t.Skipf("LoadMapped unavailable: %v", err)
-	}
-	if !graphsEqual(g, got) {
-		t.Fatal("mapped graph differs from original")
-	}
-	if err := unmap(); err != nil {
-		t.Fatalf("unmap: %v", err)
-	}
-}
-
-// TestSpillOffsetsAligned: mmap requires page-aligned file offsets, so every
-// ref must start on a spillAlign boundary regardless of the previous level's
-// size.
-func TestSpillOffsetsAligned(t *testing.T) {
-	s, err := NewSpillStore()
-	if err != nil {
-		t.Fatalf("NewSpillStore: %v", err)
-	}
-	defer s.Close()
-	for i := 0; i < 4; i++ {
-		ref, err := s.Spill(spillFixture(int32(i)))
-		if err != nil {
-			t.Fatalf("Spill: %v", err)
-		}
-		if ref.off%spillAlign != 0 {
-			t.Fatalf("spill %d at offset %d, want %d-aligned", i, ref.off, spillAlign)
-		}
-	}
-}
-
 func TestGraphBytes(t *testing.T) {
 	g := Grid(4, 4)
 	want := 4 * int64(len(g.Xadj)+len(g.Adjncy)+len(g.AdjWgt)+len(g.VWgt))

@@ -2,38 +2,14 @@ package obs
 
 import (
 	"os"
-	"runtime/metrics"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 )
-
-// heapSample reads the live-heap metric without allocating: the sample slice
-// is package-level and guarded, and runtime/metrics fills values in place.
-var (
-	heapMu     sync.Mutex
-	heapSample = []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-)
-
-// HeapBytes returns the bytes currently occupied by live (plus
-// not-yet-swept) heap objects — the runtime's cheap equivalent of
-// MemStats.HeapAlloc, read without a stop-the-world.
-func HeapBytes() int64 {
-	heapMu.Lock()
-	metrics.Read(heapSample)
-	v := heapSample[0].Value
-	heapMu.Unlock()
-	if v.Kind() != metrics.KindUint64 {
-		return 0
-	}
-	return int64(v.Uint64())
-}
 
 // PeakRSSBytes returns the process's peak resident set size (VmHWM) in
 // bytes, or 0 when the platform does not expose it (/proc is Linux-only).
-// Unlike heap metrics it includes mmapped spill arenas, stacks and the
-// runtime itself — it is the number an operator's job scheduler enforces.
+// Unlike heap metrics it includes stacks and the runtime itself — it is the
+// number an operator's job scheduler enforces.
 func PeakRSSBytes() int64 {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
@@ -54,58 +30,4 @@ func PeakRSSBytes() int64 {
 		return kb * 1024
 	}
 	return 0
-}
-
-// PeakSampler polls HeapBytes in the background and remembers the maximum —
-// catching transient peaks (mid-coarsening, mid-contraction) that
-// before/after sampling around a phase would miss. VmHWM already integrates
-// RSS peaks kernel-side; this is its heap-level counterpart.
-type PeakSampler struct {
-	mu   sync.Mutex
-	peak int64
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartPeakSampler begins sampling at the given interval (≤0 defaults to
-// 10ms). Stop must be called to release the goroutine.
-func StartPeakSampler(interval time.Duration) *PeakSampler {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	s := &PeakSampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			s.sample()
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-			}
-		}
-	}()
-	return s
-}
-
-func (s *PeakSampler) sample() {
-	h := HeapBytes()
-	s.mu.Lock()
-	if h > s.peak {
-		s.peak = h
-	}
-	s.mu.Unlock()
-}
-
-// Stop halts sampling, takes one final sample, and returns the peak heap
-// bytes observed.
-func (s *PeakSampler) Stop() int64 {
-	close(s.stop)
-	<-s.done
-	s.sample()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peak
 }

@@ -70,12 +70,6 @@ type SpanRecord struct {
 	// span has End < Start; exporters clamp it to Start.
 	Start int64 `json:"start"`
 	End   int64 `json:"end"`
-	// HeapStart and HeapEnd are live-heap bytes at the span boundaries,
-	// recorded only when the recorder has TrackMemory enabled (both zero
-	// otherwise). Their difference is the span's net heap growth — negative
-	// when a GC ran inside the span.
-	HeapStart int64 `json:"heap_start,omitempty"`
-	HeapEnd   int64 `json:"heap_end,omitempty"`
 	// Node names the fleet member that recorded the span. Locally recorded
 	// spans leave it empty; Graft stamps it on spans adopted from a peer's
 	// snapshot, which is what lets one stitched trace carry per-node process
@@ -97,8 +91,7 @@ func (s *SpanRecord) Duration() time.Duration {
 // use and safe on a nil receiver (a nil *Recorder is the canonical disabled
 // recorder: every operation is a zero-allocation no-op).
 type Recorder struct {
-	t0       time.Time
-	trackMem bool
+	t0 time.Time
 
 	mu       sync.Mutex
 	spans    []SpanRecord
@@ -108,18 +101,6 @@ type Recorder struct {
 // NewRecorder returns an enabled recorder whose time epoch is "now".
 func NewRecorder() *Recorder {
 	return &Recorder{t0: time.Now(), counters: map[string]int64{}}
-}
-
-// TrackMemory turns on per-span heap sampling: every subsequent span records
-// live-heap bytes at its start and end (SpanRecord.HeapStart/HeapEnd), and
-// PhaseTotals reports per-phase net heap deltas. Reading the runtime metric
-// costs a few hundred nanoseconds per boundary, so it is opt-in — partbench
-// -mem enables it; partition results are unaffected either way. Call before
-// recording; it must not race with concurrent spans.
-func (r *Recorder) TrackMemory() {
-	if r != nil {
-		r.trackMem = true
-	}
 }
 
 // Enabled reports whether the recorder actually records (false for nil).
@@ -169,13 +150,9 @@ func (s Span) Start(name string) Span {
 
 func (r *Recorder) startSpan(name string, parent int32) Span {
 	t := r.now()
-	var heap int64
-	if r.trackMem {
-		heap = HeapBytes()
-	}
 	r.mu.Lock()
 	idx := int32(len(r.spans))
-	r.spans = append(r.spans, SpanRecord{Name: name, Parent: parent, Start: t, End: t - 1, HeapStart: heap})
+	r.spans = append(r.spans, SpanRecord{Name: name, Parent: parent, Start: t, End: t - 1})
 	r.mu.Unlock()
 	return Span{r: r, idx: idx}
 }
@@ -186,13 +163,8 @@ func (s Span) End() {
 		return
 	}
 	t := s.r.now()
-	var heap int64
-	if s.r.trackMem {
-		heap = HeapBytes()
-	}
 	s.r.mu.Lock()
 	s.r.spans[s.idx].End = t
-	s.r.spans[s.idx].HeapEnd = heap
 	s.r.mu.Unlock()
 }
 
@@ -272,10 +244,6 @@ type PhaseStat struct {
 	// goroutines sum cumulatively (CPU-seconds-like), so parallel sections
 	// can sum past the enclosing span's wall time.
 	Seconds float64 `json:"seconds"`
-	// HeapDelta is the summed net heap growth (HeapEnd-HeapStart) of the
-	// phase's finished spans; zero unless the recorder tracks memory. A GC
-	// inside a span can make it negative.
-	HeapDelta int64 `json:"heap_delta_bytes,omitempty"`
 }
 
 // PhaseTotals sums span durations by name. Unfinished spans count with zero
@@ -292,9 +260,6 @@ func (r *Recorder) PhaseTotals() map[string]PhaseStat {
 		st := out[sp.Name]
 		st.Count++
 		st.Seconds += sp.Duration().Seconds()
-		if sp.End >= sp.Start { // finished spans only; HeapEnd is unset otherwise
-			st.HeapDelta += sp.HeapEnd - sp.HeapStart
-		}
 		out[sp.Name] = st
 	}
 	return out

@@ -10,14 +10,14 @@ import (
 // coarsen builds the multilevel hierarchy by repeated heavy-edge matching
 // until the graph has at most coarsenTo vertices or matching stalls (the
 // coarse graph shrinks by less than 10%). It returns the hierarchy from
-// finest (input, cmap nil) to coarsest; interior rungs above cfg.minVerts are
+// finest (input, cmap nil) to coarsest; interior rungs above minVerts are
 // spilled out of the heap as soon as they stop being the active coarsening
 // frontier (see hier). Cancellation is honoured *inside* heavyEdgeMatching
 // (every matchCancelStride vertices), not just between levels, so a cancelled
 // request never pays for a full matching pass — let alone the contraction
 // that would follow it — on a large graph.
-func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng randSource, pool *graph.Pool, sc *scratch, cfg hierConfig) *hier {
-	h := newHier(g, cfg)
+func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng randSource, pool *graph.Pool, sc *scratch, minVerts int) *hier {
+	h := newHier(g, minVerts)
 	cur := g
 	for cur.NumVertices() > coarsenTo && ctx.Err() == nil {
 		shrinkMatchScratch(sc, cur.NumVertices())

@@ -13,21 +13,16 @@ import (
 // baseline for byte-identity comparisons.
 const streamMinVertices = 1 << 17
 
-// hierConfig selects how the coarsening hierarchy manages intermediate
-// levels' memory. It never changes WHAT the hierarchy contains — only where
-// the bytes of inactive rungs live — so partitions are byte-identical across
-// all configurations (pinned by TestStreamingDeterministicAcrossParallelism).
-type hierConfig struct {
-	arena    bool // mmap spilled rungs read-only instead of heap read-back
-	minVerts int  // rungs smaller than this stay resident
-}
-
-func hierConfigFor(opt Options) hierConfig {
-	mv := opt.streamMinVerts
-	if mv == 0 {
-		mv = streamMinVertices
+// streamFloor returns the vertex count below which opt's coarsening
+// hierarchy keeps a rung resident. The floor never changes WHAT the
+// hierarchy contains — only where the bytes of inactive rungs live — so
+// partitions are byte-identical at every floor (pinned by
+// TestStreamingDeterministicAcrossParallelism).
+func streamFloor(opt Options) int {
+	if opt.streamMinVerts != 0 {
+		return opt.streamMinVerts
 	}
-	return hierConfig{arena: opt.Arena, minVerts: mv}
+	return streamMinVertices
 }
 
 // hier is the coarsening hierarchy with streaming residency. The finest graph
@@ -35,8 +30,7 @@ func hierConfigFor(opt Options) hierConfig {
 // rung is pushed, the now-interior previous rung is offloaded byte-exactly to
 // a SpillStore and its heap copy released. Uncoarsening walks coarse→fine and
 // touches exactly one interior rung at a time, so graph(i)/release(i) reload
-// each spilled rung into one reusable buffer (or mmap it under arena mode)
-// for the duration of its refinement pass.
+// each spilled rung into one reusable buffer for the duration of its refinement pass.
 //
 // Spilling is a verbatim byte round-trip of the CSR arrays — never a
 // recomputation — because refinement outcomes depend on adjacency ORDER, not
@@ -45,31 +39,29 @@ func hierConfigFor(opt Options) hierConfig {
 // different order would change tie-breaks and break the byte-identity
 // contract.
 type hier struct {
-	cfg    hierConfig
-	graphs []*graph.Graph // graphs[i] == nil when level i is spilled out
-	cmaps  [][]int32      // cmaps[i] maps level-i vertices to level-i+1; cmaps[0] unused
-	refs   []graph.SpillRef
-	spill  []bool         // level i has a valid refs[i]
-	unmap  []func() error // non-nil while level i is mmapped
-	store  *graph.SpillStore
+	minVerts int            // rungs smaller than this stay resident
+	graphs   []*graph.Graph // graphs[i] == nil when level i is spilled out
+	cmaps    [][]int32      // cmaps[i] maps level-i vertices to level-i+1; cmaps[0] unused
+	refs     []graph.SpillRef
+	spill    []bool // level i has a valid refs[i]
+	store    *graph.SpillStore
 
 	cmapRefs  []graph.WordRef
 	cmapSpill []bool // level i's cmap has a valid cmapRefs[i]
 
-	loadBuf []int32 // reusable heap read-back buffer (non-arena loads)
+	loadBuf []int32 // reusable heap read-back buffer
 	cmapBuf []int32 // reusable cmap read-back buffer
 
 	resident    int64 // bytes of currently resident level graphs
 	maxResident int64 // high-water mark, for the residency-bound test
 }
 
-func newHier(g *graph.Graph, cfg hierConfig) *hier {
-	h := &hier{cfg: cfg}
+func newHier(g *graph.Graph, minVerts int) *hier {
+	h := &hier{minVerts: minVerts}
 	h.graphs = append(h.graphs, g)
 	h.cmaps = append(h.cmaps, nil)
 	h.refs = append(h.refs, graph.SpillRef{})
 	h.spill = append(h.spill, false)
-	h.unmap = append(h.unmap, nil)
 	h.cmapRefs = append(h.cmapRefs, graph.WordRef{})
 	h.cmapSpill = append(h.cmapSpill, false)
 	h.addResident(g.Bytes())
@@ -127,7 +119,6 @@ func (h *hier) push(cg *graph.Graph, cmap []int32) {
 	h.cmaps = append(h.cmaps, cmap)
 	h.refs = append(h.refs, graph.SpillRef{})
 	h.spill = append(h.spill, false)
-	h.unmap = append(h.unmap, nil)
 	h.cmapRefs = append(h.cmapRefs, graph.WordRef{})
 	h.cmapSpill = append(h.cmapSpill, false)
 	h.addResident(cg.Bytes())
@@ -140,7 +131,7 @@ func (h *hier) push(cg *graph.Graph, cmap []int32) {
 // degrades to retention, like offload).
 func (h *hier) spillCmap(i int) {
 	cm := h.cmaps[i]
-	if h.cmapSpill[i] || len(cm) < h.cfg.minVerts {
+	if h.cmapSpill[i] || len(cm) < h.minVerts {
 		return
 	}
 	if h.store == nil {
@@ -165,7 +156,7 @@ func (h *hier) offload(i int) {
 		return
 	}
 	g := h.graphs[i]
-	if g.NumVertices() < h.cfg.minVerts {
+	if g.NumVertices() < h.minVerts {
 		return
 	}
 	if h.store == nil {
@@ -187,20 +178,11 @@ func (h *hier) offload(i int) {
 }
 
 // graph returns level i, reloading it if spilled. At most one reloaded
-// interior rung may be live at a time: the returned graph aliases h.loadBuf
-// (or an mmap), which release(i) reclaims.
+// interior rung may be live at a time: the returned graph aliases h.loadBuf,
+// which release(i) reclaims.
 func (h *hier) graph(i int) *graph.Graph {
 	if h.graphs[i] != nil {
 		return h.graphs[i]
-	}
-	if h.cfg.arena {
-		if g, un, err := h.store.LoadMapped(h.refs[i]); err == nil {
-			h.unmap[i] = un
-			h.graphs[i] = g
-			h.addResident(g.Bytes())
-			return g
-		}
-		// Fall through to the heap path (e.g. platform without mmap).
 	}
 	if h.loadBuf == nil {
 		// Size the shared buffer to the largest spilled rung up front: the
@@ -238,28 +220,18 @@ func (h *hier) dropReloadBuffers() {
 	h.cmapBuf = nil
 }
 
-// release drops the heap/mmap copy of a spilled interior level after its
+// release drops the heap copy of a spilled interior level after its
 // refinement pass. Levels that were never spilled are left resident.
 func (h *hier) release(i int) {
 	if i < 1 || !h.spill[i] || h.graphs[i] == nil {
 		return
 	}
 	g := h.graphs[i]
-	if h.unmap[i] != nil {
-		_ = h.unmap[i]()
-		h.unmap[i] = nil
-	}
 	h.graphs[i] = nil
 	h.addResident(-g.Bytes())
 }
 
 func (h *hier) close() {
-	for i := range h.unmap {
-		if h.unmap[i] != nil {
-			_ = h.unmap[i]()
-			h.unmap[i] = nil
-		}
-	}
 	if h.store != nil {
 		_ = h.store.Close()
 		h.store = nil

@@ -41,9 +41,6 @@ func PartitionKWay(ctx context.Context, g *graph.Graph, k int, opt Options) (*Re
 	if k < 1 {
 		return nil, errBadK(k)
 	}
-	if opt.Reorder {
-		return reorderedConstruct(ctx, g, k, opt, PartitionKWay)
-	}
 	n := g.NumVertices()
 	if k == 1 || n <= k {
 		// Degenerate cases match the recursive-bisection behaviour.
@@ -59,7 +56,7 @@ func PartitionKWay(ctx context.Context, g *graph.Graph, k int, opt Options) (*Re
 		coarseTo = min
 	}
 	sc := getScratch(n)
-	h := coarsen(ctx, g, coarseTo, rng, pool, sc, hierConfigFor(opt))
+	h := coarsen(ctx, g, coarseTo, rng, pool, sc, streamFloor(opt))
 	putScratch(sc)
 	defer h.close()
 	coarsest := h.coarsest()

@@ -151,7 +151,7 @@ func TestCoarsenCancelLatency(t *testing.T) {
 	g := mesh.Cylinder(0.01).DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
 	ctx, cancel := context.WithCancel(context.Background())
 	src := &cancelOnPerm{rng: rand.New(rand.NewSource(1)), cancel: cancel}
-	h := coarsen(ctx, g, 128, src, nil, new(scratch), hierConfigFor(Options{}))
+	h := coarsen(ctx, g, 128, src, nil, new(scratch), streamFloor(Options{}))
 	defer h.close()
 	if h.levels() != 1 {
 		t.Fatalf("coarsen built %d levels after mid-match cancellation, want 1 (no contraction)", h.levels())

@@ -53,23 +53,6 @@ type Options struct {
 	// scheduling order, and parallel refinement commits moves in a fixed
 	// serial order.
 	Parallelism int
-	// Reorder relabels the graph with a cache-conscious BFS ordering
-	// (graph.BFSOrder) before construction and maps the partition back to
-	// the caller's vertex ids on output, cutting cache misses in the
-	// gain-update inner loops of large meshes. The returned Result is
-	// expressed entirely in original ids; only wall time (and, because the
-	// construction sees a relabeled graph, the specific local optimum)
-	// changes.
-	Reorder bool
-	// Arena maps spilled intermediate coarse graphs from the on-disk spill
-	// store read-only (mmap) during uncoarsening instead of reading them
-	// back onto the heap. Spilling itself is always on for rungs above an
-	// internal size floor; Arena only selects the reload mechanism.
-	// Partitions are byte-identical with Arena on or off: spilled bytes are
-	// a verbatim round-trip of the coarse CSR, never a recomputation. On
-	// platforms without mmap the setting silently degrades to the heap
-	// read-back path.
-	Arena bool
 
 	// streamMinVerts overrides the streaming floor (streamMinVertices) so
 	// tests can force spilling on tiny meshes or disable it entirely; zero
@@ -244,45 +227,13 @@ func Partition(ctx context.Context, g *graph.Graph, k int, opt Options) (*Result
 		span.SetInt("seed", opt.Seed)
 		ctx = obs.ContextWithSpan(ctx, span)
 	}
-	var res *Result
-	var err error
-	if opt.Reorder {
-		res, err = reorderedConstruct(ctx, g, k, opt, partitionTrials)
-	} else {
-		res, err = partitionTrials(ctx, g, k, opt)
-	}
+	res, err := partitionTrials(ctx, g, k, opt)
 	if span.Active() && res != nil {
 		span.SetInt("edge_cut", res.EdgeCut)
 		span.SetFloat("imbalance", res.MaxImbalance())
 	}
 	span.End()
 	return res, err
-}
-
-// reorderedConstruct runs construct on a BFS-relabeled copy of g and maps
-// the resulting assignment back to the original vertex ids. Part weights and
-// edge cut are invariant under relabeling, so the Result is reused with only
-// its Part array rewritten.
-func reorderedConstruct(ctx context.Context, g *graph.Graph, k int, opt Options,
-	construct func(context.Context, *graph.Graph, int, Options) (*Result, error)) (*Result, error) {
-	rspan := obs.StartSpan(ctx, "partition/reorder")
-	order := graph.BFSOrder(g)
-	pg := graph.Permute(g, order)
-	if rspan.Active() {
-		rspan.SetInt("vertices", int64(g.NumVertices()))
-	}
-	rspan.End()
-	opt.Reorder = false
-	res, err := construct(ctx, pg, k, opt)
-	if err != nil || res == nil {
-		return res, err
-	}
-	part := make([]int32, len(res.Part))
-	for i, p := range res.Part {
-		part[order[i]] = p
-	}
-	res.Part = part
-	return res, nil
 }
 
 // partitionTrials runs the trials loop around the selected construction.

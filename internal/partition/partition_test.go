@@ -307,7 +307,7 @@ func TestHeavyEdgeMatchingValid(t *testing.T) {
 func TestCoarsenHierarchyConservesWeight(t *testing.T) {
 	g := graph.Grid(20, 20)
 	rng := rand.New(rand.NewSource(2))
-	h := coarsen(context.Background(), g, 16, rng, nil, new(scratch), hierConfigFor(Options{}))
+	h := coarsen(context.Background(), g, 16, rng, nil, new(scratch), streamFloor(Options{}))
 	defer h.close()
 	if h.levels() < 2 {
 		t.Fatal("coarsening produced no levels")

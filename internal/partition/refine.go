@@ -502,7 +502,7 @@ func initialBisection(ctx context.Context, g *graph.Graph, frac float64, caps0, 
 // construction reports the cancellation.
 func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options, rng randSource, pool *graph.Pool, sc *scratch) []int32 {
 	caps0, caps1 := sideCaps(g, frac, opt.ImbalanceTol)
-	h := coarsen(ctx, g, opt.CoarsenTo, rng, pool, sc, hierConfigFor(opt))
+	h := coarsen(ctx, g, opt.CoarsenTo, rng, pool, sc, streamFloor(opt))
 	defer h.close()
 
 	// idle tracks whether the last refinement of the finest graph stopped on

@@ -10,17 +10,15 @@ import (
 )
 
 // streamingConfigs are the residency modes a partition must be byte-identical
-// across: fully retained (the pre-streaming baseline), spill with heap
-// read-back, and spill with mmap (Arena). minVerts 2 forces every interior
-// rung through the spill store even on test-sized meshes.
+// across: fully retained (the pre-streaming baseline) and spill with heap
+// read-back. minVerts 2 forces every interior rung through the spill store
+// even on test-sized meshes.
 var streamingConfigs = []struct {
 	name     string
-	arena    bool
 	minVerts int
 }{
-	{"retain", false, 1 << 30},
-	{"stream", false, 2},
-	{"arena", true, 2},
+	{"retain", 1 << 30},
+	{"stream", 2},
 }
 
 // TestStreamingDeterministicAcrossParallelism pins the tentpole contract: the
@@ -44,7 +42,6 @@ func TestStreamingDeterministicAcrossParallelism(t *testing.T) {
 					Seed:           42,
 					Parallelism:    par,
 					Method:         method,
-					Arena:          cfg.arena,
 					streamMinVerts: cfg.minVerts,
 					// Small CoarsenTo yields a deep hierarchy, so several
 					// rungs actually round-trip through the spill store.
@@ -92,7 +89,7 @@ func TestStreamingResidentBound(t *testing.T) {
 	sc := getScratch(g.NumVertices())
 	defer putScratch(sc)
 
-	h := coarsen(context.Background(), g, 64, rng, nil, sc, hierConfig{minVerts: 2})
+	h := coarsen(context.Background(), g, 64, rng, nil, sc, 2)
 	defer h.close()
 	if h.levels() < 4 {
 		t.Fatalf("hierarchy only %d levels deep; fixture too small to exercise streaming", h.levels())
@@ -151,7 +148,7 @@ func TestStreamingUncoarsenSingleReload(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sc := getScratch(g.NumVertices())
 	defer putScratch(sc)
-	h := coarsen(context.Background(), g, 64, rng, nil, sc, hierConfig{minVerts: 2})
+	h := coarsen(context.Background(), g, 64, rng, nil, sc, 2)
 	defer h.close()
 	for li := h.levels() - 1; li >= 1; li-- {
 		_ = h.graph(li - 1)
