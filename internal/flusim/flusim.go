@@ -184,6 +184,12 @@ func (sim *Simulator) SimulateInto(res *Result, tg *taskgraph.TaskGraph, procOfD
 	if cfg.Cluster.NumProcs < 1 {
 		return fmt.Errorf("flusim: NumProcs = %d", cfg.Cluster.NumProcs)
 	}
+	if cfg.Cluster.WorkersPerProc < 0 {
+		return fmt.Errorf("flusim: WorkersPerProc = %d (0 means unbounded)", cfg.Cluster.WorkersPerProc)
+	}
+	if cfg.CommLatency < 0 {
+		return fmt.Errorf("flusim: CommLatency = %d", cfg.CommLatency)
+	}
 	if len(procOfDomain) < tg.NumDomains {
 		return fmt.Errorf("flusim: %d domain mappings for %d domains", len(procOfDomain), tg.NumDomains)
 	}

@@ -257,6 +257,12 @@ func TestSimulateErrors(t *testing.T) {
 	if _, err := Simulate(tg, []int32{5}, Config{Cluster: Cluster{NumProcs: 1}}); err == nil {
 		t.Error("accepted out-of-range domain map")
 	}
+	if _, err := Simulate(tg, []int32{0}, Config{Cluster: Cluster{NumProcs: 1, WorkersPerProc: -1}}); err == nil {
+		t.Error("accepted negative workers per process")
+	}
+	if _, err := Simulate(tg, []int32{0}, Config{Cluster: Cluster{NumProcs: 1}, CommLatency: -1000}); err == nil {
+		t.Error("accepted negative communication latency")
+	}
 }
 
 func TestStrategyStringRoundTrip(t *testing.T) {
