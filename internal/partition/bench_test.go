@@ -3,9 +3,11 @@ package partition
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"tempart/internal/mesh"
+	"tempart/internal/obs"
 )
 
 // BenchmarkPartitionCylinder is the perf contract of the parallel multilevel
@@ -65,4 +67,59 @@ func BenchmarkPartitionKWayCylinder(b *testing.B) {
 			b.ReportMetric(float64(res.EdgeCut), "edge-cut")
 		})
 	}
+}
+
+// BenchmarkPaperScale is the nightly paper-scale lane: MC_TL at k = 128 on
+// the full-size CYLINDER (6.4M cells) and PPRIME_NOZZLE (12.6M) meshes, with
+// Parallelism 4. Besides cells/s and the quality pair it reports
+// peak-rss/csr, the process's peak resident set (VmHWM) over the finest dual
+// graph's CSR bytes: the footprint the streaming hierarchy bounds (DESIGN
+// §5.9). VmHWM is a process high-water mark, so run one mesh per process:
+//
+//	go test -run=NONE -bench 'PaperScale/CYLINDER' -benchtime=1x -timeout 110m ./internal/partition/
+//
+// It takes minutes and gigabytes; CI runs it nightly, never on a pull request.
+func BenchmarkPaperScale(b *testing.B) {
+	for _, name := range []string{"CYLINDER", "PPRIME_NOZZLE"} {
+		b.Run(name, func(b *testing.B) { benchPaperScale(b, name) })
+	}
+}
+
+func benchPaperScale(b *testing.B, name string) {
+	const k = 128
+	m, err := mesh.ByName(name, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The soft memory limit goes up before the dual graph is built: peak RSS
+	// is a high-water mark, so GC garbage, normally allowed to reach about
+	// one live heap, would otherwise inflate it during graph assembly and
+	// the partition alike. The CSR size is known from the mesh alone: xadj,
+	// two words per interior face for adjncy and for adjwgt, and one vertex
+	// weight per level.
+	cells := m.NumCells()
+	csr := 4 * (int64(cells+1) + 4*int64(m.NumInteriorFaces) + int64(cells)*int64(m.MaxLevel+1))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(23 * csr / 10))
+	g, err := StrategyGraph(m, MCTL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The partitioner needs only the dual graph; dropping the mesh and
+	// returning its pages keeps the measured peak to the partition's own.
+	m = nil //nolint:ineffassign,staticcheck // drops the last mesh reference for the GC
+	debug.FreeOSMemory()
+
+	b.ResetTimer()
+	var res *Result
+	for i := 0; i < b.N; i++ {
+		res, err = Partition(context.Background(), g, k, Options{Seed: 1, Parallelism: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+	b.ReportMetric(float64(res.EdgeCut), "edge-cut")
+	b.ReportMetric(res.MaxImbalance(), "max-level-imb")
+	b.ReportMetric(float64(obs.PeakRSSBytes())/float64(g.Bytes()), "peak-rss/csr")
 }
