@@ -15,7 +15,7 @@
 //     FLUSEPA/StarPU analogues (internal/runtime, internal/fv,
 //     internal/solver);
 //   - every table and figure of the evaluation (internal/experiments), with
-//     benchmarks in bench_test.go.
+//     benchmarks in internal/experiments/bench_test.go.
 //
 // Start with internal/core for the high-level API, cmd/experiments to
 // regenerate the paper's results, and examples/quickstart for a tour.

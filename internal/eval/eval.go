@@ -3,15 +3,15 @@
 // metrics, caching built task graphs and pooling simulators so sweeps over
 // strategy/cluster variants pay the graph-construction cost once.
 //
-// Every quality decision in the repo — partbench strategy tables, tuner
-// trials, repartitioning studies, tempartd responses — funnels through
-// taskgraph.Build + flusim.Simulate; this package is their shared front
-// door. A cached graph is found again by comparing everything it was built
-// from (mesh identity, temporal levels, partition, domain count, iterations,
-// costs) against the entry's own copies, so a repartition request that keeps
-// its parent's partition, or a strategy sweep over one decomposition, reuses
-// the graph instead of rebuilding it. Simulations of independent specs fan
-// out across a bounded graph.Pool.
+// The repartitioning drift study, tempartd's evaluate blocks and the
+// benchmark's lanes all reach taskgraph.Build + flusim.Simulate through this
+// package, their shared front door. A cached graph is found again by
+// comparing everything it was built from (mesh identity, temporal levels,
+// partition, domain count, iterations, costs) against the entry's own
+// copies, so a repartition request that keeps its parent's partition, or a
+// strategy sweep over one decomposition, reuses the graph instead of
+// rebuilding it. Simulations of independent specs fan out across a bounded
+// graph.Pool.
 package eval
 
 import (
@@ -150,7 +150,7 @@ func (ent *cacheEntry) matches(spec *Spec) bool {
 		return false
 	}
 	// Without a stable content id, only the same mesh allocation matches:
-	// the tuner pattern, which reuses one mesh across calls.
+	// the sweep pattern, which reuses one mesh across calls.
 	if spec.MeshID == "" && ent.mesh != spec.Mesh {
 		return false
 	}

@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// Manifest is the JSON run report written by partbench/solve -report: enough
-// context to reproduce a run (inputs, seeds, options, build identity) plus
-// its outcome (per-phase timings, counters, quality metrics). Phase seconds
-// sum durations across goroutines, so parallel sections read like
-// CPU-seconds; with Parallelism 1 they partition the wall clock.
+// Manifest is the JSON run report written by solve -report and by tempartd
+// with every durable result: enough context to reproduce a run (inputs,
+// seeds, options, build identity) plus its outcome (per-phase timings,
+// counters, quality metrics). Phase seconds sum durations across goroutines,
+// so parallel sections read like CPU-seconds; with Parallelism 1 they
+// partition the wall clock.
 type Manifest struct {
-	// Tool is the producing command ("partbench", "solve").
+	// Tool is the producing command ("solve", "tempartd").
 	Tool string `json:"tool"`
 	// Node identifies the cluster member that executed the run (tempartd
 	// -node-id). Empty for single-process tools. In a fleet this is what

@@ -35,7 +35,7 @@ func BenchmarkTaskGraphBuild(b *testing.B) {
 }
 
 // BenchmarkBuildIterations tracks the multi-iteration DAG used by the deeper
-// evaluation specs (tempartd's evaluate.iterations, partbench -repart).
+// evaluation specs (tempartd's evaluate.iterations, the repart lane).
 func BenchmarkBuildIterations(b *testing.B) {
 	m := mesh.Cylinder(0.002)
 	res, err := partition.PartitionMesh(context.Background(), m, 64, partition.MCTL,
