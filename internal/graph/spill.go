@@ -15,10 +15,11 @@ func (g *Graph) Bytes() int64 {
 
 // SpillStore writes CSR graphs to an anonymous temporary file and reads them
 // back byte-identically into a caller-reused heap buffer (Load). The
-// multilevel partitioner uses it to keep intermediate coarse graphs out of the heap
-// between coarsening and uncoarsening: the spilled bytes ARE the original
-// arrays, so a reloaded graph is indistinguishable from a retained one and
-// partitions stay byte-identical whether or not a level was ever offloaded.
+// multilevel partitioner uses it to keep intermediate coarse graphs out of
+// the heap between coarsening and uncoarsening: the spilled bytes ARE the
+// original arrays, so a reloaded graph is indistinguishable from a retained
+// one and partitions stay byte-identical whether or not a level was ever
+// offloaded.
 //
 // The backing file is unlinked at creation; the data disappears with the
 // last descriptor no matter how the process exits. A SpillStore must not be

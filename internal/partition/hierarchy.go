@@ -30,7 +30,8 @@ func streamFloor(opt Options) int {
 // rung is pushed, the now-interior previous rung is offloaded byte-exactly to
 // a SpillStore and its heap copy released. Uncoarsening walks coarse→fine and
 // touches exactly one interior rung at a time, so graph(i)/release(i) reload
-// each spilled rung into one reusable buffer for the duration of its refinement pass.
+// each spilled rung into one reusable buffer for the duration of its
+// refinement pass.
 //
 // Spilling is a verbatim byte round-trip of the CSR arrays — never a
 // recomputation — because refinement outcomes depend on adjacency ORDER, not
