@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"tempart/internal/graph"
 	"tempart/internal/mesh"
 	"tempart/internal/obs"
 )
@@ -87,39 +88,47 @@ func BenchmarkPaperScale(b *testing.B) {
 
 func benchPaperScale(b *testing.B, name string) {
 	const k = 128
-	m, err := mesh.ByName(name, 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The soft memory limit goes up before the dual graph is built: peak RSS
-	// is a high-water mark, so GC garbage, normally allowed to reach about
-	// one live heap, would otherwise inflate it during graph assembly and
-	// the partition alike. The CSR size is known from the mesh alone: xadj,
-	// two words per interior face for adjncy and for adjwgt, and one vertex
-	// weight per level.
-	cells := m.NumCells()
-	csr := 4 * (int64(cells+1) + 4*int64(m.NumInteriorFaces) + int64(cells)*int64(m.MaxLevel+1))
-	defer debug.SetMemoryLimit(debug.SetMemoryLimit(23 * csr / 10))
-	g, err := StrategyGraph(m, MCTL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The partitioner needs only the dual graph; dropping the mesh and
+	g, prevLimit := paperScaleGraph(b, name)
+	defer debug.SetMemoryLimit(prevLimit)
+	// The partitioner needs only the dual graph. The mesh is unreachable now;
 	// returning its pages keeps the measured peak to the partition's own.
-	m = nil //nolint:ineffassign,staticcheck // drops the last mesh reference for the GC
 	debug.FreeOSMemory()
 
 	b.ResetTimer()
 	var res *Result
 	for i := 0; i < b.N; i++ {
+		var err error
 		res, err = Partition(context.Background(), g, k, Options{Seed: 1, Parallelism: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+	b.ReportMetric(float64(g.NumVertices())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 	b.ReportMetric(float64(res.EdgeCut), "edge-cut")
 	b.ReportMetric(res.MaxImbalance(), "max-level-imb")
 	b.ReportMetric(float64(obs.PeakRSSBytes())/float64(g.Bytes()), "peak-rss/csr")
+}
+
+// paperScaleGraph generates the named mesh at scale 1.0 and returns its
+// MC_TL dual graph, with the soft memory limit raised to 2.3× the graph's
+// CSR bytes; the caller restores prevLimit. The limit goes up before the
+// graph is built: peak RSS is a high-water mark, so GC garbage, normally
+// allowed to reach about one live heap, would otherwise inflate it during
+// graph assembly and the partition alike. The CSR size is known from the
+// mesh alone: xadj, two words per interior face for adjncy and for adjwgt,
+// and one vertex weight per level.
+func paperScaleGraph(b *testing.B, name string) (g *graph.Graph, prevLimit int64) {
+	m, err := mesh.ByName(name, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := int64(m.NumCells())
+	csr := 4 * (cells + 1 + 4*int64(m.NumInteriorFaces) + cells*int64(m.MaxLevel+1))
+	prevLimit = debug.SetMemoryLimit(23 * csr / 10)
+	g, err = StrategyGraph(m, MCTL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, prevLimit
 }
