@@ -42,7 +42,7 @@ func (c *Cluster) callPeer(ctx context.Context, peer Node, op string, fn func() 
 			backoff *= 2
 		}
 		if !b.allow() {
-			c.metrics.countPeerError(peer.ID, op+"/breaker")
+			c.metrics.peerErrors.Inc(peer.ID, op+"/breaker")
 			if lastErr != nil {
 				return fmt.Errorf("%w (after %v)", ErrPeerUnavailable, lastErr)
 			}
@@ -54,7 +54,7 @@ func (c *Cluster) callPeer(ctx context.Context, peer Node, op string, fn func() 
 			return err
 		}
 		b.onFailure()
-		c.metrics.countPeerError(peer.ID, op)
+		c.metrics.peerErrors.Inc(peer.ID, op)
 		lastErr = err
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -114,14 +114,14 @@ func (c *Cluster) Forward(ctx context.Context, peer Node, path, rawQuery, conten
 		return true, nil
 	})
 	if err != nil {
-		c.metrics.countForward(peer.ID, "error")
+		c.metrics.forwards.Inc(peer.ID, "error")
 		return nil, err
 	}
 	outcome := "relayed"
 	if out.Status >= 500 {
 		outcome = "peer-5xx"
 	}
-	c.metrics.countForward(peer.ID, outcome)
+	c.metrics.forwards.Inc(peer.ID, outcome)
 	return out, nil
 }
 
@@ -165,13 +165,13 @@ func (c *Cluster) ProbeCache(ctx context.Context, peer Node, keyHex, requestID, 
 		}
 	})
 	if err != nil {
-		c.metrics.countProbe(peer.ID, "error")
+		c.metrics.probes.Inc(peer.ID, "error")
 		return nil, false, err
 	}
 	if hit {
-		c.metrics.countProbe(peer.ID, "hit")
+		c.metrics.probes.Inc(peer.ID, "hit")
 	} else {
-		c.metrics.countProbe(peer.ID, "miss")
+		c.metrics.probes.Inc(peer.ID, "miss")
 	}
 	return payload, hit, nil
 }

@@ -159,7 +159,6 @@ func New(opts Options) (*Cluster, error) {
 		self:     *self,
 		nodes:    nodes,
 		ring:     buildRing(nodes, opts.VirtualNodes),
-		metrics:  newMetricsSet(),
 		breakers: map[string]*breaker{},
 	}
 	for _, n := range nodes {
@@ -173,6 +172,7 @@ func New(opts Options) (*Cluster, error) {
 		c.breakers[n.ID] = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	c.client = &http.Client{Transport: opts.Transport}
+	c.metrics = newMetricsSet(c)
 	return c, nil
 }
 

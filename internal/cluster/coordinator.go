@@ -89,7 +89,10 @@ func (c *Cluster) FanoutPartition(ctx context.Context, g *graph.Graph, req Fanou
 	for i := range tasks {
 		plan[members[i%len(members)].ID]++
 	}
-	c.metrics.countFanout(plan)
+	c.metrics.fanouts.Inc()
+	for node, n := range plan {
+		c.metrics.subtrees.Add(int64(n), node)
+	}
 	if span.Active() {
 		span.SetInt("subtrees", int64(len(tasks)))
 	}
@@ -224,13 +227,13 @@ func (c *Cluster) remoteSubtree(ctx context.Context, g *graph.Graph, t partition
 			if r.err == nil {
 				commit(r.vals)
 				if hedgeCh != nil {
-					c.metrics.countHedgedWin("peer")
+					c.metrics.hedgedWins.Inc("peer")
 				}
 				return subtreeOutcome{task: t, node: r.node}, nil
 			}
 			// Peer definitively failed. Use the hedge if one is running,
 			// else recompute inline — either way the request survives.
-			c.metrics.countLocalFallback()
+			c.metrics.localFallbacks.Inc()
 			var lr localRes
 			if hedgeCh != nil {
 				lr = <-hedgeCh
@@ -253,7 +256,7 @@ func (c *Cluster) remoteSubtree(ctx context.Context, g *graph.Graph, t partition
 				return subtreeOutcome{}, lr.err
 			}
 			commit(lr.vals)
-			c.metrics.countHedgedWin("local")
+			c.metrics.hedgedWins.Inc("local")
 			return subtreeOutcome{task: t, node: c.self.ID}, nil
 		}
 	}

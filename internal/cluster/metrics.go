@@ -1,137 +1,44 @@
 package cluster
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-)
+import "tempart/internal/obs"
 
-// metricsSet collects the tempartd_cluster_* counters. Like the server's
-// metric set it is rendered by hand in Prometheus text exposition format
-// with sorted label sets, so the output is deterministic and golden-testable.
-// Breaker states and peer counts are gauges sampled at render time from the
-// cluster itself rather than stored here.
+// metricsSet holds the tempartd_cluster_* families; each HELP text in
+// newMetricsSet says what it counts. Breaker states and the membership size
+// are read from the cluster when the registry is written.
 type metricsSet struct {
-	mu sync.Mutex
-
-	forwards   map[string]int64 // "peer|outcome" -> requests forwarded to owner shards
-	probes     map[string]int64 // "peer|outcome" -> owner cache probes
-	peerErrors map[string]int64 // "peer|op" -> transport failures by operation
-	subtrees   map[string]int64 // node -> subtrees executed per fleet member in our fan-outs
-	hedgedWins map[string]int64 // winner ("local"|"peer") -> hedged subtree races decided
-
-	fanouts        int64 // coordinator fan-outs started
-	localFallbacks int64 // peer work recomputed locally after peer failure
-	subtreesServed int64 // subtree RPCs this node executed for some coordinator
+	reg                                                *obs.Registry
+	forwards, probes, peerErrors, subtrees, hedgedWins *obs.Counter[int64]
+	fanouts, localFallbacks, subtreesServed            *obs.Counter[int64]
 }
 
-func newMetricsSet() *metricsSet {
-	return &metricsSet{
-		forwards:   map[string]int64{},
-		probes:     map[string]int64{},
-		peerErrors: map[string]int64{},
-		subtrees:   map[string]int64{},
-		hedgedWins: map[string]int64{},
-	}
+// newMetricsSet registers the families in their rendering order.
+func newMetricsSet(c *Cluster) *metricsSet {
+	r := &obs.Registry{}
+	m := &metricsSet{reg: r}
+	m.forwards = obs.NewCounter[int64](r, "tempartd_cluster_forwards_total", "Requests forwarded to their owner shard, by peer and outcome.", "peer", "outcome")
+	m.probes = obs.NewCounter[int64](r, "tempartd_cluster_probes_total", "Owner-shard cache probes by peer and outcome (hit, miss, error).", "peer", "outcome")
+	m.peerErrors = obs.NewCounter[int64](r, "tempartd_cluster_peer_errors_total", "Peer transport failures by peer and operation.", "peer", "op")
+	m.fanouts = obs.NewCounter[int64](r, "tempartd_cluster_fanouts_total", "Coordinator fan-outs started (requests split across the fleet).")
+	m.subtrees = obs.NewCounter[int64](r, "tempartd_cluster_fanout_subtrees_total", "Subtrees dispatched per fleet member by this coordinator (self included).", "node")
+	m.hedgedWins = obs.NewCounter[int64](r, "tempartd_cluster_hedged_wins_total", "Hedged subtree races decided, by winner.", "winner")
+	m.localFallbacks = obs.NewCounter[int64](r, "tempartd_cluster_local_fallbacks_total", "Peer-assigned work recomputed locally after peer failure.")
+	m.subtreesServed = obs.NewCounter[int64](r, "tempartd_cluster_subtrees_served_total", "Subtree RPCs executed on this node for remote coordinators.")
+	obs.NewFunc(r, "tempartd_cluster_breaker_state", "Circuit state per peer (0 closed, 1 open, 2 half-open).", "gauge", []string{"peer"},
+		func(emit func(int64, ...string)) {
+			for _, p := range c.peers { // already id-sorted
+				emit(int64(c.breakerFor(p.ID).currentState()), p.ID)
+			}
+		})
+	obs.NewFunc(r, "tempartd_cluster_peers", "Fleet membership size (self included).", "gauge", nil,
+		func(emit func(int64, ...string)) { emit(int64(len(c.nodes))) })
+	return m
 }
 
-func (m *metricsSet) countForward(peer, outcome string) {
-	m.mu.Lock()
-	m.forwards[peer+"|"+outcome]++
-	m.mu.Unlock()
-}
-
-func (m *metricsSet) countProbe(peer, outcome string) {
-	m.mu.Lock()
-	m.probes[peer+"|"+outcome]++
-	m.mu.Unlock()
-}
-
-func (m *metricsSet) countPeerError(peer, op string) {
-	m.mu.Lock()
-	m.peerErrors[peer+"|"+op]++
-	m.mu.Unlock()
-}
-
-func (m *metricsSet) countFanout(assignments map[string]int) {
-	m.mu.Lock()
-	m.fanouts++
-	for node, n := range assignments {
-		m.subtrees[node] += int64(n)
-	}
-	m.mu.Unlock()
-}
-
-func (m *metricsSet) countHedgedWin(winner string) {
-	m.mu.Lock()
-	m.hedgedWins[winner]++
-	m.mu.Unlock()
-}
-
-func (m *metricsSet) countLocalFallback() { m.mu.Lock(); m.localFallbacks++; m.mu.Unlock() }
-func (m *metricsSet) countSubtreeServed() { m.mu.Lock(); m.subtreesServed++; m.mu.Unlock() }
+// Metrics is the registry of the tempartd_cluster_* families; the daemon
+// includes it in its /metrics.
+func (c *Cluster) Metrics() *obs.Registry { return c.metrics.reg }
 
 // CountSubtreeServed is the server-side hook: the subtree RPC handler lives
 // in internal/server but the tally belongs with the rest of the fleet
 // metrics.
-func (c *Cluster) CountSubtreeServed() { c.metrics.countSubtreeServed() }
-
-// RenderMetrics writes the tempartd_cluster_* series in Prometheus text
-// exposition format. Output ordering is deterministic.
-func (c *Cluster) RenderMetrics(w io.Writer) {
-	m := c.metrics
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	writeSorted := func(name, help string, vals map[string]int64, label string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "%s{%s} %d\n", name, fmt.Sprintf(label, splitLabelKey(k)...), vals[k])
-		}
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	writeSorted("tempartd_cluster_forwards_total", "Requests forwarded to their owner shard, by peer and outcome.",
-		m.forwards, `peer=%q,outcome=%q`)
-	writeSorted("tempartd_cluster_probes_total", "Owner-shard cache probes by peer and outcome (hit, miss, error).",
-		m.probes, `peer=%q,outcome=%q`)
-	writeSorted("tempartd_cluster_peer_errors_total", "Peer transport failures by peer and operation.",
-		m.peerErrors, `peer=%q,op=%q`)
-	counter("tempartd_cluster_fanouts_total", "Coordinator fan-outs started (requests split across the fleet).", m.fanouts)
-	writeSorted("tempartd_cluster_fanout_subtrees_total", "Subtrees dispatched per fleet member by this coordinator (self included).",
-		m.subtrees, `node=%q`)
-	writeSorted("tempartd_cluster_hedged_wins_total", "Hedged subtree races decided, by winner.",
-		m.hedgedWins, `winner=%q`)
-	counter("tempartd_cluster_local_fallbacks_total", "Peer-assigned work recomputed locally after peer failure.", m.localFallbacks)
-	counter("tempartd_cluster_subtrees_served_total", "Subtree RPCs executed on this node for remote coordinators.", m.subtreesServed)
-
-	fmt.Fprintf(w, "# HELP tempartd_cluster_breaker_state Circuit state per peer (0 closed, 1 open, 2 half-open).\n")
-	fmt.Fprintf(w, "# TYPE tempartd_cluster_breaker_state gauge\n")
-	for _, p := range c.peers { // already id-sorted
-		fmt.Fprintf(w, "tempartd_cluster_breaker_state{peer=%q} %d\n", p.ID, int(c.breakerFor(p.ID).currentState()))
-	}
-	fmt.Fprintf(w, "# HELP tempartd_cluster_peers Fleet membership size (self included).\n")
-	fmt.Fprintf(w, "# TYPE tempartd_cluster_peers gauge\ntempartd_cluster_peers %d\n", len(c.nodes))
-}
-
-// splitLabelKey turns a '|'-joined key into label values for the format
-// string (mirrors the server renderer's helper).
-func splitLabelKey(k string) []any {
-	out := []any{}
-	start := 0
-	for i := 0; i < len(k); i++ {
-		if k[i] == '|' {
-			out = append(out, k[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, k[start:])
-}
+func (c *Cluster) CountSubtreeServed() { c.metrics.subtreesServed.Inc() }

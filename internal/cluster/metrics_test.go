@@ -3,6 +3,8 @@ package cluster
 import (
 	"strings"
 	"testing"
+
+	"tempart/internal/obs"
 )
 
 // TestClusterMetricsGolden pins the full tempartd_cluster_* exposition:
@@ -13,26 +15,28 @@ func TestClusterMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.metrics.countForward("n2", "relayed")
-	c.metrics.countForward("n2", "relayed")
-	c.metrics.countForward("n3", "error")
-	c.metrics.countProbe("n2", "hit")
-	c.metrics.countProbe("n2", "miss")
-	c.metrics.countPeerError("n3", "forward")
-	c.metrics.countFanout(map[string]int{"n1": 1, "n2": 2, "n3": 1})
-	c.metrics.countHedgedWin("local")
-	c.metrics.countHedgedWin("peer")
-	c.metrics.countLocalFallback()
-	c.metrics.countSubtreeServed()
+	m := c.metrics
+	m.forwards.Inc("n2", "relayed")
+	m.forwards.Inc("n2", "relayed")
+	m.forwards.Inc("n3", "error")
+	m.probes.Inc("n2", "hit")
+	m.probes.Inc("n2", "miss")
+	m.peerErrors.Inc("n3", "forward")
+	m.fanouts.Inc()
+	m.subtrees.Add(1, "n1")
+	m.subtrees.Add(2, "n2")
+	m.subtrees.Add(1, "n3")
+	m.hedgedWins.Inc("local")
+	m.hedgedWins.Inc("peer")
+	m.localFallbacks.Inc()
+	c.CountSubtreeServed()
 	// Trip n3's breaker so the gauge shows a non-closed state.
 	b := c.breakerFor("n3")
 	for i := 0; i < 3; i++ {
 		b.onFailure()
 	}
 
-	var sb strings.Builder
-	c.RenderMetrics(&sb)
-	got := sb.String()
+	got := render(t, c)
 
 	want := `# HELP tempartd_cluster_forwards_total Requests forwarded to their owner shard, by peer and outcome.
 # TYPE tempartd_cluster_forwards_total counter
@@ -74,4 +78,44 @@ tempartd_cluster_peers 3
 	if got != want {
 		t.Fatalf("cluster metrics exposition drifted.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
+}
+
+// TestClusterMetricsLabelValues is the regression test for label values
+// that the joined-key renderer split or escaped wrongly: a peer id holding
+// the old key separator rendered "%!(EXTRA ...)", and one holding a tab
+// rendered Go's \t escape, which the text format does not allow. Each
+// must come out as one well-formed series.
+func TestClusterMetricsLabelValues(t *testing.T) {
+	c, err := New(Options{NodeID: "n1", Peers: []Node{
+		{ID: "n1"}, {ID: "a|b", URL: "http://a"}, {ID: "tab\tid", URL: "http://b"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.metrics.forwards.Inc("a|b", "relayed")
+	c.metrics.forwards.Inc("tab\tid", "error")
+	got := render(t, c)
+	for _, want := range []string{
+		`tempartd_cluster_forwards_total{peer="a|b",outcome="relayed"} 1`,
+		"tempartd_cluster_forwards_total{peer=\"tab\tid\",outcome=\"error\"} 1",
+		`tempartd_cluster_breaker_state{peer="a|b"} 0`,
+		"tempartd_cluster_breaker_state{peer=\"tab\tid\"} 0",
+	} {
+		if !strings.Contains(got, want+"\n") {
+			t.Errorf("missing series %q in:\n%s", want, got)
+		}
+	}
+}
+
+// render writes the cluster's families and checks the text format.
+func render(t *testing.T, c *Cluster) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := c.Metrics().Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.CheckExposition(sb.String()); err != nil {
+		t.Fatalf("malformed exposition: %v\n%s", err, sb.String())
+	}
+	return sb.String()
 }

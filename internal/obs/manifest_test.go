@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -47,41 +46,5 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if names := m.SortedCounterNames(); len(names) != 1 || names[0] != "trials" {
 		t.Errorf("sorted counter names = %v", names)
-	}
-}
-
-func TestAggDrainAndRender(t *testing.T) {
-	agg := NewAgg("tempartd_pipeline")
-	for i := 0; i < 2; i++ {
-		rec := NewRecorder()
-		s := rec.Start(`phase"quoted`)
-		s.End()
-		rec.Count("eval.graph_cache_hit", 3)
-		agg.Drain(rec)
-	}
-	agg.Drain(nil) // no-op
-
-	var buf bytes.Buffer
-	agg.RenderProm(&buf)
-	out := buf.String()
-
-	for _, want := range []string{
-		"# TYPE tempartd_pipeline_phase_seconds_total counter",
-		"tempartd_pipeline_phase_spans_total{phase=\"phase\\\"quoted\"} 2",
-		"tempartd_pipeline_events_total{event=\"eval.graph_cache_hit\"} 6",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestAggNilSafe(t *testing.T) {
-	var agg *Agg
-	agg.Drain(NewRecorder())
-	var buf bytes.Buffer
-	agg.RenderProm(&buf)
-	if buf.Len() != 0 {
-		t.Errorf("nil agg rendered %q", buf.String())
 	}
 }

@@ -1,9 +1,9 @@
 // Package obs is the pipeline-wide instrumentation layer: hierarchical
 // wall-clock spans with attached counters and attributes, recorded into an
 // in-memory Recorder and drained into pluggable sinks — a Chrome-trace JSON
-// exporter (spans open in Perfetto next to FLUSIM schedules), a JSON
-// run-manifest writer, and a Prometheus aggregation bridge feeding
-// tempartd's /metrics.
+// exporter (spans open in Perfetto next to FLUSIM schedules) and a JSON
+// run-manifest writer — plus the Registry that renders tempartd's /metrics
+// in the Prometheus text format.
 //
 // The package is zero-dependency (standard library only) and designed so
 // that *disabled* instrumentation is free: every method is safe on a nil
@@ -61,7 +61,7 @@ type Attr struct {
 // goroutines order consistently).
 type SpanRecord struct {
 	// Name identifies the phase ("partition/coarsen", "eval/simulate", ...).
-	// Phase aggregation (PhaseTotals, Agg) groups by this name.
+	// Phase aggregation (PhaseTotals) groups by this name.
 	Name string `json:"name"`
 	// Parent is the index of the parent span in the recorder's buffer, or
 	// -1 for root spans.

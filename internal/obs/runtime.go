@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"runtime/metrics"
+	"slices"
 )
 
 // runtimeBuckets are the fixed upper bounds (seconds) the runtime's
@@ -13,79 +12,59 @@ import (
 // runtime/metrics makes no promise about its own bucket layout.
 var runtimeBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
 
-// runtimeSamples is the sample set RenderRuntimeMetrics reads in one
-// metrics.Read call. Names missing from the running runtime are reported
-// with KindBad and skipped, so the set degrades gracefully across versions.
-var runtimeSampleNames = []string{
-	"/memory/classes/heap/objects:bytes",
-	"/memory/classes/total:bytes",
-	"/sched/goroutines:goroutines",
-	"/gc/cycles/total:gc-cycles",
-	"/gc/pauses:seconds",
-	"/sched/latencies:seconds",
-}
-
-// RenderRuntimeMetrics writes the tempartd_runtime_* families in Prometheus
-// text exposition format: live heap and total runtime-mapped memory,
-// goroutine count, GC cycle counter, and the GC-pause and scheduler-latency
-// distributions downsampled onto fixed cumulative buckets. One
-// runtime/metrics read per scrape — no stop-the-world, a few microseconds.
+// RegisterRuntimeMetrics registers the tempartd_runtime_* families on r:
+// live heap and total runtime-mapped memory, goroutine count, GC cycle
+// counter, and the GC-pause and scheduler-latency distributions
+// downsampled onto fixed cumulative buckets. Each family reads its
+// runtime/metrics sample when r is written — no stop-the-world, a few
+// microseconds — and writes nothing when the running runtime lacks it.
 //
 // The runtime reports its histograms without a sum, so the _sum series is
 // reconstructed from bucket midpoints — exact enough for rate() and
 // histogram_quantile(), and documented as approximate in HELP.
-func RenderRuntimeMetrics(w io.Writer) {
-	samples := make([]metrics.Sample, len(runtimeSampleNames))
-	for i, name := range runtimeSampleNames {
-		samples[i].Name = name
-	}
-	metrics.Read(samples)
-
-	byName := func(name string) *metrics.Sample {
-		for i := range samples {
-			if samples[i].Name == name {
-				return &samples[i]
+func RegisterRuntimeMetrics(r *Registry) {
+	uint := func(metric, help, typ, name string) {
+		NewFunc(r, metric, help, typ, nil, func(emit func(int64, ...string)) {
+			if v := readRuntime(name); v.Kind() == metrics.KindUint64 {
+				emit(int64(v.Uint64()))
 			}
-		}
-		return nil
+		})
 	}
-	gauge := func(metric, help, sample string) {
-		s := byName(sample)
-		if s == nil || s.Value.Kind() != metrics.KindUint64 {
-			return
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", metric, help, metric, metric, s.Value.Uint64())
-	}
-	gauge("tempartd_runtime_heap_bytes", "Bytes occupied by live heap objects (runtime /memory/classes/heap/objects).", "/memory/classes/heap/objects:bytes")
-	gauge("tempartd_runtime_memory_total_bytes", "All memory mapped by the Go runtime (heap, stacks, runtime structures).", "/memory/classes/total:bytes")
-	gauge("tempartd_runtime_goroutines", "Live goroutines.", "/sched/goroutines:goroutines")
-
-	if s := byName("/gc/cycles/total:gc-cycles"); s != nil && s.Value.Kind() == metrics.KindUint64 {
-		fmt.Fprintf(w, "# HELP tempartd_runtime_gc_cycles_total Completed GC cycles since process start.\n# TYPE tempartd_runtime_gc_cycles_total counter\ntempartd_runtime_gc_cycles_total %d\n", s.Value.Uint64())
-	}
-
-	renderRuntimeHist(w, "tempartd_runtime_gc_pause_seconds",
-		"Distribution of GC stop-the-world pause latencies (sum approximated from bucket midpoints).",
-		byName("/gc/pauses:seconds"))
-	renderRuntimeHist(w, "tempartd_runtime_sched_latency_seconds",
-		"Distribution of time goroutines spent runnable before running (sum approximated from bucket midpoints).",
-		byName("/sched/latencies:seconds"))
+	uint("tempartd_runtime_heap_bytes", "Bytes occupied by live heap objects (runtime /memory/classes/heap/objects).", "gauge", "/memory/classes/heap/objects:bytes")
+	uint("tempartd_runtime_memory_total_bytes", "All memory mapped by the Go runtime (heap, stacks, runtime structures).", "gauge", "/memory/classes/total:bytes")
+	uint("tempartd_runtime_goroutines", "Live goroutines.", "gauge", "/sched/goroutines:goroutines")
+	uint("tempartd_runtime_gc_cycles_total", "Completed GC cycles since process start.", "counter", "/gc/cycles/total:gc-cycles")
+	r.add(&runtimeHist{desc{"tempartd_runtime_gc_pause_seconds",
+		"Distribution of GC stop-the-world pause latencies (sum approximated from bucket midpoints).", "histogram", nil},
+		"/gc/pauses:seconds"})
+	r.add(&runtimeHist{desc{"tempartd_runtime_sched_latency_seconds",
+		"Distribution of time goroutines spent runnable before running (sum approximated from bucket midpoints).", "histogram", nil},
+		"/sched/latencies:seconds"})
 }
 
-// renderRuntimeHist downsamples one runtime Float64Histogram onto the fixed
-// runtimeBuckets and writes it as a Prometheus cumulative histogram. A
-// runtime bucket [lo, hi) counts toward the first fixed bound ≥ hi; buckets
-// past the last bound land in +Inf.
-func renderRuntimeHist(w io.Writer, metric, help string, s *metrics.Sample) {
-	if s == nil || s.Value.Kind() != metrics.KindFloat64Histogram {
-		return
+func readRuntime(name string) metrics.Value {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	return s[0].Value
+}
+
+var runtimeLes = leLabels(runtimeBuckets)
+
+// runtimeHist is a runtime Float64Histogram downsampled onto the fixed
+// runtimeBuckets when written. A runtime bucket [lo, hi) counts toward the
+// first fixed bound ≥ hi; buckets past the last bound land in +Inf.
+type runtimeHist struct {
+	desc
+	sample string
+}
+
+func (rh *runtimeHist) write(b []byte) []byte {
+	v := readRuntime(rh.sample)
+	if v.Kind() != metrics.KindFloat64Histogram {
+		return b
 	}
-	h := s.Value.Float64Histogram()
-	if h == nil {
-		return
-	}
-	counts := make([]uint64, len(runtimeBuckets))
-	var inf, total uint64
+	h := v.Float64Histogram()
+	counts := make([]int64, len(runtimeBuckets)+1)
 	var sum float64
 	for i, c := range h.Counts {
 		if c == 0 {
@@ -101,27 +80,9 @@ func renderRuntimeHist(w io.Writer, metric, help string, s *metrics.Sample) {
 		case hi != hi || hi > 1e300: // +Inf edge
 			mid = lo
 		}
-		total += c
 		sum += mid * float64(c)
-		placed := false
-		for b, ub := range runtimeBuckets {
-			if hi <= ub {
-				counts[b] += c
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			inf += c
-		}
+		j, _ := slices.BinarySearch(runtimeBuckets, hi)
+		counts[j] += int64(c)
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", metric, help, metric)
-	var cum uint64
-	for b, ub := range runtimeBuckets {
-		cum += counts[b]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", metric, fmt.Sprintf("%g", ub), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", metric, cum+inf)
-	fmt.Fprintf(w, "%s_sum %g\n", metric, sum)
-	fmt.Fprintf(w, "%s_count %d\n", metric, total)
+	return writeHist(rh.header(b), &rh.desc, "", runtimeLes, counts, sum)
 }

@@ -73,11 +73,7 @@ func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, req jobReq
 		// the member we think owns it.
 		if payload, ok, err := cl.ProbeCache(r.Context(), owner, resultStoreKey(key), requestID, traceHeader); err == nil && ok {
 			s.cache.put(key, payload)
-			w.Header().Set("X-Tempartd-Cache", "peer")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(payload)
-			return http.StatusOK, true
+			return writePayload(w, "peer", payload), true
 		}
 		return 0, false
 	}

@@ -193,7 +193,10 @@ func (s *Server) runEval(ctx context.Context, spec *EvalSpec, m *mesh.Mesh, mesh
 		return nil, &requestError{code: http.StatusInternalServerError,
 			msg: fmt.Sprintf("evaluating partition: %v", err)}
 	}
-	s.metrics.countEval(out.GraphCached)
+	s.metrics.evalRuns.Inc()
+	if out.GraphCached {
+		s.metrics.evalGraphHits.Inc()
+	}
 	return &EvalResult{
 		Scheduler:    spec.Scheduler,
 		Procs:        spec.Procs,

@@ -224,13 +224,13 @@ func (s *Server) runJob(j *job) {
 			j.setState(jobCancelled)
 			j.status = statusClientClosedRequest
 			j.errMsg = "cancelled"
-			s.metrics.countCancelled()
+			s.metrics.jobsCancelled.Inc()
 			s.journalState(j, store.JobCancelled, j.errMsg)
 		} else if errors.Is(j.ctx.Err(), context.DeadlineExceeded) {
 			j.setState(jobCancelled)
 			j.status = http.StatusGatewayTimeout
 			j.errMsg = "deadline exceeded"
-			s.metrics.countCancelled()
+			s.metrics.jobsCancelled.Inc()
 			s.journalState(j, store.JobCancelled, j.errMsg)
 		} else {
 			j.setState(jobFailed)
@@ -246,7 +246,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	j.setState(jobRunning)
-	s.metrics.observeAdmissionWait(time.Since(j.created).Seconds())
+	s.metrics.admissionWait.Observe(time.Since(j.created).Seconds())
 	s.journalState(j, store.JobRunning, "")
 
 	if s.cfg.execGate != nil {
@@ -263,7 +263,7 @@ func (s *Server) runJob(j *job) {
 	payload, elapsed, rerr := j.req.execute(ctx, s)
 	// Whatever the traced pipeline recorded feeds the aggregate series on
 	// /metrics and the flight-recorder ring, success or not.
-	s.obsAgg.Drain(j.rec)
+	s.metrics.drain(j.rec)
 	s.recordFlight(j)
 	if rerr != nil {
 		fail(rerr.code, rerr.msg)
@@ -362,7 +362,8 @@ func (r *PartitionRequest) execute(ctx context.Context, s *Server) ([]byte, time
 		quality = d.Quality
 	}
 	elapsed := time.Since(start)
-	s.metrics.countRun(r.Strategy, elapsed.Seconds())
+	s.metrics.partRuns.Inc(r.Strategy)
+	s.metrics.partTimes.Observe(elapsed.Seconds(), r.Strategy)
 
 	partHash, rerr := s.storePartition(ctx, result)
 	if rerr != nil {

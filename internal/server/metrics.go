@@ -1,11 +1,7 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-
+	"tempart/internal/obs"
 	"tempart/internal/store"
 )
 
@@ -18,371 +14,112 @@ var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30,
 // histogram: from a few cells (1 KiB) to a full-scale mesh (1 GiB).
 var migrationBuckets = []float64{1 << 10, 1 << 14, 1 << 17, 1 << 20, 1 << 23, 1 << 26, 1 << 30}
 
-// histogram is a fixed-bucket cumulative histogram (Prometheus semantics).
-type histogram struct {
-	bounds []float64 // upper bounds, ascending
-	counts []int64   // per bucket, non-cumulative; rendered cumulatively
-	inf    int64
-	sum    float64
-	total  int64
-}
-
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]int64, len(bounds))}
-}
-
-func (h *histogram) observe(v float64) {
-	h.sum += v
-	h.total++
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.counts[i]++
-			return
-		}
-	}
-	h.inf++
-}
-
-// serverMetrics collects the daemon's counters and histograms. Gauges
-// (queue depth, in-flight jobs, cache occupancy) are sampled from the server
-// at render time rather than stored. All methods are safe for concurrent
-// use.
+// serverMetrics holds the handles of the daemon's counters and histograms;
+// each family's HELP text in newServerMetrics says what it counts. Its
+// registry renders /metrics: the server's families, then the store's, the
+// cluster's, the traced-pipeline aggregate and the Go runtime snapshot.
+// Gauges (queue depth, in-flight jobs, cache occupancy, store stats) are
+// read from the server when the registry is written.
 type serverMetrics struct {
-	mu sync.Mutex
+	reg *obs.Registry
 
-	requests  map[string]int64 // "endpoint|method|code" -> count
-	partRuns  map[string]int64 // strategy -> actual partitioner executions
-	latencies map[string]*histogram
-
-	// Repartition observability: executions and latency by resolved mode
-	// (so incremental modes can be compared against scratch directly), the
-	// migration volume distribution, and the warm-start (parent part_hash
-	// lookup) hit ratio.
-	repartRuns      map[string]int64 // mode -> executions
-	repartLatencies map[string]*histogram
-	migrationBytes  *histogram
-	parentHits      int64
-	parentMisses    int64
-
-	// HTTP-surface observability: wall-clock latency per endpoint label
-	// (whole exchange, handler + serialization) and how long admitted jobs
-	// waited in the queue before a worker picked them up.
-	httpLatencies map[string]*histogram
-	admissionWait *histogram
-
-	cacheHits     int64
-	cacheMisses   int64
-	queueRejected int64
-	jobsCancelled int64
-
-	// Evaluation-pipeline observability: how many requests asked for an
-	// evaluate block, and how often the task graph came from the cache.
-	evalRuns      int64
-	evalGraphHits int64
+	requests, partRuns, repartRuns                                   *obs.Counter[int64]
+	partTimes, repartTimes, httpTimes, migrationBytes, admissionWait *obs.Histogram
+	cacheHits, cacheMisses, parentHits, parentMisses                 *obs.Counter[int64]
+	queueRejected, jobsCancelled, evalRuns, evalGraphHits            *obs.Counter[int64]
+	phaseSeconds                                                     *obs.Counter[float64]
+	phaseSpans, events                                               *obs.Counter[int64]
 }
 
-func newServerMetrics() *serverMetrics {
-	return &serverMetrics{
-		requests:        map[string]int64{},
-		partRuns:        map[string]int64{},
-		latencies:       map[string]*histogram{},
-		repartRuns:      map[string]int64{},
-		repartLatencies: map[string]*histogram{},
-		migrationBytes:  newHistogram(migrationBuckets),
-		httpLatencies:   map[string]*histogram{},
-		admissionWait:   newHistogram(latencyBuckets),
+// newServerMetrics registers every /metrics family in rendering order.
+func newServerMetrics(s *Server) *serverMetrics {
+	r := &obs.Registry{}
+	m := &serverMetrics{reg: r}
+	counter := func(name, help string, labels ...string) *obs.Counter[int64] {
+		return obs.NewCounter[int64](r, name, help, labels...)
 	}
-}
-
-// countRequest records one HTTP exchange. The method is part of the key so
-// verbs sharing a path label stay distinguishable (GET vs DELETE on
-// /v1/jobs/{id} used to collapse into one series).
-func (m *serverMetrics) countRequest(endpoint, method string, code int) {
-	m.mu.Lock()
-	m.requests[fmt.Sprintf("%s|%s|%d", endpoint, method, code)]++
-	m.mu.Unlock()
-}
-
-func (m *serverMetrics) countRun(strategy string, seconds float64) {
-	m.mu.Lock()
-	m.partRuns[strategy]++
-	h := m.latencies[strategy]
-	if h == nil {
-		h = newHistogram(latencyBuckets)
-		m.latencies[strategy] = h
+	value := func(name, help, typ string, read func() int64) {
+		obs.NewFunc(r, name, help, typ, nil, func(emit func(int64, ...string)) { emit(read()) })
 	}
-	h.observe(seconds)
-	m.mu.Unlock()
-}
-
-// countRepart records one repartition execution under its resolved mode.
-func (m *serverMetrics) countRepart(mode string, seconds float64, migBytes int64) {
-	m.mu.Lock()
-	m.repartRuns[mode]++
-	h := m.repartLatencies[mode]
-	if h == nil {
-		h = newHistogram(latencyBuckets)
-		m.repartLatencies[mode] = h
-	}
-	h.observe(seconds)
-	m.migrationBytes.observe(float64(migBytes))
-	m.mu.Unlock()
-}
-
-// countParentLookup tracks warm-start resolution: whether a repartition's
-// parent part_hash was still in the partition store.
-func (m *serverMetrics) countParentLookup(hit bool) {
-	m.mu.Lock()
-	if hit {
-		m.parentHits++
-	} else {
-		m.parentMisses++
-	}
-	m.mu.Unlock()
-}
-
-// observeHTTP records one instrumented exchange's wall-clock latency under
-// its endpoint label.
-func (m *serverMetrics) observeHTTP(endpoint string, seconds float64) {
-	m.mu.Lock()
-	h := m.httpLatencies[endpoint]
-	if h == nil {
-		h = newHistogram(latencyBuckets)
-		m.httpLatencies[endpoint] = h
-	}
-	h.observe(seconds)
-	m.mu.Unlock()
-}
-
-// observeAdmissionWait records how long a job sat queued before running.
-func (m *serverMetrics) observeAdmissionWait(seconds float64) {
-	m.mu.Lock()
-	m.admissionWait.observe(seconds)
-	m.mu.Unlock()
-}
-
-func (m *serverMetrics) countCache(hit bool) {
-	m.mu.Lock()
-	if hit {
-		m.cacheHits++
-	} else {
-		m.cacheMisses++
-	}
-	m.mu.Unlock()
-}
-
-// countEval records one evaluation-pipeline run and whether its task graph
-// was served from the evaluator's cache.
-func (m *serverMetrics) countEval(graphCached bool) {
-	m.mu.Lock()
-	m.evalRuns++
-	if graphCached {
-		m.evalGraphHits++
-	}
-	m.mu.Unlock()
-}
-
-func (m *serverMetrics) countRejected()  { m.mu.Lock(); m.queueRejected++; m.mu.Unlock() }
-func (m *serverMetrics) countCancelled() { m.mu.Lock(); m.jobsCancelled++; m.mu.Unlock() }
-
-func (m *serverMetrics) snapshotCache() (hits, misses int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cacheHits, m.cacheMisses
-}
-
-func (m *serverMetrics) snapshotRuns() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.partRuns))
-	for k, v := range m.partRuns {
-		out[k] = v
-	}
-	return out
-}
-
-// gauges are the instantaneous values the server contributes at render time.
-type gauges struct {
-	queueDepth   int
-	inflight     int64
-	cacheBytes   int64
-	cacheEntries int
-	draining     bool
-}
-
-// render writes the whole metric set in Prometheus text exposition format.
-// Label sets are emitted in sorted order so the output is deterministic.
-func (m *serverMetrics) render(w io.Writer, g gauges) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	writeSorted := func(name, help string, vals map[string]int64, label string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "%s{%s} %d\n", name, fmt.Sprintf(label, splitKey(k)...), vals[k])
-		}
-	}
-
-	writeSorted("tempartd_requests_total", "HTTP requests by endpoint, method and status code.",
-		m.requests, `endpoint=%q,method=%q,code=%q`)
-	writeSorted("tempartd_partition_runs_total", "Partitioner executions by strategy (cache hits and dedup joins excluded).",
-		m.partRuns, `strategy=%q`)
-
-	fmt.Fprintf(w, "# HELP tempartd_partition_latency_seconds Partition execution latency by strategy.\n")
-	fmt.Fprintf(w, "# TYPE tempartd_partition_latency_seconds histogram\n")
-	strategies := make([]string, 0, len(m.latencies))
-	for s := range m.latencies {
-		strategies = append(strategies, s)
-	}
-	sort.Strings(strategies)
-	for _, s := range strategies {
-		h := m.latencies[s]
-		var cum int64
-		for i, ub := range latencyBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "tempartd_partition_latency_seconds_bucket{strategy=%q,le=%q} %d\n", s, trimFloat(ub), cum)
-		}
-		fmt.Fprintf(w, "tempartd_partition_latency_seconds_bucket{strategy=%q,le=\"+Inf\"} %d\n", s, cum+h.inf)
-		fmt.Fprintf(w, "tempartd_partition_latency_seconds_sum{strategy=%q} %g\n", s, h.sum)
-		fmt.Fprintf(w, "tempartd_partition_latency_seconds_count{strategy=%q} %d\n", s, h.total)
-	}
-
-	writeSorted("tempartd_repart_runs_total", "Repartitioner executions by resolved mode.",
-		m.repartRuns, `mode=%q`)
-
-	writeHist := func(name, help, label string, hists map[string]*histogram) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		keys := make([]string, 0, len(hists))
-		for k := range hists {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			h := hists[k]
-			var cum int64
-			for i, ub := range h.bounds {
-				cum += h.counts[i]
-				fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, label, k, trimFloat(ub), cum)
+	ratio := func(name, help string, hits, misses *obs.Counter[int64]) {
+		obs.NewFunc(r, name, help, "gauge", nil, func(emit func(float64, ...string)) {
+			if h, tot := hits.Value(), hits.Value()+misses.Value(); tot > 0 {
+				emit(float64(h) / float64(tot))
 			}
-			fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, k, cum+h.inf)
-			fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, k, h.sum)
-			fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, k, h.total)
+		})
+	}
+
+	m.requests = counter("tempartd_requests_total", "HTTP requests by endpoint, method and status code.", "endpoint", "method", "code")
+	m.partRuns = counter("tempartd_partition_runs_total", "Partitioner executions by strategy (cache hits and dedup joins excluded).", "strategy")
+	m.partTimes = obs.NewHistogram(r, "tempartd_partition_latency_seconds", "Partition execution latency by strategy.", latencyBuckets, "strategy")
+	m.repartRuns = counter("tempartd_repart_runs_total", "Repartitioner executions by resolved mode.", "mode")
+	m.repartTimes = obs.NewHistogram(r, "tempartd_repart_latency_seconds",
+		"Repartition execution latency by resolved mode (compare incremental modes against scratch).", latencyBuckets, "mode")
+	m.httpTimes = obs.NewHistogram(r, "tempartd_http_request_duration_seconds",
+		"Wall-clock latency of instrumented HTTP exchanges by endpoint.", latencyBuckets, "endpoint")
+	m.admissionWait = obs.NewHistogram(r, "tempartd_admission_wait_seconds", "Time admitted jobs spent queued before a worker picked them up.", latencyBuckets)
+	m.migrationBytes = obs.NewHistogram(r, "tempartd_repart_migration_bytes", "Serialized bytes moved between domains per repartition.", migrationBuckets)
+	m.cacheHits = counter("tempartd_cache_hits_total", "Partition requests served from the content-addressed cache.")
+	m.cacheMisses = counter("tempartd_cache_misses_total", "Partition requests that missed the cache.")
+	ratio("tempartd_cache_hit_ratio", "Fraction of lookups served from cache.", m.cacheHits, m.cacheMisses)
+	m.parentHits = counter("tempartd_repart_parent_hits_total", "Repartition warm starts whose parent part_hash was found in the partition store.")
+	m.parentMisses = counter("tempartd_repart_parent_misses_total", "Repartition warm starts whose parent part_hash was missing (evicted or unknown).")
+	ratio("tempartd_repart_warm_start_hit_ratio", "Fraction of parent part_hash lookups that hit the partition store.", m.parentHits, m.parentMisses)
+	m.evalRuns = counter("tempartd_eval_runs_total", "Evaluation-pipeline runs (requests carrying an evaluate spec).")
+	m.evalGraphHits = counter("tempartd_eval_graph_cache_hits_total", "Evaluation runs whose task graph came from the graph cache.")
+	m.queueRejected = counter("tempartd_queue_rejected_total", "Requests rejected with 429 because the admission queue was full.")
+	m.jobsCancelled = counter("tempartd_jobs_cancelled_total", "Jobs stopped before completion by disconnect, deadline or explicit cancel.")
+	value("tempartd_queue_depth", "Jobs waiting in the admission queue.", "gauge", func() int64 { return int64(len(s.queue)) })
+	value("tempartd_inflight_jobs", "Jobs currently executing on the worker pool.", "gauge", s.inflight.Load)
+	value("tempartd_cache_bytes", "Bytes held by the result cache.", "gauge", func() int64 { b, _ := s.cache.stats(); return b })
+	value("tempartd_cache_entries", "Entries held by the result cache.", "gauge", func() int64 { _, n := s.cache.stats(); return int64(n) })
+	value("tempartd_draining", "1 while the server is draining for shutdown.", "gauge", func() int64 {
+		if s.isDraining() {
+			return 1
 		}
-	}
-	writeHist("tempartd_repart_latency_seconds",
-		"Repartition execution latency by resolved mode (compare incremental modes against scratch).",
-		"mode", m.repartLatencies)
+		return 0
+	})
 
-	writeHist("tempartd_http_request_duration_seconds",
-		"Wall-clock latency of instrumented HTTP exchanges by endpoint.",
-		"endpoint", m.httpLatencies)
-
-	fmt.Fprintf(w, "# HELP tempartd_admission_wait_seconds Time admitted jobs spent queued before a worker picked them up.\n")
-	fmt.Fprintf(w, "# TYPE tempartd_admission_wait_seconds histogram\n")
-	{
-		h := m.admissionWait
-		var cum int64
-		for i, ub := range h.bounds {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "tempartd_admission_wait_seconds_bucket{le=%q} %d\n", trimFloat(ub), cum)
+	// The durability tier's stats, read per family so rendering never
+	// contends with the batcher.
+	if st := s.store; st != nil {
+		stat := func(name, help, typ string, field func(store.Stats) int64) {
+			value(name, help, typ, func() int64 { return field(st.Stats()) })
 		}
-		fmt.Fprintf(w, "tempartd_admission_wait_seconds_bucket{le=\"+Inf\"} %d\n", cum+h.inf)
-		fmt.Fprintf(w, "tempartd_admission_wait_seconds_sum %g\n", h.sum)
-		fmt.Fprintf(w, "tempartd_admission_wait_seconds_count %d\n", h.total)
+		stat("tempartd_store_puts_total", "Artifacts committed to the durable store.", "counter", func(x store.Stats) int64 { return x.Puts })
+		stat("tempartd_store_put_bytes_total", "Artifact bytes committed to the durable store.", "counter", func(x store.Stats) int64 { return x.PutBytes })
+		stat("tempartd_store_dedup_skips_total", "Artifact writes elided because the content address was already committed.", "counter", func(x store.Stats) int64 { return x.DedupSkips })
+		stat("tempartd_store_reads_total", "Store read-through lookups.", "counter", func(x store.Stats) int64 { return x.Reads })
+		stat("tempartd_store_read_hits_total", "Store read-through lookups that found a committed artifact.", "counter", func(x store.Stats) int64 { return x.ReadHits })
+		stat("tempartd_store_read_corrupt_total", "Store reads whose blob bytes no longer matched the recorded digest.", "counter", func(x store.Stats) int64 { return x.ReadCorrupt })
+		stat("tempartd_store_batch_flushes_total", "Batched commit flushes (each pays one fsync set).", "counter", func(x store.Stats) int64 { return x.BatchFlushes })
+		stat("tempartd_store_batched_commits_total", "Commits covered by batched flushes (ratio to flushes = amortization factor).", "counter", func(x store.Stats) int64 { return x.BatchedCommits })
+		stat("tempartd_store_flush_errors_total", "Batch flushes that failed.", "counter", func(x store.Stats) int64 { return x.FlushErrors })
+		stat("tempartd_store_journal_records_total", "Job-journal records appended since open.", "counter", func(x store.Stats) int64 { return x.JournalRecords })
+		stat("tempartd_store_prov_entries", "Length of the hash-chained provenance log.", "gauge", func(x store.Stats) int64 { return x.ProvEntries })
+		stat("tempartd_store_jobs_recovered", "Jobs folded from the journal at the last open.", "gauge", func(x store.Stats) int64 { return x.JobsRecovered })
+		stat("tempartd_store_jobs_requeued", "Non-terminal jobs re-queued by the journal replay at the last open.", "gauge", func(x store.Stats) int64 { return x.JobsPending })
+	}
+	if s.cluster != nil {
+		r.Include(s.cluster.Metrics())
 	}
 
-	fmt.Fprintf(w, "# HELP tempartd_repart_migration_bytes Serialized bytes moved between domains per repartition.\n")
-	fmt.Fprintf(w, "# TYPE tempartd_repart_migration_bytes histogram\n")
-	{
-		h := m.migrationBytes
-		var cum int64
-		for i, ub := range h.bounds {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "tempartd_repart_migration_bytes_bucket{le=%q} %d\n", trimFloat(ub), cum)
-		}
-		fmt.Fprintf(w, "tempartd_repart_migration_bytes_bucket{le=\"+Inf\"} %d\n", cum+h.inf)
-		fmt.Fprintf(w, "tempartd_repart_migration_bytes_sum %g\n", h.sum)
-		fmt.Fprintf(w, "tempartd_repart_migration_bytes_count %d\n", h.total)
-	}
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("tempartd_cache_hits_total", "Partition requests served from the content-addressed cache.", m.cacheHits)
-	counter("tempartd_cache_misses_total", "Partition requests that missed the cache.", m.cacheMisses)
-	if tot := m.cacheHits + m.cacheMisses; tot > 0 {
-		fmt.Fprintf(w, "# HELP tempartd_cache_hit_ratio Fraction of lookups served from cache.\n# TYPE tempartd_cache_hit_ratio gauge\ntempartd_cache_hit_ratio %g\n",
-			float64(m.cacheHits)/float64(tot))
-	}
-	counter("tempartd_repart_parent_hits_total", "Repartition warm starts whose parent part_hash was found in the partition store.", m.parentHits)
-	counter("tempartd_repart_parent_misses_total", "Repartition warm starts whose parent part_hash was missing (evicted or unknown).", m.parentMisses)
-	if tot := m.parentHits + m.parentMisses; tot > 0 {
-		fmt.Fprintf(w, "# HELP tempartd_repart_warm_start_hit_ratio Fraction of parent part_hash lookups that hit the partition store.\n# TYPE tempartd_repart_warm_start_hit_ratio gauge\ntempartd_repart_warm_start_hit_ratio %g\n",
-			float64(m.parentHits)/float64(tot))
-	}
-	counter("tempartd_eval_runs_total", "Evaluation-pipeline runs (requests carrying an evaluate spec).", m.evalRuns)
-	counter("tempartd_eval_graph_cache_hits_total", "Evaluation runs whose task graph came from the graph cache.", m.evalGraphHits)
-	counter("tempartd_queue_rejected_total", "Requests rejected with 429 because the admission queue was full.", m.queueRejected)
-	counter("tempartd_jobs_cancelled_total", "Jobs stopped before completion by disconnect, deadline or explicit cancel.", m.jobsCancelled)
-	gauge("tempartd_queue_depth", "Jobs waiting in the admission queue.", int64(g.queueDepth))
-	gauge("tempartd_inflight_jobs", "Jobs currently executing on the worker pool.", g.inflight)
-	gauge("tempartd_cache_bytes", "Bytes held by the result cache.", g.cacheBytes)
-	gauge("tempartd_cache_entries", "Entries held by the result cache.", int64(g.cacheEntries))
-	draining := int64(0)
-	if g.draining {
-		draining = 1
-	}
-	gauge("tempartd_draining", "1 while the server is draining for shutdown.", draining)
+	m.phaseSeconds = obs.NewCounter[float64](r, "tempartd_pipeline_phase_seconds_total",
+		"Cumulative wall-clock seconds per pipeline phase across traced requests.", "phase")
+	m.phaseSpans = counter("tempartd_pipeline_phase_spans_total", "Spans recorded per pipeline phase across traced requests.", "phase")
+	m.events = counter("tempartd_pipeline_events_total", "Pipeline counter events across traced requests.", "event")
+	obs.RegisterRuntimeMetrics(r)
+	return m
 }
 
-// renderStoreMetrics writes the durability tier's tempartd_store_* series.
-// It takes a stats snapshot rather than the store itself so rendering never
-// contends with the batcher.
-func renderStoreMetrics(w io.Writer, st store.Stats) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// drain folds a finished job's recorder into the traced-pipeline families.
+// A nil recorder (an untraced job) adds nothing.
+func (m *serverMetrics) drain(rec *obs.Recorder) {
+	for name, st := range rec.PhaseTotals() {
+		m.phaseSeconds.Add(st.Seconds, name)
+		m.phaseSpans.Add(st.Count, name)
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	for name, v := range rec.Counters() {
+		m.events.Add(v, name)
 	}
-	counter("tempartd_store_puts_total", "Artifacts committed to the durable store.", st.Puts)
-	counter("tempartd_store_put_bytes_total", "Artifact bytes committed to the durable store.", st.PutBytes)
-	counter("tempartd_store_dedup_skips_total", "Artifact writes elided because the content address was already committed.", st.DedupSkips)
-	counter("tempartd_store_reads_total", "Store read-through lookups.", st.Reads)
-	counter("tempartd_store_read_hits_total", "Store read-through lookups that found a committed artifact.", st.ReadHits)
-	counter("tempartd_store_read_corrupt_total", "Store reads whose blob bytes no longer matched the recorded digest.", st.ReadCorrupt)
-	counter("tempartd_store_batch_flushes_total", "Batched commit flushes (each pays one fsync set).", st.BatchFlushes)
-	counter("tempartd_store_batched_commits_total", "Commits covered by batched flushes (ratio to flushes = amortization factor).", st.BatchedCommits)
-	counter("tempartd_store_flush_errors_total", "Batch flushes that failed.", st.FlushErrors)
-	counter("tempartd_store_journal_records_total", "Job-journal records appended since open.", st.JournalRecords)
-	gauge("tempartd_store_prov_entries", "Length of the hash-chained provenance log.", st.ProvEntries)
-	gauge("tempartd_store_jobs_recovered", "Jobs folded from the journal at the last open.", st.JobsRecovered)
-	gauge("tempartd_store_jobs_requeued", "Non-terminal jobs re-queued by the journal replay at the last open.", st.JobsPending)
-}
-
-// splitKey turns a '|'-joined key into label values for the format string.
-func splitKey(k string) []any {
-	out := []any{}
-	start := 0
-	for i := 0; i < len(k); i++ {
-		if k[i] == '|' {
-			out = append(out, k[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, k[start:])
-}
-
-// trimFloat formats a bucket bound the way Prometheus clients expect
-// (no trailing zeros, no scientific notation for these magnitudes).
-func trimFloat(f float64) string {
-	return fmt.Sprintf("%g", f)
 }

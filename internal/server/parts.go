@@ -65,11 +65,12 @@ func (s *Server) loadPartition(hash string) (*partition.Result, *requestError) {
 			s.parts.put(key, data)
 		}
 	}
-	s.metrics.countParentLookup(ok)
 	if !ok {
+		s.metrics.parentMisses.Inc()
 		return nil, &requestError{code: http.StatusNotFound,
 			msg: fmt.Sprintf("no stored partition with hash %s (expired or never computed here); re-partition or supply the assignment inline via \"parent\"", hash)}
 	}
+	s.metrics.parentHits.Inc()
 	res, derr := partition.DecodeResult(bytes.NewReader(payload))
 	if derr != nil {
 		return nil, &requestError{code: http.StatusInternalServerError,

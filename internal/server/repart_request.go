@@ -231,7 +231,10 @@ func (r *RepartitionRequest) execute(ctx context.Context, s *Server) ([]byte, ti
 	if err != nil {
 		return nil, 0, &requestError{code: http.StatusInternalServerError, msg: err.Error()}
 	}
-	s.metrics.countRepart(res.Mode.String(), elapsed.Seconds(), res.Stats.MovedBytes)
+	mode := res.Mode.String()
+	s.metrics.repartRuns.Inc(mode)
+	s.metrics.repartTimes.Observe(elapsed.Seconds(), mode)
+	s.metrics.migrationBytes.Observe(float64(res.Stats.MovedBytes))
 
 	partHash, rerr := s.storePartition(ctx, res.Result)
 	if rerr != nil {

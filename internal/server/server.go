@@ -166,9 +166,6 @@ type Server struct {
 	// or upload digest), so re-scoring the same decomposition — notably a
 	// repartition in "keep" mode — skips graph construction entirely.
 	eval *eval.Evaluator
-	// obsAgg accumulates per-phase seconds and pipeline counters drained from
-	// the recorders of ?debug=trace jobs; rendered on /metrics.
-	obsAgg *obs.Agg
 	// flight is the always-on ring of recently completed request span trees
 	// (?debug=trace jobs, head-sampled jobs, sampled subtree RPCs), served at
 	// /v1/traces/*.
@@ -203,9 +200,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newResultCache(cfg.CacheBytes),
 		parts:   newResultCache(cfg.PartStoreBytes),
-		metrics: newServerMetrics(),
 		eval:    eval.New(eval.Options{Parallelism: cfg.MaxParallelism}),
-		obsAgg:  obs.NewAgg("tempartd_pipeline"),
 		flight:  obs.NewFlightRecorder(cfg.TraceRingSize, cfg.TraceSampleRate),
 		store:   cfg.Store,
 		cluster: cfg.Cluster,
@@ -213,6 +208,7 @@ func New(cfg Config) *Server {
 		flights: map[cacheKey]*job{},
 		jobs:    map[string]*job{},
 	}
+	s.metrics = newServerMetrics(s)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -308,8 +304,8 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		start := time.Now()
 		code := h(w, r)
 		elapsed := time.Since(start)
-		s.metrics.countRequest(endpoint, r.Method, code)
-		s.metrics.observeHTTP(endpoint, elapsed.Seconds())
+		s.metrics.requests.Inc(endpoint, r.Method, strconv.Itoa(code))
+		s.metrics.httpTimes.Observe(elapsed.Seconds(), endpoint)
 		if s.cfg.AccessLog != nil {
 			s.cfg.AccessLog.Info("request",
 				"id", id,
@@ -428,25 +424,17 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req jobRequest
 		// Content-addressed cache first: a hit costs one map lookup.
 		key := req.key()
 		if payload, ok := s.cache.get(key); ok {
-			s.metrics.countCache(true)
-			w.Header().Set("X-Tempartd-Cache", "hit")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(payload)
-			return http.StatusOK
+			s.metrics.cacheHits.Inc()
+			return writePayload(w, "hit", payload)
 		}
-		s.metrics.countCache(false)
+		s.metrics.cacheMisses.Inc()
 		// Read through to the durable store: a result computed before an LRU
 		// eviction — or before a restart — is served without recomputation and
 		// re-warms the cache.
 		if s.store != nil {
 			if payload, ok := s.store.Get(store.NSResult, resultStoreKey(key)); ok {
 				s.cache.put(key, payload)
-				w.Header().Set("X-Tempartd-Cache", "store")
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusOK)
-				_, _ = w.Write(payload)
-				return http.StatusOK
+				return writePayload(w, "store", payload)
 			}
 		}
 	}
@@ -470,7 +458,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req jobRequest
 	j, err := s.acquireJob(req)
 	switch {
 	case errors.Is(err, errQueueFull):
-		s.metrics.countRejected()
+		s.metrics.queueRejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		return writeError(w, http.StatusTooManyRequests, "admission queue full; retry later")
 	case errors.Is(err, errDraining):
@@ -513,18 +501,24 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req jobRequest
 // writeJobOutcome renders a completed job.
 func (s *Server) writeJobOutcome(w http.ResponseWriter, j *job) int {
 	if j.getState() == jobDone {
-		w.Header().Set("X-Tempartd-Cache", "miss")
 		w.Header().Set("X-Tempartd-Elapsed-Ms", strconv.FormatInt(j.elapsed.Milliseconds(), 10))
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(j.payload)
-		return http.StatusOK
+		return writePayload(w, "miss", j.payload)
 	}
 	code := j.status
 	if code == 0 {
 		code = http.StatusInternalServerError
 	}
 	return writeError(w, code, j.errMsg)
+}
+
+// writePayload answers 200 with a result payload and the cache tier that
+// produced it (X-Tempartd-Cache: hit, store, miss or peer).
+func writePayload(w http.ResponseWriter, tier string, payload []byte) int {
+	w.Header().Set("X-Tempartd-Cache", tier)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(payload)
+	return http.StatusOK
 }
 
 // jobView is the /v1/jobs/{id} representation.
@@ -622,11 +616,10 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, obs.ReadBuildInfo())
 }
 
+func (s *Server) isDraining() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.draining }
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.isDraining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -638,11 +631,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // and 503 again while draining. Load balancers use it to gate traffic;
 // /healthz stays the liveness signal.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
 	switch {
-	case draining:
+	case s.isDraining():
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	case !s.ready.Load():
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "starting", "reason": "journal replay in progress"})
@@ -656,26 +646,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	bytes, entries := s.cache.stats()
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.render(w, gauges{
-		queueDepth:   len(s.queue),
-		inflight:     s.inflight.Load(),
-		cacheBytes:   bytes,
-		cacheEntries: entries,
-		draining:     draining,
-	})
-	if s.store != nil {
-		renderStoreMetrics(w, s.store.Stats())
-	}
-	if s.cluster != nil {
-		s.cluster.RenderMetrics(w)
-	}
-	s.obsAgg.RenderProm(w)
-	obs.RenderRuntimeMetrics(w)
+	_ = s.metrics.reg.Write(w)
 }
 
 // String identifies the server in logs.

@@ -164,7 +164,7 @@ func TestSingleflightDedup(t *testing.T) {
 			t.Fatalf("request %d returned different bytes", i)
 		}
 	}
-	if runs := s.metrics.snapshotRuns()["MC_TL"]; runs != 1 {
+	if runs := s.metrics.partRuns.Value("MC_TL"); runs != 1 {
 		t.Fatalf("partition ran %d times, want 1 (singleflight)", runs)
 	}
 }
@@ -297,7 +297,7 @@ func TestAsyncJobLifecycleAndCancel(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if hits, _ := s.metrics.snapshotCache(); hits != 0 {
+	if hits := s.metrics.cacheHits.Value(); hits != 0 {
 		t.Fatalf("cancelled job must not populate the cache")
 	}
 	m := fetchMetrics(t, ts.URL)
