@@ -9,7 +9,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Graph is an undirected graph in CSR form. Every undirected edge {u,v}
@@ -181,19 +180,10 @@ func (g *Graph) Contract(cmap []int32, ncoarse int) *Graph {
 // for the class discipline). The algorithm restores every touched entry to -1
 // before returning, so a pooled table is clean by construction and only first
 // use (or growth) pays the fill.
-var posPools [sizeClasses]sync.Pool
+var posPools SizedPool[[]int32]
 
 func getPosTable(n int) *[]int32 {
-	var p *[]int32
-	for c, hi := reqClass(n), 0; hi < classProbes && c < sizeClasses; c, hi = c+1, hi+1 {
-		if v := posPools[c].Get(); v != nil {
-			p = v.(*[]int32)
-			break
-		}
-	}
-	if p == nil {
-		p = new([]int32)
-	}
+	p := posPools.Get(n)
 	if cap(*p) < n {
 		*p = make([]int32, n)
 		for i := range *p {
@@ -204,7 +194,7 @@ func getPosTable(n int) *[]int32 {
 	return p
 }
 
-func putPosTable(p *[]int32) { posPools[capClass(cap(*p))].Put(p) }
+func putPosTable(p *[]int32) { posPools.Put(p, cap(*p)) }
 
 // ContractP is Contract with the row assembly sharded over the pool's
 // workers. Every coarse vertex's weight and adjacency row depend only on its

@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Power-of-two size classing for sync.Pool'd buffers. A flat pool has a
 // pinning failure mode: one paper-scale request grows a buffer to hundreds of
@@ -46,3 +49,23 @@ func capClass(c int) int {
 	}
 	return k
 }
+
+// SizedPool is a set of sync.Pools, one per size class, with the discipline
+// above: Put files a value under the class of its capacity, Get(n) probes
+// n's class and the next classProbes-1 above it. The zero SizedPool is
+// ready to use.
+type SizedPool[T any] struct{ classes [sizeClasses]sync.Pool }
+
+// Get returns a pooled value filed near n elements, or a new zero T when
+// none is. A value may have less capacity than n; callers grow it.
+func (p *SizedPool[T]) Get(n int) *T {
+	for c, hi := reqClass(n), 0; hi < classProbes && c < sizeClasses; c, hi = c+1, hi+1 {
+		if v := p.classes[c].Get(); v != nil {
+			return v.(*T)
+		}
+	}
+	return new(T)
+}
+
+// Put files x under the class of capacity, its element count.
+func (p *SizedPool[T]) Put(x *T, capacity int) { p.classes[capClass(capacity)].Put(x) }

@@ -26,7 +26,7 @@ func deriveSeed(parent int64, firstPart, k int) int64 {
 // pass or per matching sweep lives here instead; workers take an arena from
 // the pool at each recursion node and return it before fanning out, so the
 // pool holds at most one arena per concurrently active node. Buffers only
-// ever grow within an arena; the pools are size-classed (see sizeclass.go),
+// ever grow within an arena; the pools are size-classed (graph.SizedPool),
 // so an arena grown by a paper-scale request is never handed to a small one.
 type scratch struct {
 	split []int32 // stable-partition spill buffer (recursiveBisect)
@@ -60,50 +60,35 @@ type scratch struct {
 	growTarget   []int64
 }
 
-// class files the arena by its largest node-sized buffer.
-func (s *scratch) class() int {
+// capacity files the arena in its pool by its largest node-sized buffer.
+func (s *scratch) capacity() int {
 	m := cap(s.match)
 	for _, c := range [5]int{cap(s.pref), cap(s.fm.gain), cap(s.split), cap(s.growGain), cap(s.moves)} {
 		if c > m {
 			m = c
 		}
 	}
-	return capClass(m)
+	return m
 }
 
-var scratchPools [sizeClasses]sync.Pool
+// scratchPools holds arenas by size class; getScratch(n) returns one sized
+// for roughly n vertices, or an empty arena (buffers grow on demand).
+var scratchPools graph.SizedPool[scratch]
 
-// getScratch returns an arena sized for roughly n vertices: it probes the
-// request's size class and the next two above it, allocating an empty arena
-// (buffers grow on demand) when none is pooled.
-func getScratch(n int) *scratch {
-	for c, hi := reqClass(n), 0; hi < classProbes && c < sizeClasses; c, hi = c+1, hi+1 {
-		if v := scratchPools[c].Get(); v != nil {
-			return v.(*scratch)
-		}
-	}
-	return new(scratch)
-}
+func getScratch(n int) *scratch { return scratchPools.Get(n) }
 
-func putScratch(s *scratch) { scratchPools[s.class()].Put(s) }
+func putScratch(s *scratch) { scratchPools.Put(s, s.capacity()) }
 
 // gscPools pools graph.Scratch tables separately from the node-sized scratch
 // arenas: a Subgraph local-id table is sized by the GLOBAL vertex count, so
 // folding it into scratch would drag every arena into the top class during a
 // large run (and pay an O(global n) -1 refill per small node). Classed by
 // the global count, every recursion node of one run shares the same class.
-var gscPools [sizeClasses]sync.Pool
+var gscPools graph.SizedPool[graph.Scratch]
 
-func getGraphScratch(n int) *graph.Scratch {
-	for c, hi := reqClass(n), 0; hi < classProbes && c < sizeClasses; c, hi = c+1, hi+1 {
-		if v := gscPools[c].Get(); v != nil {
-			return v.(*graph.Scratch)
-		}
-	}
-	return new(graph.Scratch)
-}
+func getGraphScratch(n int) *graph.Scratch { return gscPools.Get(n) }
 
-func putGraphScratch(gs *graph.Scratch) { gscPools[capClass(gs.Cap())].Put(gs) }
+func putGraphScratch(gs *graph.Scratch) { gscPools.Put(gs, gs.Cap()) }
 
 // growI32 returns buf resized to n, reallocating only when capacity is short.
 // Contents are unspecified — callers must fully initialise the slice.

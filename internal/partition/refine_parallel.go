@@ -177,23 +177,14 @@ type kwayScratch struct {
 }
 
 // kwayScratchPools is size-classed by localID capacity (one of the arena's
-// vertex-count-sized arrays); see sizeclass.go for the filing discipline.
-var kwayScratchPools [sizeClasses]sync.Pool
+// vertex-count-sized arrays).
+var kwayScratchPools graph.SizedPool[kwayScratch]
 
 // getKwayScratch returns an arena whose localID covers n vertices. The
 // localID array holds -1 everywhere between uses (every pair run resets the
 // entries it claimed), so acquisition only initialises newly grown entries.
 func getKwayScratch(n int) *kwayScratch {
-	var ks *kwayScratch
-	for c, hi := reqClass(n), 0; hi < classProbes && c < sizeClasses; c, hi = c+1, hi+1 {
-		if v := kwayScratchPools[c].Get(); v != nil {
-			ks = v.(*kwayScratch)
-			break
-		}
-	}
-	if ks == nil {
-		ks = new(kwayScratch)
-	}
+	ks := kwayScratchPools.Get(n)
 	if cap(ks.localID) < n {
 		grown := make([]int32, n)
 		copy(grown, ks.localID)
@@ -211,7 +202,7 @@ func getKwayScratch(n int) *kwayScratch {
 	return ks
 }
 
-func putKwayScratch(ks *kwayScratch) { kwayScratchPools[capClass(cap(ks.localID))].Put(ks) }
+func putKwayScratch(ks *kwayScratch) { kwayScratchPools.Put(ks, cap(ks.localID)) }
 
 // kwayRefine runs parallel pairwise-FM k-way refinement passes in place; see
 // the engine comment above. Passes stop early when a full pass commits no
