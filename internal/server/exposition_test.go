@@ -20,7 +20,7 @@ import (
 	"tempart/internal/store"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics_*.txt")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files")
 
 // TestMetricsExpositionPopulated pins the full /metrics text of a daemon
 // with a store, a cluster and traced jobs, every family holding series.
