@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"encoding/hex"
 	"sync"
 )
 
@@ -10,6 +11,9 @@ import (
 // requests with the same key are guaranteed byte-identical results because
 // the partitioner is deterministic per seed.
 type cacheKey [32]byte
+
+// hex is the key's durable-store address.
+func (k cacheKey) hex() string { return hex.EncodeToString(k[:]) }
 
 // resultCache is a byte-budgeted LRU over encoded partition responses.
 // Payloads are immutable once inserted (callers must not mutate them), so a
@@ -82,4 +86,21 @@ func (c *resultCache) stats() (bytes int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.used, len(c.items)
+}
+
+// readThrough is the one lookup over a memory tier and the durable store:
+// the LRU first, then the store's ns namespace (keyed by the hex address),
+// re-warming the LRU on a store hit. tier reports "hit" or "store", or ""
+// with a nil payload when neither holds the key.
+func (s *Server) readThrough(c *resultCache, ns string, key cacheKey) (payload []byte, tier string) {
+	if payload, ok := c.get(key); ok {
+		return payload, "hit"
+	}
+	if s.store != nil {
+		if payload, ok := s.store.Get(ns, key.hex()); ok {
+			c.put(key, payload)
+			return payload, "store"
+		}
+	}
+	return nil, ""
 }

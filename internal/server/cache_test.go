@@ -75,11 +75,11 @@ func TestCacheRejectsOversizedPayload(t *testing.T) {
 
 func TestCacheKeyCanonicalization(t *testing.T) {
 	// Omitted options and their explicit defaults address the same entry.
-	base := &PartitionRequest{MeshName: "CUBE", Scale: 0.01, K: 8, Strategy: "MC_TL"}
+	base := &PartitionRequest{meshRef: meshRef{Name: "CUBE", Scale: 0.01}, K: 8, Strategy: "MC_TL"}
 	if err := base.validate(); err != nil {
 		t.Fatal(err)
 	}
-	expl := &PartitionRequest{MeshName: "CUBE", Scale: 0.01, K: 8, Strategy: "mc_tl",
+	expl := &PartitionRequest{meshRef: meshRef{Name: "CUBE", Scale: 0.01}, K: 8, Strategy: "mc_tl",
 		Options: OptionsSpec{ImbalanceTol: 1.05, InitTrials: 8, RefinePasses: 8, Trials: 1, Method: "rb"}}
 	if err := expl.validate(); err != nil {
 		t.Fatal(err)
@@ -95,13 +95,13 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 	// Every result-affecting field must change the key.
 	variants := []*PartitionRequest{
-		{MeshName: "CYLINDER", Scale: 0.01, K: 8, Strategy: "MC_TL"},
-		{MeshName: "CUBE", Scale: 0.02, K: 8, Strategy: "MC_TL"},
-		{MeshName: "CUBE", Scale: 0.01, K: 16, Strategy: "MC_TL"},
-		{MeshName: "CUBE", Scale: 0.01, K: 8, Strategy: "SC_OC"},
-		{MeshName: "CUBE", Scale: 0.01, K: 8, Strategy: "MC_TL", Options: OptionsSpec{Seed: 9}},
-		{MeshName: "CUBE", Scale: 0.01, K: 8, Strategy: "MC_TL", Options: OptionsSpec{Method: "kway"}},
-		{MeshName: "CUBE", Scale: 0.01, K: 8, Strategy: "MC_TL", Options: OptionsSpec{Trials: 4}},
+		{meshRef: meshRef{Name: "CYLINDER", Scale: 0.01}, K: 8, Strategy: "MC_TL"},
+		{meshRef: meshRef{Name: "CUBE", Scale: 0.02}, K: 8, Strategy: "MC_TL"},
+		{meshRef: meshRef{Name: "CUBE", Scale: 0.01}, K: 16, Strategy: "MC_TL"},
+		{meshRef: meshRef{Name: "CUBE", Scale: 0.01}, K: 8, Strategy: "SC_OC"},
+		{meshRef: meshRef{Name: "CUBE", Scale: 0.01}, K: 8, Strategy: "MC_TL", Options: OptionsSpec{Seed: 9}},
+		{meshRef: meshRef{Name: "CUBE", Scale: 0.01}, K: 8, Strategy: "MC_TL", Options: OptionsSpec{Method: "kway"}},
+		{meshRef: meshRef{Name: "CUBE", Scale: 0.01}, K: 8, Strategy: "MC_TL", Options: OptionsSpec{Trials: 4}},
 	}
 	seen := map[cacheKey]int{base.key(): -1}
 	for i, v := range variants {

@@ -102,7 +102,7 @@ func newFleet(t *testing.T, n int, copt func(o *cluster.Options), scfg func(i in
 // daemons will: decode, content-address, consult the ring.
 func (f *fleet) ownerIndex(body string) int {
 	f.t.Helper()
-	req, err := decodePartitionRequest("application/json", nil, strings.NewReader(body), 1<<24)
+	req, err := decodeRequest(kindPartition, "application/json", nil, []byte(body))
 	if err != nil {
 		f.t.Fatalf("decoding request: %v", err)
 	}

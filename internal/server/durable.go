@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"tempart/internal/mesh"
 	"tempart/internal/obs"
 	"tempart/internal/store"
 )
@@ -34,36 +30,6 @@ import (
 // Without a store every function here is a cheap nil check — the daemon
 // behaves exactly as before.
 
-// Journaled job kinds, discriminating the request type on replay.
-const (
-	kindPartition   = "partition"
-	kindRepartition = "repartition"
-	// kindSubtree marks cluster subtree RPCs in provenance manifests; such
-	// jobs are never journaled (a coordinator retries them, the journal
-	// doesn't).
-	kindSubtree = "subtree"
-)
-
-// marshalJobRequest renders a request as its replayable journal form. The
-// order of the type switch matters: *RepartitionRequest embeds
-// PartitionRequest.
-func marshalJobRequest(req jobRequest) (kind string, raw json.RawMessage, err error) {
-	switch v := req.(type) {
-	case *RepartitionRequest:
-		raw, err = json.Marshal(v)
-		return kindRepartition, raw, err
-	case *PartitionRequest:
-		raw, err = json.Marshal(v)
-		return kindPartition, raw, err
-	default:
-		return "", nil, fmt.Errorf("unjournalable request type %T", req)
-	}
-}
-
-// resultStoreKey is the NSResult address of a job's payload: the hex form of
-// its content-addressed cache key.
-func resultStoreKey(key cacheKey) string { return hex.EncodeToString(key[:]) }
-
 // journalSubmit makes an async submission durable before the 202 goes out:
 // the submitted record (with the full request JSON) and, for uploads, the
 // mesh blob, in one durable commit. An error means the caller must NOT
@@ -75,26 +41,17 @@ func (s *Server) journalSubmit(ctx context.Context, j *job) error {
 	if !j.journaled.CompareAndSwap(false, true) {
 		return nil // already journaled (duplicate async submit joining a flight)
 	}
-	kind, raw, err := marshalJobRequest(j.req)
+	raw, err := json.Marshal(j.req)
+	if err == nil {
+		m := &j.req.base().meshRef
+		err = s.store.Commit(ctx, store.Commit{Puts: s.meshPuts(m), Jobs: []store.JobRecord{{
+			Job: j.id, State: store.JobSubmitted, Kind: j.req.kind(), Req: raw, MeshDigest: m.digestHex(),
+		}}})
+	}
 	if err != nil {
 		j.journaled.Store(false)
-		return err
 	}
-	rec := store.JobRecord{Job: j.id, State: store.JobSubmitted, Kind: kind, Req: raw}
-	c := store.Commit{}
-	base := j.req.base()
-	if base.Uploaded != nil && len(base.meshRaw) > 0 {
-		digest := hex.EncodeToString(base.meshDigest[:])
-		rec.MeshDigest = digest
-		c.Puts = append(c.Puts, store.Put{NS: store.NSMesh, Key: digest, Data: base.meshRaw,
-			Manifest: s.meshManifest(base)})
-	}
-	c.Jobs = []store.JobRecord{rec}
-	if err := s.store.Commit(ctx, c); err != nil {
-		j.journaled.Store(false)
-		return err
-	}
-	return nil
+	return err
 }
 
 // journalState appends one lifecycle transition for a journaled job. These
@@ -125,22 +82,15 @@ func (s *Server) persistOutcome(j *job, payload []byte) *requestError {
 	}
 	span := obs.FromContext(j.ctx).Start("store/persist")
 	defer span.End()
-	key := resultStoreKey(j.key)
-	c := store.Commit{Puts: []store.Put{{
+	key := j.key.hex()
+	c := store.Commit{Puts: append([]store.Put{{
 		NS: store.NSResult, Key: key, Data: payload, Manifest: s.resultManifest(j),
-	}}}
-	base := j.req.base()
-	if base.Uploaded != nil && len(base.meshRaw) > 0 {
-		c.Puts = append(c.Puts, store.Put{NS: store.NSMesh,
-			Key: hex.EncodeToString(base.meshDigest[:]), Data: base.meshRaw,
-			Manifest: s.meshManifest(base)})
-	}
+	}}, s.meshPuts(&j.req.base().meshRef)...)}
 	if j.journaled.Load() {
 		c.Jobs = []store.JobRecord{{Job: j.id, State: store.JobDone, ResultKey: key}}
 	}
 	if err := s.store.Commit(j.ctx, c); err != nil {
-		return &requestError{code: http.StatusInternalServerError,
-			msg: fmt.Sprintf("persisting result: %v", err)}
+		return errorf(http.StatusInternalServerError, "persisting result: %v", err)
 	}
 	return nil
 }
@@ -152,104 +102,40 @@ func (s *Server) persistOutcome(j *job, payload []byte) *requestError {
 // the subtree entries scattered across peers be correlated into one
 // cross-node provenance trail.
 func (s *Server) resultManifest(j *job) *obs.Manifest {
-	base := j.req.base()
 	m := obs.NewManifest("tempartd")
 	m.Node = s.cfg.NodeID
 	m.Inputs["job"] = j.id
-	if base.requestID != "" {
+	if id := j.req.base().requestID; id != "" {
 		// The request id that created the job, so one client exchange can be
 		// chased through access logs, traces and provenance on every node it
 		// touched.
-		m.Inputs["request_id"] = base.requestID
+		m.Inputs["request_id"] = id
 	}
-	switch v := j.req.(type) {
-	case *subtreeRequest:
-		m.Inputs["kind"] = kindSubtree
-		m.Inputs["first_part"] = v.wire.FirstPart
-		m.Inputs["subtree_seed"] = v.wire.Seed
-	case *RepartitionRequest:
-		m.Inputs["kind"] = kindRepartition
-	default:
-		m.Inputs["kind"] = kindPartition
-	}
-	if base.Uploaded != nil {
-		m.Inputs["mesh_digest"] = hex.EncodeToString(base.meshDigest[:])
-	} else {
-		m.Inputs["mesh"] = base.MeshName
-		m.Inputs["scale"] = base.Scale
-	}
-	m.Inputs["k"] = base.K
-	m.Inputs["strategy"] = base.Strategy
-	m.Inputs["method"] = base.Options.Method
-	m.Inputs["seed"] = base.Options.Seed
+	m.Inputs["kind"] = j.req.kind()
+	j.req.describe(m.Inputs)
 	m.Metrics["elapsed_seconds"] = j.elapsed.Seconds()
 	m.Finish(j.rec)
 	return m
 }
 
-// meshManifest is the provenance context of a persisted mesh upload.
-func (s *Server) meshManifest(base *PartitionRequest) *obs.Manifest {
-	m := obs.NewManifest("tempartd")
-	m.Node = s.cfg.NodeID
-	m.Inputs["kind"] = "mesh-upload"
-	m.Inputs["cells"] = base.Uploaded.NumCells()
-	m.Finish(nil)
-	return m
-}
-
-// decodeReplayRequest rebuilds a journaled request: unmarshal by kind,
-// re-attach the uploaded mesh from the store, and re-validate so the
-// unexported canonical fields (strategy, mode) are recomputed.
-func decodeReplayRequest(r store.JobReplay, st *store.Store) (jobRequest, error) {
-	switch r.Kind {
-	case kindRepartition:
-		var req RepartitionRequest
-		if err := json.Unmarshal(r.Req, &req); err != nil {
-			return nil, fmt.Errorf("replaying %s request: %w", r.ID, err)
+// replayRequest rebuilds a journaled request through the codec's JSON path,
+// re-attaching an upload's mesh from its stored blob before validating.
+func (s *Server) replayRequest(r store.JobReplay) (jobRequest, error) {
+	req, err := parseRequest(r.Kind, "application/json", nil, r.Req)
+	if err == nil && r.MeshDigest != "" {
+		raw, ok := s.store.Get(store.NSMesh, r.MeshDigest)
+		if !ok {
+			return nil, fmt.Errorf("mesh blob %s missing from store", r.MeshDigest)
 		}
-		if err := attachReplayMesh(&req.PartitionRequest, r.MeshDigest, st); err != nil {
-			return nil, err
-		}
-		if err := req.PartitionRequest.validate(); err != nil {
-			return nil, err
-		}
-		if err := req.validateRepart(); err != nil {
-			return nil, err
-		}
-		return &req, nil
-	case kindPartition:
-		var req PartitionRequest
-		if err := json.Unmarshal(r.Req, &req); err != nil {
-			return nil, fmt.Errorf("replaying %s request: %w", r.ID, err)
-		}
-		if err := attachReplayMesh(&req, r.MeshDigest, st); err != nil {
-			return nil, err
-		}
-		if err := req.validate(); err != nil {
-			return nil, err
-		}
-		return &req, nil
+		req.base().meshRef, err = uploadedMesh(raw)
 	}
-	return nil, fmt.Errorf("job %s has unknown kind %q", r.ID, r.Kind)
-}
-
-// attachReplayMesh re-materialises an uploaded mesh from its NSMesh blob.
-func attachReplayMesh(base *PartitionRequest, digest string, st *store.Store) error {
-	if digest == "" {
-		return nil
+	if err == nil {
+		err = req.validate()
 	}
-	raw, ok := st.Get(store.NSMesh, digest)
-	if !ok {
-		return fmt.Errorf("mesh blob %s missing from store", digest)
-	}
-	m, err := mesh.Decode(bytes.NewReader(raw))
 	if err != nil {
-		return fmt.Errorf("stored mesh %s: %w", digest, err)
+		return nil, err
 	}
-	base.Uploaded = m
-	base.meshRaw = raw
-	base.meshDigest = sha256.Sum256(raw)
-	return nil
+	return req, nil
 }
 
 // recoverJobs folds the store's job journal at startup: terminal jobs are
@@ -266,7 +152,7 @@ func (s *Server) recoverJobs() {
 		if n := trailingSeq(r.ID); n > maxSeq {
 			maxSeq = n
 		}
-		req, err := decodeReplayRequest(r, s.store)
+		req, err := s.replayRequest(r)
 		if err != nil {
 			// The journal outlived whatever it referenced (evicted blob,
 			// incompatible request schema). Surface the job as failed rather
@@ -308,19 +194,10 @@ func (s *Server) registerReplayed(r store.JobReplay, req jobRequest, st jobState
 	if req == nil {
 		req = &PartitionRequest{}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	j := &job{
-		id:      r.ID,
-		key:     req.key(),
-		req:     req,
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		created: replayCreated(r),
-		payload: payload,
-		errMsg:  errMsg,
-	}
+	j := s.newJob(r.ID, req.key(), req, replayCreated(r))
+	j.cancel()
+	j.payload = payload
+	j.errMsg = errMsg
 	switch st {
 	case jobDone:
 		j.status = http.StatusOK
@@ -341,30 +218,14 @@ func (s *Server) registerReplayed(r store.JobReplay, req jobRequest, st jobState
 // itself holds the job's reference: nobody releases it, so the job runs to a
 // terminal state (and journals it) even with no client polling.
 func (s *Server) requeueJob(r store.JobReplay, req jobRequest) {
-	timeout := s.cfg.DefaultTimeout
-	if req.base().TimeoutMS > 0 {
-		if d := time.Duration(req.base().TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	j := &job{
-		id:      r.ID,
-		key:     req.key(),
-		req:     req,
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		refs:    1,
-		created: replayCreated(r),
-	}
+	j := s.newJob(r.ID, req.key(), req, replayCreated(r))
 	j.journaled.Store(true)
 	s.mu.Lock()
 	select {
 	case s.queue <- j:
 	default:
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		s.registerReplayed(r, req, jobFailed, nil, "re-queue after restart: admission queue full")
 		s.journalState(j, store.JobFailed, "re-queue after restart: admission queue full")
 		return

@@ -1,13 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"context"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 
 	"tempart/internal/eval"
 	"tempart/internal/flusim"
@@ -80,7 +78,7 @@ func (e *EvalSpec) validate() error {
 	if e.Workers < 0 || e.Workers > maxEvalWorkers {
 		return badRequest("evaluate.workers = %d out of range [0, %d]", e.Workers, maxEvalWorkers)
 	}
-	sched, err := flusim.ParseStrategy(orDefault(e.Scheduler, "eager"))
+	sched, err := flusim.ParseStrategy(cmp.Or(e.Scheduler, "eager"))
 	if err != nil {
 		return badRequest("evaluate.scheduler: %v", err)
 	}
@@ -105,69 +103,21 @@ func (e *EvalSpec) hashInto(h io.Writer) {
 		e.Procs, e.Workers, e.Scheduler, e.CommLatency, e.Seed, e.Iterations)
 }
 
-// evalFromQuery builds an EvalSpec from eval_* query parameters, or nil when
-// none are present (evaluation is opt-in).
-func evalFromQuery(q url.Values) (*EvalSpec, error) {
-	present := false
-	for _, name := range []string{"eval_procs", "eval_workers", "eval_scheduler",
-		"eval_comm_latency", "eval_seed", "eval_iterations"} {
-		if q.Get(name) != "" {
-			present = true
-			break
-		}
-	}
-	if !present {
-		return nil, nil
-	}
-	e := &EvalSpec{Scheduler: q.Get("eval_scheduler")}
-	geti := func(name string, dst *int) error {
-		if s := q.Get(name); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return badRequest("query %s: %v", name, err)
-			}
-			*dst = v
-		}
+// evalSpec reads an evaluate spec from the eval_* query parameters of an
+// upload, or nil when none is present (evaluation is opt-in).
+func (q *query) evalSpec() *EvalSpec {
+	e := &EvalSpec{}
+	found := q.found
+	q.read("eval_procs", &e.Procs)
+	q.read("eval_workers", &e.Workers)
+	q.read("eval_scheduler", &e.Scheduler)
+	q.read("eval_comm_latency", &e.CommLatency)
+	q.read("eval_seed", &e.Seed)
+	q.read("eval_iterations", &e.Iterations)
+	if q.found == found {
 		return nil
 	}
-	get64 := func(name string, dst *int64) error {
-		if s := q.Get(name); s != "" {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return badRequest("query %s: %v", name, err)
-			}
-			*dst = v
-		}
-		return nil
-	}
-	if err := geti("eval_procs", &e.Procs); err != nil {
-		return nil, err
-	}
-	if err := geti("eval_workers", &e.Workers); err != nil {
-		return nil, err
-	}
-	if err := geti("eval_iterations", &e.Iterations); err != nil {
-		return nil, err
-	}
-	if err := get64("eval_comm_latency", &e.CommLatency); err != nil {
-		return nil, err
-	}
-	if err := get64("eval_seed", &e.Seed); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// evalMeshID is the stable mesh identity used to key the daemon's graph
-// cache: uploads are addressed by their content digest, generators by
-// name+scale. Stable IDs are what let a repartition request reuse the graph
-// its parent's partition built, even though the mesh is re-materialised into
-// a fresh allocation per job.
-func (r *PartitionRequest) evalMeshID() string {
-	if r.Uploaded != nil {
-		return "tmsh:" + hex.EncodeToString(r.meshDigest[:])
-	}
-	return fmt.Sprintf("gen:%s:%g", r.MeshName, r.Scale)
+	return e
 }
 
 // runEval scores an assignment on the simulated cluster through the server's
@@ -190,8 +140,7 @@ func (s *Server) runEval(ctx context.Context, spec *EvalSpec, m *mesh.Mesh, mesh
 		},
 	})
 	if err != nil {
-		return nil, &requestError{code: http.StatusInternalServerError,
-			msg: fmt.Sprintf("evaluating partition: %v", err)}
+		return nil, errorf(http.StatusInternalServerError, "evaluating partition: %v", err)
 	}
 	s.metrics.evalRuns.Inc()
 	if out.GraphCached {

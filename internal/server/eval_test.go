@@ -69,7 +69,7 @@ func TestPartitionEvaluate(t *testing.T) {
 // request's content address: with/without a spec, and distinct specs, are
 // distinct cache entries, while an equivalent spelling shares one.
 func TestEvaluateCacheKeyDistinct(t *testing.T) {
-	base := PartitionRequest{MeshName: "CYLINDER", Scale: 0.002, K: 4, Strategy: "MC_TL"}
+	base := PartitionRequest{meshRef: meshRef{Name: "CYLINDER", Scale: 0.002}, K: 4, Strategy: "MC_TL"}
 	if err := base.validate(); err != nil {
 		t.Fatal(err)
 	}

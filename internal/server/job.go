@@ -44,15 +44,33 @@ func (s jobState) String() string {
 	return fmt.Sprintf("jobState(%d)", int32(s))
 }
 
-// jobRequest is the unit of work the worker pool executes. Both plain
-// partitions and warm-started repartitions implement it; the job machinery
-// (admission, singleflight, cancellation, caching) is shared.
+// Job kinds: the three requests the worker pool executes. A kind names its
+// endpoint's codec, its journal records and its flight-recorder entries.
+const (
+	kindPartition   = "partition"
+	kindRepartition = "repartition"
+	// kindSubtree is a cluster subtree RPC. A coordinator retries those
+	// itself, so they arrive synchronously and are never journaled.
+	kindSubtree = "subtree"
+)
+
+// jobRequest is the unit of work the worker pool executes: a plain
+// partition, a warm-started repartition or a cluster subtree task. The job
+// machinery (codec, admission, singleflight, cancellation, caching,
+// journal) is shared; these methods are the kind-specific parts.
 type jobRequest interface {
+	kind() string
+	// fromQuery reads the query parameters of an octet-stream upload.
+	fromQuery(q *query)
+	// validate applies limits and canonicalizes the decoded request.
+	validate() error
 	// key is the content address for the result cache and singleflight map.
 	key() cacheKey
 	// base exposes the common request fields (mesh identity, k, strategy,
 	// options, timeout) for job views and the exec gate.
 	base() *PartitionRequest
+	// describe records the request's inputs in a run manifest.
+	describe(inputs map[string]any)
 	// execute runs the work under ctx and returns the cacheable response
 	// payload and how long the computational core took.
 	execute(ctx context.Context, s *Server) (payload []byte, elapsed time.Duration, err *requestError)
@@ -80,11 +98,10 @@ type job struct {
 	created time.Time
 
 	// Written by the worker before close(done); read only after <-done.
-	payload   []byte
-	status    int
-	errMsg    string
-	elapsed   time.Duration
-	fromCache bool
+	payload []byte
+	status  int
+	errMsg  string
+	elapsed time.Duration
 
 	// rec is the per-request span recorder of a ?debug=trace job; nil
 	// otherwise (the pipeline's instrumentation then costs nothing). Traced
@@ -108,8 +125,7 @@ func (j *job) getState() jobState  { return jobState(j.state.Load()) }
 var errQueueFull = errors.New("admission queue full")
 var errDraining = errors.New("server is draining")
 
-func (s *Server) acquireJob(req jobRequest) (*job, error) {
-	key := req.key()
+func (s *Server) acquireJob(req jobRequest, key cacheKey) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -122,23 +138,7 @@ func (s *Server) acquireJob(req jobRequest) (*job, error) {
 			return j, nil
 		}
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.base().TimeoutMS > 0 {
-		if d := time.Duration(req.base().TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	j := &job{
-		id:      fmt.Sprintf("%x-%d", key[:6], s.seq.Add(1)),
-		key:     key,
-		req:     req,
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		refs:    1,
-		created: time.Now(),
-	}
+	j := s.newJob(fmt.Sprintf("%x-%d", key[:6], s.seq.Add(1)), key, req, time.Now())
 	if private {
 		j.rec = obs.NewRecorder()
 		j.noCache = true
@@ -151,7 +151,7 @@ func (s *Server) acquireJob(req jobRequest) (*job, error) {
 	select {
 	case s.queue <- j:
 	default:
-		cancel()
+		j.cancel()
 		return nil, errQueueFull
 	}
 	if !private {
@@ -159,6 +159,13 @@ func (s *Server) acquireJob(req jobRequest) (*job, error) {
 	}
 	s.rememberJob(j)
 	return j, nil
+}
+
+// newJob builds a job holding one reference, under its request's deadline.
+func (s *Server) newJob(id string, key cacheKey, req jobRequest, created time.Time) *job {
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.jobTimeout(req.base().TimeoutMS))
+	return &job{id: id, key: key, req: req, ctx: ctx, cancel: cancel,
+		done: make(chan struct{}), refs: 1, created: created}
 }
 
 // releaseJob drops one reference. When the last reference goes away before
@@ -220,24 +227,17 @@ func (s *Server) runJob(j *job) {
 	}
 
 	fail := func(code int, msg string) {
-		if errors.Is(j.ctx.Err(), context.Canceled) {
-			j.setState(jobCancelled)
-			j.status = statusClientClosedRequest
-			j.errMsg = "cancelled"
+		state, record := jobFailed, store.JobFailed
+		if err := j.ctx.Err(); err != nil {
+			state, record, code, msg = jobCancelled, store.JobCancelled, statusClientClosedRequest, "cancelled"
+			if errors.Is(err, context.DeadlineExceeded) {
+				code, msg = http.StatusGatewayTimeout, "deadline exceeded"
+			}
 			s.metrics.jobsCancelled.Inc()
-			s.journalState(j, store.JobCancelled, j.errMsg)
-		} else if errors.Is(j.ctx.Err(), context.DeadlineExceeded) {
-			j.setState(jobCancelled)
-			j.status = http.StatusGatewayTimeout
-			j.errMsg = "deadline exceeded"
-			s.metrics.jobsCancelled.Inc()
-			s.journalState(j, store.JobCancelled, j.errMsg)
-		} else {
-			j.setState(jobFailed)
-			j.status = code
-			j.errMsg = msg
-			s.journalState(j, store.JobFailed, msg)
 		}
+		j.setState(state)
+		j.status, j.errMsg = code, msg
+		s.journalState(j, record, msg)
 		finish()
 	}
 
@@ -294,17 +294,10 @@ func (s *Server) recordFlight(j *job) {
 		return
 	}
 	base := j.req.base()
-	kind := kindPartition
-	switch j.req.(type) {
-	case *subtreeRequest:
-		kind = kindSubtree
-	case *RepartitionRequest:
-		kind = kindRepartition
-	}
 	s.flight.Record(obs.FlightEntry{
 		RequestID: base.requestID,
 		TraceID:   base.trace.ID,
-		Kind:      kind,
+		Kind:      j.req.kind(),
 		Start:     j.created,
 		Duration:  time.Since(j.created),
 		Spans:     j.rec.Snapshot(),
@@ -315,34 +308,43 @@ func (s *Server) recordFlight(j *job) {
 // base implements jobRequest.
 func (r *PartitionRequest) base() *PartitionRequest { return r }
 
+// describe implements jobRequest.
+func (r *PartitionRequest) describe(in map[string]any) {
+	if r.uploaded != nil {
+		in["mesh_digest"] = r.digestHex()
+	} else {
+		in["mesh"] = r.Name
+		in["scale"] = r.Scale
+	}
+	in["k"] = r.K
+	in["strategy"] = r.Strategy
+	in["method"] = r.Options.Method
+	in["seed"] = r.Options.Seed
+}
+
 // resolveMesh materialises the request's mesh (upload or generator) and
 // checks k against the cell count.
 func (r *PartitionRequest) resolveMesh() (*mesh.Mesh, *requestError) {
-	m := r.Uploaded
+	m := r.uploaded
 	if m == nil {
 		var err error
-		m, err = mesh.ByName(r.MeshName, r.Scale)
-		if err != nil {
-			return nil, &requestError{code: http.StatusBadRequest, msg: err.Error()}
+		if m, err = mesh.ByName(r.Name, r.Scale); err != nil {
+			return nil, badRequest("%v", err)
 		}
 	}
 	if r.K > m.NumCells() {
-		return nil, &requestError{code: http.StatusBadRequest,
-			msg: fmt.Sprintf("k = %d exceeds the mesh's %d cells", r.K, m.NumCells())}
+		return nil, badRequest("k = %d exceeds the mesh's %d cells", r.K, m.NumCells())
 	}
 	return m, nil
 }
 
-// execute implements jobRequest: the full partition pipeline. The encoded
-// result is also stored in the server's partition store under its content
-// hash so later repartition requests can warm-start from it by hash alone.
+// execute implements jobRequest: the full partition pipeline.
 func (r *PartitionRequest) execute(ctx context.Context, s *Server) ([]byte, time.Duration, *requestError) {
 	m, rerr := r.resolveMesh()
 	if rerr != nil {
 		return nil, 0, rerr
 	}
-	opt := r.partitionOptions()
-	opt.Parallelism = s.cfg.clampParallelism(opt.Parallelism)
+	opt := s.partitionOptions(r.Options)
 	start := time.Now()
 	var result *partition.Result
 	var quality pmetrics.PartitionQuality
@@ -356,7 +358,7 @@ func (r *PartitionRequest) execute(ctx context.Context, s *Server) ([]byte, time
 	} else {
 		d, err := core.Decompose(ctx, m, r.K, r.strat, opt)
 		if err != nil {
-			return nil, 0, &requestError{code: http.StatusInternalServerError, msg: err.Error()}
+			return nil, 0, errorf(http.StatusInternalServerError, "%v", err)
 		}
 		result = d.Result
 		quality = d.Quality
@@ -364,45 +366,64 @@ func (r *PartitionRequest) execute(ctx context.Context, s *Server) ([]byte, time
 	elapsed := time.Since(start)
 	s.metrics.partRuns.Inc(r.Strategy)
 	s.metrics.partTimes.Observe(elapsed.Seconds(), r.Strategy)
+	return r.respond(ctx, s, m, result, elapsed, func(t resultTail) any {
+		return &PartitionResponse{
+			Mesh:         t.mesh,
+			K:            r.K,
+			Strategy:     r.Strategy,
+			Method:       r.Options.Method,
+			Seed:         r.Options.Seed,
+			EdgeCut:      result.EdgeCut,
+			MaxImbalance: result.MaxImbalance(),
+			Quality:      quality,
+			PartHash:     t.partHash,
+			Part:         result.Part,
+			Eval:         t.eval,
+			Debug:        t.debug,
+		}
+	})
+}
 
-	partHash, rerr := s.storePartition(ctx, result)
-	if rerr != nil {
+// resultTail is what partition and repartition responses share around the
+// assignment itself.
+type resultTail struct {
+	mesh     MeshInfo
+	partHash string
+	eval     *EvalResult
+	debug    *DebugInfo
+}
+
+// respond is the shared tail of the partition and repartition jobs: store
+// the assignment in the partition store under its content hash (so a later
+// repartition can warm-start from it by hash alone), score it when the
+// request carries an evaluate spec, and marshal the response body built
+// around them.
+func (r *PartitionRequest) respond(ctx context.Context, s *Server, m *mesh.Mesh, res *partition.Result,
+	elapsed time.Duration, body func(resultTail) any) ([]byte, time.Duration, *requestError) {
+	t := resultTail{mesh: MeshInfo{Name: m.Name, Cells: m.NumCells(), MaxLevel: int(m.MaxLevel)}}
+	var rerr *requestError
+	if t.partHash, rerr = s.storePartition(ctx, res); rerr != nil {
 		return nil, 0, rerr
 	}
-	var evalRes *EvalResult
 	if r.Evaluate != nil {
-		evalRes, rerr = s.runEval(ctx, r.Evaluate, m, r.evalMeshID(), result.Part, r.K)
-		if rerr != nil {
+		if t.eval, rerr = s.runEval(ctx, r.Evaluate, m, r.id(), res.Part, r.K); rerr != nil {
 			return nil, 0, rerr
 		}
 	}
 	// The debug block is gated on the explicit ?debug=trace flag, NOT on the
 	// recorder: head-sampled jobs run with a recorder too, and their payload
 	// must stay byte-identical to (and cacheable as) the untraced result.
-	var dbg *DebugInfo
 	if r.debugTrace {
-		dbg = debugInfo(obs.FromContext(ctx))
+		t.debug = debugInfo(obs.FromContext(ctx))
 	}
-	payload, err := json.Marshal(&PartitionResponse{
-		Mesh: MeshInfo{
-			Name:     m.Name,
-			Cells:    m.NumCells(),
-			MaxLevel: int(m.MaxLevel),
-		},
-		K:            r.K,
-		Strategy:     r.Strategy,
-		Method:       r.Options.Method,
-		Seed:         r.Options.Seed,
-		EdgeCut:      result.EdgeCut,
-		MaxImbalance: result.MaxImbalance(),
-		Quality:      quality,
-		PartHash:     partHash,
-		Part:         result.Part,
-		Eval:         evalRes,
-		Debug:        dbg,
-	})
+	return marshalPayload(body(t), elapsed)
+}
+
+// marshalPayload encodes a job's response body.
+func marshalPayload(body any, elapsed time.Duration) ([]byte, time.Duration, *requestError) {
+	payload, err := json.Marshal(body)
 	if err != nil {
-		return nil, 0, &requestError{code: http.StatusInternalServerError, msg: err.Error()}
+		return nil, 0, errorf(http.StatusInternalServerError, "%v", err)
 	}
 	return payload, elapsed, nil
 }

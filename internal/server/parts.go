@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"net/http"
 
 	"tempart/internal/obs"
@@ -28,8 +27,7 @@ import (
 func (s *Server) storePartition(ctx context.Context, res *partition.Result) (string, *requestError) {
 	var buf bytes.Buffer
 	if err := res.Encode(&buf); err != nil {
-		return "", &requestError{code: http.StatusInternalServerError,
-			msg: fmt.Sprintf("encoding partition result: %v", err)}
+		return "", errorf(http.StatusInternalServerError, "encoding partition result: %v", err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	s.parts.put(cacheKey(sum), buf.Bytes())
@@ -52,29 +50,18 @@ func (s *Server) storePartition(ctx context.Context, res *partition.Result) (str
 func (s *Server) loadPartition(hash string) (*partition.Result, *requestError) {
 	raw, err := hex.DecodeString(hash)
 	if err != nil || len(raw) != 32 {
-		return nil, &requestError{code: http.StatusBadRequest,
-			msg: fmt.Sprintf("parent_hash %q is not a 64-character hex SHA-256", hash)}
+		return nil, badRequest("parent_hash %q is not a 64-character hex SHA-256", hash)
 	}
-	var key cacheKey
-	copy(key[:], raw)
-	payload, ok := s.parts.get(key)
-	if !ok && s.store != nil {
-		// hex.EncodeToString canonicalizes to lowercase, matching store keys.
-		if data, sok := s.store.Get(store.NSPart, hex.EncodeToString(raw)); sok {
-			payload, ok = data, true
-			s.parts.put(key, data)
-		}
-	}
-	if !ok {
+	payload, _ := s.readThrough(s.parts, store.NSPart, cacheKey(raw))
+	if payload == nil {
 		s.metrics.parentMisses.Inc()
-		return nil, &requestError{code: http.StatusNotFound,
-			msg: fmt.Sprintf("no stored partition with hash %s (expired or never computed here); re-partition or supply the assignment inline via \"parent\"", hash)}
+		return nil, errorf(http.StatusNotFound, "no stored partition with hash %s (expired or never computed here); "+
+			"re-partition or supply the assignment inline via \"parent\"", hash)
 	}
 	s.metrics.parentHits.Inc()
 	res, derr := partition.DecodeResult(bytes.NewReader(payload))
 	if derr != nil {
-		return nil, &requestError{code: http.StatusInternalServerError,
-			msg: fmt.Sprintf("stored partition %s is corrupt: %v", hash, derr)}
+		return nil, errorf(http.StatusInternalServerError, "stored partition %s is corrupt: %v", hash, derr)
 	}
 	return res, nil
 }

@@ -1,22 +1,16 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"mime"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 
-	"tempart/internal/mesh"
 	pmetrics "tempart/internal/metrics"
-	"tempart/internal/obs"
 	"tempart/internal/partition"
 	"tempart/internal/repart"
 )
@@ -67,58 +61,23 @@ type RepartitionResponse struct {
 	Debug *DebugInfo `json:"debug,omitempty"`
 }
 
-// decodeRepartitionRequest parses a POST /v1/repartition body. The same two
-// content types as /v1/partition are accepted; octet-stream uploads take the
-// repartition fields as query parameters (parent_hash, mode,
-// migration_penalty) alongside the partition ones.
-func decodeRepartitionRequest(contentType string, query url.Values, body io.Reader, maxBody int64) (*RepartitionRequest, error) {
-	mt := contentType
-	if parsed, _, err := mime.ParseMediaType(contentType); err == nil {
-		mt = parsed
-	}
-	var req RepartitionRequest
-	switch {
-	case mt == "application/octet-stream" || mt == "application/x-tmsh":
-		base, err := decodePartitionRequest(contentType, query, body, maxBody)
-		if err != nil {
-			return nil, err
-		}
-		req.PartitionRequest = *base
-		req.ParentHash = query.Get("parent_hash")
-		req.Mode = query.Get("mode")
-		if s := query.Get("migration_penalty"); s != "" {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, badRequest("query migration_penalty: %v", err)
-			}
-			req.MigrationPenalty = v
-		}
-	case mt == "application/json" || mt == "application/x-www-form-urlencoded" || mt == "":
-		limited := &io.LimitedReader{R: body, N: maxBody + 1}
-		dec := json.NewDecoder(limited)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return nil, badRequest("invalid request JSON: %v", err)
-		}
-		if dec.More() {
-			return nil, badRequest("trailing data after request JSON")
-		}
-		if err := req.PartitionRequest.validate(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, &requestError{code: http.StatusUnsupportedMediaType,
-			msg: fmt.Sprintf("unsupported content type %q (want application/json or application/octet-stream)", contentType)}
-	}
-	if err := req.validateRepart(); err != nil {
-		return nil, err
-	}
-	return &req, nil
+// fromQuery implements jobRequest: an upload's repartition fields ride in the
+// query next to the partition ones.
+func (r *RepartitionRequest) fromQuery(q *query) {
+	r.PartitionRequest.fromQuery(q)
+	q.read("parent_hash", &r.ParentHash)
+	q.read("mode", &r.Mode)
+	q.read("migration_penalty", &r.MigrationPenalty)
 }
 
-// validateRepart checks the repartition-specific fields (the embedded
-// partition fields are validated by PartitionRequest.validate).
-func (r *RepartitionRequest) validateRepart() error {
+func (r *RepartitionRequest) kind() string { return kindRepartition }
+
+// validate implements jobRequest: the partition fields, then the warm-start
+// ones.
+func (r *RepartitionRequest) validate() error {
+	if err := r.PartitionRequest.validate(); err != nil {
+		return err
+	}
 	switch r.strat {
 	case partition.SCOC, partition.MCTL, partition.UnitCells:
 	default:
@@ -132,7 +91,7 @@ func (r *RepartitionRequest) validateRepart() error {
 			return badRequest("parent[%d] = %d outside [0, %d)", i, p, r.K)
 		}
 	}
-	mode, err := repart.ParseMode(orDefault(r.Mode, "auto"))
+	mode, err := repart.ParseMode(cmp.Or(r.Mode, "auto"))
 	if err != nil {
 		return badRequest("%v", err)
 	}
@@ -142,13 +101,6 @@ func (r *RepartitionRequest) validateRepart() error {
 		return badRequest("migration_penalty = %v out of range [-1, %g]", r.MigrationPenalty, maxMigrationPenalty)
 	}
 	return nil
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }
 
 // key extends the partition content address with the repartition inputs; the
@@ -175,22 +127,9 @@ func (r *RepartitionRequest) key() cacheKey {
 	return key
 }
 
-// repartConstraints maps the validated strategy to the dual-graph constraint
-// kind (graph-based strategies only — enforced by validateRepart).
-func (r *RepartitionRequest) repartConstraints() mesh.ConstraintKind {
-	switch r.strat {
-	case partition.MCTL:
-		return mesh.PerLevel
-	case partition.UnitCells:
-		return mesh.Unit
-	default:
-		return mesh.SingleCost
-	}
-}
-
 // execute implements jobRequest: resolve the mesh and parent assignment,
-// repartition incrementally, store the new result under its content hash,
-// and report the migration alongside the usual quality axes.
+// repartition incrementally, and report the migration alongside the usual
+// quality axes.
 func (r *RepartitionRequest) execute(ctx context.Context, s *Server) ([]byte, time.Duration, *requestError) {
 	m, rerr := r.resolveMesh()
 	if rerr != nil {
@@ -204,77 +143,52 @@ func (r *RepartitionRequest) execute(ctx context.Context, s *Server) ([]byte, ti
 			return nil, 0, rerr
 		}
 		if parent.NumParts != r.K {
-			return nil, 0, &requestError{code: http.StatusBadRequest,
-				msg: fmt.Sprintf("parent partition has k = %d, request wants %d", parent.NumParts, r.K)}
+			return nil, 0, badRequest("parent partition has k = %d, request wants %d", parent.NumParts, r.K)
 		}
 		parentPart = parent.Part
 	} else {
 		parentPart = r.Parent
 	}
 	if len(parentPart) != m.NumCells() {
-		return nil, 0, &requestError{code: http.StatusBadRequest,
-			msg: fmt.Sprintf("parent assignment covers %d cells, mesh has %d", len(parentPart), m.NumCells())}
+		return nil, 0, badRequest("parent assignment covers %d cells, mesh has %d", len(parentPart), m.NumCells())
 	}
 
-	g := m.DualGraph(mesh.DualGraphOptions{Constraints: r.repartConstraints()})
+	g, err := partition.StrategyGraph(m, r.strat)
+	if err != nil {
+		return nil, 0, badRequest("%v", err)
+	}
 	old := partition.NewResult(g, parentPart, r.K)
-	popt := r.partitionOptions()
-	popt.Parallelism = s.cfg.clampParallelism(popt.Parallelism)
 	start := time.Now()
 	res, err := repart.Repartition(ctx, g, old, repart.Options{
 		Mode:             r.mode,
-		Part:             popt,
+		Part:             s.partitionOptions(r.Options),
 		MigrationPenalty: r.MigrationPenalty,
 		MigBytes:         repart.MeshMigrationBytes(m),
 	})
 	elapsed := time.Since(start)
 	if err != nil {
-		return nil, 0, &requestError{code: http.StatusInternalServerError, msg: err.Error()}
+		return nil, 0, errorf(http.StatusInternalServerError, "%v", err)
 	}
 	mode := res.Mode.String()
 	s.metrics.repartRuns.Inc(mode)
 	s.metrics.repartTimes.Observe(elapsed.Seconds(), mode)
 	s.metrics.migrationBytes.Observe(float64(res.Stats.MovedBytes))
-
-	partHash, rerr := s.storePartition(ctx, res.Result)
-	if rerr != nil {
-		return nil, 0, rerr
-	}
-	var evalRes *EvalResult
-	if r.Evaluate != nil {
-		evalRes, rerr = s.runEval(ctx, r.Evaluate, m, r.evalMeshID(), res.Part, r.K)
-		if rerr != nil {
-			return nil, 0, rerr
+	return r.respond(ctx, s, m, res.Result, elapsed, func(t resultTail) any {
+		return &RepartitionResponse{
+			Mesh:         t.mesh,
+			K:            r.K,
+			Strategy:     r.Strategy,
+			Mode:         mode,
+			Seed:         r.Options.Seed,
+			EdgeCut:      res.EdgeCut,
+			MaxImbalance: res.MaxImbalance(),
+			Quality:      pmetrics.EvaluatePartition(m, res.Result, r.Strategy),
+			Migration:    res.Stats,
+			ParentHash:   r.ParentHash,
+			PartHash:     t.partHash,
+			Part:         res.Part,
+			Eval:         t.eval,
+			Debug:        t.debug,
 		}
-	}
-	// Gated on the explicit flag, not the recorder: sampled repartitions keep
-	// the canonical cacheable payload (see PartitionRequest.execute).
-	var dbg *DebugInfo
-	if r.debugTrace {
-		dbg = debugInfo(obs.FromContext(ctx))
-	}
-	payload, err := json.Marshal(&RepartitionResponse{
-		Mesh: MeshInfo{
-			Name:     m.Name,
-			Cells:    m.NumCells(),
-			MaxLevel: int(m.MaxLevel),
-		},
-		K:            r.K,
-		Strategy:     r.Strategy,
-		Mode:         res.Mode.String(),
-		Seed:         r.Options.Seed,
-		EdgeCut:      res.EdgeCut,
-		MaxImbalance: res.MaxImbalance(),
-		Quality:      pmetrics.EvaluatePartition(m, res.Result, r.Strategy),
-		Migration:    res.Stats,
-		ParentHash:   r.ParentHash,
-		PartHash:     partHash,
-		Part:         res.Part,
-		Eval:         evalRes,
-		Debug:        dbg,
 	})
-	if err != nil {
-		return nil, 0, &requestError{code: http.StatusInternalServerError, msg: err.Error()}
-	}
-	return payload, elapsed, nil
 }

@@ -27,7 +27,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -153,6 +152,16 @@ func (c Config) clampParallelism(requested int) int {
 	return requested
 }
 
+// jobTimeout is a job's deadline: the request's timeout_ms when set and
+// shorter than DefaultTimeout, DefaultTimeout otherwise. The comparison runs
+// in milliseconds, so no timeout_ms can overflow into an expired deadline.
+func (c Config) jobTimeout(ms int64) time.Duration {
+	if ms > 0 && ms < c.DefaultTimeout.Milliseconds() {
+		return time.Duration(ms) * time.Millisecond
+	}
+	return c.DefaultTimeout
+}
+
 // Server is the daemon state. Create with New, serve with Handler, stop
 // with Shutdown.
 type Server struct {
@@ -224,8 +233,8 @@ func New(cfg Config) *Server {
 // via the Go 1.22 pattern router.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/partition", s.instrument("/v1/partition", s.handlePartition))
-	mux.HandleFunc("POST /v1/repartition", s.instrument("/v1/repartition", s.handleRepartition))
+	mux.HandleFunc("POST /v1/partition", s.instrument("/v1/partition", s.handleJob(kindPartition)))
+	mux.HandleFunc("POST /v1/repartition", s.instrument("/v1/repartition", s.handleJob(kindRepartition)))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJobGet))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJobCancel))
 	mux.HandleFunc("GET /v1/meshes", s.instrument("/v1/meshes", s.handleMeshes))
@@ -236,7 +245,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.cluster != nil {
-		mux.HandleFunc("POST /v1/internal/subtree", s.instrument("/v1/internal/subtree", s.handleSubtree))
+		mux.HandleFunc("POST /v1/internal/subtree", s.instrument("/v1/internal/subtree", s.handleJob(kindSubtree)))
 		mux.HandleFunc("GET /v1/internal/cache/{key}", s.instrument("/v1/internal/cache", s.handleCacheProbe))
 		mux.HandleFunc("GET /v1/cluster/status", s.instrument("/v1/cluster/status", s.handleClusterStatus))
 	}
@@ -347,43 +356,31 @@ func (s *Server) retryAfterSeconds() int {
 	return 1 + s.cfg.QueueDepth/(2*s.cfg.Workers)
 }
 
-// readRequestBody buffers a request body (up to one byte over the cap, so
-// the decoders' own limit checks still fire with their usual messages). The
-// raw bytes are what a cluster member replays verbatim when it forwards the
-// request to its owner shard.
-func readRequestBody(body io.Reader, maxBody int64) ([]byte, error) {
-	raw, err := io.ReadAll(&io.LimitedReader{R: body, N: maxBody + 1})
-	if err != nil {
-		return nil, badRequest("reading request body: %v", err)
+// handleJob serves every job endpoint the same way: read the body (the raw
+// bytes are what a cluster member forwards verbatim to the owner shard),
+// decode it as a request of the given kind, and run it through serveJob.
+// Repartitions and subtree tasks thereby share the partition endpoint's
+// whole flow: caching, admission, singleflight, backpressure, cancellation.
+func (s *Server) handleJob(kind string) func(http.ResponseWriter, *http.Request) int {
+	return func(w http.ResponseWriter, r *http.Request) int {
+		raw, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+		var req jobRequest
+		switch {
+		case err != nil:
+			err = badRequest("reading request body: %v", err)
+		case int64(len(raw)) > s.cfg.MaxBodyBytes:
+			err = badRequest("request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+		default:
+			req, err = decodeRequest(kind, r.Header.Get("Content-Type"), r.URL.Query(), raw)
+		}
+		if err != nil {
+			return writeDecodeError(w, err)
+		}
+		if kind == kindSubtree {
+			s.cluster.CountSubtreeServed()
+		}
+		return s.serveJob(w, r, req, raw)
 	}
-	return raw, nil
-}
-
-func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) int {
-	raw, err := readRequestBody(r.Body, s.cfg.MaxBodyBytes)
-	if err != nil {
-		return writeDecodeError(w, err)
-	}
-	req, err := decodePartitionRequest(r.Header.Get("Content-Type"), r.URL.Query(), bytes.NewReader(raw), s.cfg.MaxBodyBytes)
-	if err != nil {
-		return writeDecodeError(w, err)
-	}
-	return s.serveJob(w, r, req, raw)
-}
-
-// handleRepartition shares the partition endpoint's whole flow — caching,
-// admission, singleflight, backpressure, cancellation — over a warm-started
-// incremental repartition job.
-func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) int {
-	raw, err := readRequestBody(r.Body, s.cfg.MaxBodyBytes)
-	if err != nil {
-		return writeDecodeError(w, err)
-	}
-	req, err := decodeRepartitionRequest(r.Header.Get("Content-Type"), r.URL.Query(), bytes.NewReader(raw), s.cfg.MaxBodyBytes)
-	if err != nil {
-		return writeDecodeError(w, err)
-	}
-	return s.serveJob(w, r, req, raw)
 }
 
 func writeDecodeError(w http.ResponseWriter, err error) int {
@@ -409,7 +406,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req jobRequest
 	if tc, ok := obs.ParseTraceContext(r.Header.Get(cluster.HeaderTrace)); ok {
 		base.trace = tc
 	}
-	_, isSubtree := req.(*subtreeRequest)
+	isSubtree := req.kind() == kindSubtree
 	if isSubtree && base.trace.Sampled {
 		// A sampled subtree RPC runs privately with a recorder so its reply
 		// can ship the span snapshot back to the coordinator. The reply then
@@ -420,28 +417,26 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req jobRequest
 	if r.URL.Query().Get("debug") == "trace" {
 		base.debugTrace = true
 	}
+	key := req.key()
 	if !base.debugTrace {
-		// Content-addressed cache first: a hit costs one map lookup.
-		key := req.key()
-		if payload, ok := s.cache.get(key); ok {
+		// Content-addressed cache first: a hit costs one map lookup. A miss
+		// reads through to the durable store, so a result computed before an
+		// LRU eviction — or before a restart — is served without
+		// recomputation.
+		payload, tier := s.readThrough(s.cache, store.NSResult, key)
+		if tier == "hit" {
 			s.metrics.cacheHits.Inc()
-			return writePayload(w, "hit", payload)
+		} else {
+			s.metrics.cacheMisses.Inc()
 		}
-		s.metrics.cacheMisses.Inc()
-		// Read through to the durable store: a result computed before an LRU
-		// eviction — or before a restart — is served without recomputation and
-		// re-warms the cache.
-		if s.store != nil {
-			if payload, ok := s.store.Get(store.NSResult, resultStoreKey(key)); ok {
-				s.cache.put(key, payload)
-				return writePayload(w, "store", payload)
-			}
+		if payload != nil {
+			return writePayload(w, tier, payload)
 		}
 	}
 
 	// Cluster routing after the local caches miss: forward to the owner
 	// shard (or probe its cache when this request already made its one hop).
-	if code, handled := s.clusterRoute(w, r, req, rawBody); handled {
+	if code, handled := s.clusterRoute(w, r, req, key, rawBody); handled {
 		return code
 	}
 
@@ -455,7 +450,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req jobRequest
 	}
 	base.sampled = base.trace.Sampled
 
-	j, err := s.acquireJob(req)
+	j, err := s.acquireJob(req, key)
 	switch {
 	case errors.Is(err, errQueueFull):
 		s.metrics.queueRejected.Inc()
@@ -549,7 +544,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) int {
 	v := jobView{
 		ID:        j.id,
 		State:     j.getState().String(),
-		Mesh:      base.MeshName,
+		Mesh:      base.Name,
 		K:         base.K,
 		Strategy:  base.Strategy,
 		CreatedMS: j.created.UnixMilli(),

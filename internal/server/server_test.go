@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -529,5 +530,20 @@ func TestMeshesAndHealthz(t *testing.T) {
 	h.Body.Close()
 	if h.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", h.StatusCode)
+	}
+}
+
+// TestHugeTimeoutCappedByServer pins that a timeout_ms beyond the server's
+// cap runs under the cap. Converted to nanoseconds these values overflow
+// int64, and an overflowed negative deadline used to fail the job at once
+// with 504.
+func TestHugeTimeoutCappedByServer(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for i, ms := range []int64{10_000_000_000_000, math.MaxInt64} {
+		resp, body := postJSON(t, ts.URL, fmt.Sprintf(
+			`{"mesh":"CYLINDER","scale":0.002,"k":4,"strategy":"MC_TL","options":{"seed":%d},"timeout_ms":%d}`, i, ms))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("timeout_ms = %d: status %d: %s", ms, resp.StatusCode, body)
+		}
 	}
 }
