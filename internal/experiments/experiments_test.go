@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/figures_tiny.txt")
 
 // tiny returns fast parameters for CI-speed experiment tests.
 func tiny() Params { return Params{Scale: 0.001, CubeScale: 0.05, Seed: 1, GanttWidth: 40} }
@@ -205,6 +210,10 @@ func TestFig13ProductionGain(t *testing.T) {
 	}
 }
 
+// TestRunAllRenders runs every experiment at tiny() and compares the
+// output with testdata/figures_tiny.txt, leaving out what measured task
+// durations produce (see deterministicLines). An intended output change
+// rewrites the file with -update.
 func TestRunAllRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow aggregate")
@@ -218,6 +227,50 @@ func TestRunAllRenders(t *testing.T) {
 			t.Errorf("aggregate output missing %s", id)
 		}
 	}
+	got := deterministicLines(out)
+	path := filepath.Join("testdata", "figures_tiny.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("figures drifted from %s.\n--- got ---\n%s", path, got)
+	}
+}
+
+// deterministicLines drops the lines of an "all" run that come from
+// measured task durations: the whole fig13 section, and in fig5 the solver
+// makespan, the variance and the solver trace.
+func deterministicLines(out string) string {
+	var b strings.Builder
+	section, solverTrace := "", false
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if strings.HasPrefix(line, "========== ") {
+			section = strings.Trim(line, "= \n")
+			b.WriteString(line)
+			continue
+		}
+		if section == "fig5" {
+			switch {
+			case strings.HasPrefix(line, "-- solver trace"):
+				solverTrace = true
+			case strings.HasPrefix(line, "-- flusim trace"):
+				solverTrace = false
+			}
+			if solverTrace || strings.HasPrefix(line, "solver (measured") || strings.HasPrefix(line, "schedule-stretch") {
+				continue
+			}
+		}
+		if section != "fig13" {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
 }
 
 func TestDriftDegradesMonotonically(t *testing.T) {
