@@ -61,17 +61,8 @@ func main() {
 	fmt.Printf("partition %s into %d domains: edge cut %d, max imbalance %.3f, level imbalance %v\n",
 		strat, *domains, d.Result.EdgeCut, d.Result.MaxImbalance(), fmtFloats(d.Quality.LevelImbalance))
 
-	tg, err := d.TaskGraph()
-	check(err)
-	st := metrics.ComputeTaskStats(tg)
-	fmt.Printf("task graph: %d tasks, %d deps, total work %d, critical path %d, first-phase domains %d\n",
-		st.NumTasks, st.NumDeps, st.TotalWork, st.CriticalPath, st.FirstPhaseDomains)
-
 	wantTrace := *gantt || *jsonOut != "" || *csvOut != ""
-	tg2, err := d.TaskGraph()
-	check(err)
-	procOf := flusim.BlockMap(*domains, *procs)
-	res, err := flusim.Simulate(tg2, procOf, flusim.Config{
+	sim, err := d.Simulate(flusim.Config{
 		Cluster:     flusim.Cluster{NumProcs: *procs, WorkersPerProc: *workers},
 		Strategy:    schedStrat,
 		Seed:        *seed,
@@ -79,10 +70,10 @@ func main() {
 		CommLatency: *commLat,
 	})
 	check(err)
-	sim := &core.SimulationReport{Result: res, CommVolume: metrics.CommVolume(tg2, procOf)}
-	if *workers > 0 && res.Makespan > 0 {
-		sim.Efficiency = float64(res.TotalWork) / (float64(res.Makespan) * float64(*procs**workers))
-	}
+	st := metrics.ComputeTaskStats(sim.Graph)
+	fmt.Printf("task graph: %d tasks, %d deps, total work %d, critical path %d, first-phase domains %d\n",
+		st.NumTasks, st.NumDeps, st.TotalWork, st.CriticalPath, st.FirstPhaseDomains)
+
 	fmt.Printf("cluster %d procs × %d cores, %s scheduling\n", *procs, *workers, schedStrat)
 	fmt.Printf("makespan: %d units (critical path %d, work bound %d)\n",
 		sim.Makespan, sim.CriticalPath, workBound(sim.TotalWork, *procs, *workers))

@@ -20,10 +20,10 @@ import (
 	"log"
 
 	"tempart/internal/core"
+	"tempart/internal/eval"
 	"tempart/internal/flusim"
 	"tempart/internal/metrics"
 	"tempart/internal/partition"
-	"tempart/internal/taskgraph"
 )
 
 func main() {
@@ -41,19 +41,16 @@ func main() {
 	fmt.Printf("mesh %s: %d cells; %d procs × %d cores, %d domains\n\n",
 		m.Name, m.NumCells(), procs, workers, domains)
 
+	ev := eval.New(eval.Options{})
 	show := func(label string, part []int32, procOf []int32) {
-		tg, err := taskgraph.Build(m, part, domains, taskgraph.Options{})
+		res, err := ev.Evaluate(eval.Spec{Mesh: m, Part: part, NumDomains: domains,
+			ProcOf: procOf, Sim: flusim.Config{Cluster: cluster}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := flusim.Simulate(tg, procOf, flusim.Config{Cluster: cluster})
-		if err != nil {
-			log.Fatal(err)
-		}
-		comm := metrics.CommVolume(tg, procOf)
 		spread := metrics.LevelSpread(metrics.CellsByLevelPerProc(m, part, procOf, procs))
 		fmt.Printf("%-28s makespan %8d   comm volume %7d   level spread %v\n",
-			label, res.Makespan, comm, fmtF(spread))
+			label, res.Makespan, res.CommVolume, fmtF(spread))
 	}
 
 	// Flat strategies.

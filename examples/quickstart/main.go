@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"tempart/internal/core"
+	"tempart/internal/flusim"
 	"tempart/internal/mesh"
 	"tempart/internal/partition"
 )
@@ -58,7 +59,7 @@ func printGantt(m *mesh.Mesh, domains int, strat partition.Strategy, cluster cor
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := d.Simulate(cluster)
+	sim, err := d.Simulate(flusim.Config{Cluster: cluster, RecordTrace: true})
 	if err != nil {
 		log.Fatal(err)
 	}

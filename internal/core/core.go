@@ -1,14 +1,16 @@
 // Package core is the public face of the library: a high-level API that
-// wires meshes, partitioning strategies, task-graph generation, simulation
-// and the task-distributed solver into a few calls. Examples and command-
-// line tools consume this package; the specialised packages underneath
-// remain usable directly for fine-grained control.
+// wires meshes, partitioning strategies, scoring and the task-distributed
+// solver into a few calls. Examples and command-line tools consume this
+// package; the specialised packages underneath remain usable directly for
+// fine-grained control. Scoring is not done here: Simulate hands the
+// decomposition to eval.Evaluate, the one path from a partition to a
+// makespan.
 //
 // The typical flow mirrors the paper's Figure 2:
 //
 //	m := core.LoadMesh("CYLINDER", 0.01)          // mesh + temporal levels
 //	d, _ := core.Decompose(ctx, m, 128, partition.MCTL, partition.Options{})
-//	sim, _ := d.Simulate(core.Cluster{NumProcs: 16, WorkersPerProc: 32})
+//	sim, _ := d.Simulate(flusim.Config{Cluster: core.Cluster{NumProcs: 16, WorkersPerProc: 32}})
 //	fmt.Println(sim.Makespan, d.Quality.LevelImbalance)
 package core
 
@@ -16,6 +18,7 @@ import (
 	"context"
 	"fmt"
 
+	"tempart/internal/eval"
 	"tempart/internal/flusim"
 	"tempart/internal/fv"
 	"tempart/internal/mesh"
@@ -23,7 +26,6 @@ import (
 	"tempart/internal/partition"
 	"tempart/internal/runtime"
 	"tempart/internal/solver"
-	"tempart/internal/taskgraph"
 )
 
 // Cluster re-exports the simulator's cluster shape.
@@ -36,15 +38,12 @@ func LoadMesh(name string, scale float64) (*mesh.Mesh, error) {
 	return mesh.ByName(name, scale)
 }
 
-// Decomposition bundles a partitioned mesh with its quality metrics and a
-// lazily built task graph.
+// Decomposition bundles a partitioned mesh with its quality metrics.
 type Decomposition struct {
 	Mesh     *mesh.Mesh
 	Strategy partition.Strategy
 	Result   *partition.Result
 	Quality  metrics.PartitionQuality
-
-	tg *taskgraph.TaskGraph
 }
 
 // Decompose partitions the mesh into k domains under the given strategy and
@@ -64,58 +63,16 @@ func Decompose(ctx context.Context, m *mesh.Mesh, k int, strat partition.Strateg
 	}, nil
 }
 
-// TaskGraph returns the decomposition's one-iteration task DAG (built on
-// first use, cached).
-func (d *Decomposition) TaskGraph() (*taskgraph.TaskGraph, error) {
-	if d.tg == nil {
-		tg, err := taskgraph.Build(d.Mesh, d.Result.Part, d.Result.NumParts, taskgraph.Options{})
-		if err != nil {
-			return nil, err
-		}
-		d.tg = tg
-	}
-	return d.tg, nil
-}
-
-// SimulationReport is the outcome of a FLUSIM run over a decomposition.
-type SimulationReport struct {
-	*flusim.Result
-	// CommVolume is the estimated inter-process communication (cut
-	// task-graph edges).
-	CommVolume int64
-	// Efficiency is TotalWork / (Makespan · cores); 1.0 is a perfectly
-	// packed schedule. Zero when the cluster is unbounded.
-	Efficiency float64
-}
-
-// Simulate schedules the decomposition's task graph on a cluster with the
-// eager strategy and a block domain→process map, recording the trace.
-func (d *Decomposition) Simulate(cluster Cluster) (*SimulationReport, error) {
-	return d.SimulateWith(cluster, flusim.Eager, true)
-}
-
-// SimulateWith exposes the scheduling strategy and trace switch.
-func (d *Decomposition) SimulateWith(cluster Cluster, strat flusim.Strategy, recordTrace bool) (*SimulationReport, error) {
-	tg, err := d.TaskGraph()
-	if err != nil {
-		return nil, err
-	}
-	procOf := flusim.BlockMap(d.Result.NumParts, cluster.NumProcs)
-	res, err := flusim.Simulate(tg, procOf, flusim.Config{
-		Cluster: cluster, Strategy: strat, RecordTrace: recordTrace,
+// Simulate scores the decomposition's one-iteration task graph on
+// cfg.Cluster with eval.Evaluate, mapping domains to processes in blocks
+// (flusim.BlockMap). The outcome carries the trace when cfg.RecordTrace is
+// set. The evaluator lives for this call only, so no graph outlives it.
+func (d *Decomposition) Simulate(cfg flusim.Config) (*eval.Outcome, error) {
+	return eval.New(eval.Options{GraphCacheSize: -1}).Evaluate(eval.Spec{
+		Mesh: d.Mesh, Part: d.Result.Part, NumDomains: d.Result.NumParts,
+		ProcOf: flusim.BlockMap(d.Result.NumParts, cfg.Cluster.NumProcs),
+		Sim:    cfg,
 	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &SimulationReport{
-		Result:     res,
-		CommVolume: metrics.CommVolume(tg, procOf),
-	}
-	if !cluster.Unbounded() && res.Makespan > 0 {
-		cores := int64(cluster.NumProcs) * int64(cluster.WorkersPerProc)
-		rep.Efficiency = float64(res.TotalWork) / (float64(res.Makespan) * float64(cores))
-	}
-	return rep, nil
 }
 
 // NewSolver builds the task-distributed FV solver over this exact
@@ -165,13 +122,9 @@ func Compare(ctx context.Context, m *mesh.Mesh, cfg CompareConfig) ([]StrategyOu
 		if err != nil {
 			return nil, fmt.Errorf("core: %v: %w", strat, err)
 		}
-		sim, err := d.SimulateWith(cfg.Cluster, cfg.Scheduler, false)
+		sim, err := d.Simulate(flusim.Config{Cluster: cfg.Cluster, Strategy: cfg.Scheduler})
 		if err != nil {
 			return nil, fmt.Errorf("core: %v: %w", strat, err)
-		}
-		tg, err := d.TaskGraph()
-		if err != nil {
-			return nil, err
 		}
 		if i == 0 {
 			base = sim.Makespan
@@ -185,7 +138,7 @@ func Compare(ctx context.Context, m *mesh.Mesh, cfg CompareConfig) ([]StrategyOu
 			Efficiency:     sim.Efficiency,
 			LevelImbalance: d.Quality.LevelImbalance,
 			MaxFragments:   d.Quality.MaxFragments(),
-			NumTasks:       tg.NumTasks(),
+			NumTasks:       sim.NumTasks,
 		})
 	}
 	return out, nil

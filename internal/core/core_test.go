@@ -32,7 +32,7 @@ func TestDecomposeAndSimulate(t *testing.T) {
 	if d.Quality.NumDomains != 8 {
 		t.Errorf("quality domains = %d", d.Quality.NumDomains)
 	}
-	sim, err := d.Simulate(Cluster{NumProcs: 4, WorkersPerProc: 2})
+	sim, err := d.Simulate(flusim.Config{Cluster: Cluster{NumProcs: 4, WorkersPerProc: 2}, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,22 +44,6 @@ func TestDecomposeAndSimulate(t *testing.T) {
 	}
 	if sim.CommVolume < 0 {
 		t.Error("negative comm volume")
-	}
-}
-
-func TestTaskGraphCached(t *testing.T) {
-	m, _ := LoadMesh("CUBE", 0.02)
-	d, err := Decompose(context.Background(), m, 2, partition.SCOC, partition.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := d.TaskGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := d.TaskGraph()
-	if a != b {
-		t.Error("TaskGraph not cached")
 	}
 }
 
@@ -106,18 +90,6 @@ func TestNewSolverThroughDecomposition(t *testing.T) {
 	}
 	if rep.MassDriftRel > 1e-10 {
 		t.Errorf("mass drift %.3e", rep.MassDriftRel)
-	}
-}
-
-func TestSimulateWithUnbounded(t *testing.T) {
-	m, _ := LoadMesh("CUBE", 0.02)
-	d, _ := Decompose(context.Background(), m, 4, partition.SCOC, partition.Options{})
-	sim, err := d.SimulateWith(Cluster{NumProcs: 4}, flusim.Eager, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Efficiency != 0 {
-		t.Errorf("unbounded efficiency = %v, want 0", sim.Efficiency)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"tempart/internal/core"
+	"tempart/internal/flusim"
 	"tempart/internal/partition"
 )
 
@@ -22,7 +23,7 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	sim, err := d.Simulate(core.Cluster{NumProcs: 2, WorkersPerProc: 4})
+	sim, err := d.Simulate(flusim.Config{Cluster: core.Cluster{NumProcs: 2, WorkersPerProc: 4}})
 	if err != nil {
 		fmt.Println(err)
 		return

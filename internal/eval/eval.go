@@ -1,27 +1,28 @@
-// Package eval is the evaluation facade: it turns (mesh, partition,
-// cluster, strategy) tuples into makespans and the associated quality
-// metrics, caching built task graphs and pooling simulators so sweeps over
-// strategy/cluster variants pay the graph-construction cost once.
+// Package eval is the one way a decomposition is scored: it turns (mesh,
+// partition, cluster, strategy) tuples into makespans and the associated
+// quality metrics, caching built task graphs and pooling simulators so
+// sweeps over strategy/cluster variants pay the graph-construction cost
+// once.
 //
-// The repartitioning drift study, tempartd's evaluate blocks and the
-// benchmark's lanes all reach taskgraph.Build + flusim.Simulate through this
-// package, their shared front door. A cached graph is found again by
-// comparing everything it was built from (mesh identity, temporal levels,
-// partition, domain count, iterations, costs) against the entry's own
-// copies, so a repartition request that keeps its parent's partition, or a
-// strategy sweep over one decomposition, reuses the graph instead of
-// rebuilding it. Simulations of independent specs fan out across a bounded
-// graph.Pool.
+// Every figure, core.Decomposition.Simulate, cmd/flusim, the examples, the
+// drift study, tempartd's evaluate blocks and the benchmark's lanes reach
+// taskgraph.Build + flusim.Simulate through Evaluate. Only the solver and
+// the runtime, which execute their graphs, and Fig 8, which counts a toy
+// graph's tasks, build graphs of their own. A cached
+// graph is found again by comparing everything it was built from (mesh
+// identity, temporal levels, partition, domain count, iterations, costs)
+// against the entry's own copies, so a repartition request that keeps its
+// parent's partition, or a strategy sweep over one decomposition, reuses
+// the graph instead of rebuilding it. Concurrent Evaluate calls share
+// cached graphs.
 package eval
 
 import (
-	"errors"
 	"slices"
 	"sync"
 	"time"
 
 	"tempart/internal/flusim"
-	"tempart/internal/graph"
 	"tempart/internal/mesh"
 	"tempart/internal/metrics"
 	"tempart/internal/obs"
@@ -32,9 +33,8 @@ import (
 
 // Options configures an Evaluator.
 type Options struct {
-	// Parallelism bounds the workers of the EvaluateAll simulation fan-out:
-	// 0 (or negative) means one per core, 1 serial. Graphs are built
-	// serially.
+	// Parallelism is ignored: each Evaluate call runs on its caller's
+	// goroutine. It is kept for callers that still set it.
 	Parallelism int
 	// GraphCacheSize is the maximum number of task graphs kept (LRU).
 	// 0 means DefaultGraphCacheSize; negative disables caching.
@@ -91,14 +91,14 @@ type Outcome struct {
 	GraphCached bool
 	// Trace is set when Spec.Sim.RecordTrace was set.
 	Trace *trace.Trace
-	// BusyPerProc is each process's total computation time.
-	BusyPerProc []int64
+	// Graph is the task graph that was simulated. It may be shared with the
+	// cache and with concurrent evaluations: read it, never modify it.
+	Graph *taskgraph.TaskGraph
 }
 
 // Evaluator caches task graphs and pools simulators. Safe for concurrent
 // use.
 type Evaluator struct {
-	pool      *graph.Pool
 	cacheSize int
 
 	mu sync.Mutex
@@ -135,7 +135,6 @@ func New(opt Options) *Evaluator {
 		size = 0
 	}
 	return &Evaluator{
-		pool:      graph.NewPool(opt.Parallelism),
 		cacheSize: size,
 		sims:      sync.Pool{New: func() any { return flusim.NewSimulator() }},
 	}
@@ -308,47 +307,11 @@ func (e *Evaluator) simulate(tg *taskgraph.TaskGraph, spec *Spec) (*Outcome, err
 		NumDeps:         tg.NumDeps(),
 		SimulateSeconds: simSeconds,
 		Trace:           res.Trace,
-		BusyPerProc:     res.BusyPerProc,
+		Graph:           tg,
 	}
 	if w := spec.Sim.Cluster.WorkersPerProc; w > 0 && res.Makespan > 0 {
 		cores := int64(spec.Sim.Cluster.NumProcs) * int64(w)
 		out.Efficiency = float64(res.TotalWork) / (float64(res.Makespan) * float64(cores))
 	}
 	return out, nil
-}
-
-// EvaluateAll scores many specs, building each distinct graph once and
-// fanning the simulations across the evaluator's pool. Outcomes align with
-// specs; on error the corresponding outcome is nil and the joined error is
-// returned (outcomes of other specs remain valid).
-func (e *Evaluator) EvaluateAll(specs []Spec) ([]*Outcome, error) {
-	outs := make([]*Outcome, len(specs))
-	errs := make([]error, len(specs))
-	graphs := make([]*taskgraph.TaskGraph, len(specs))
-	cachedFlags := make([]bool, len(specs))
-	buildTimes := make([]float64, len(specs))
-	for i := range specs {
-		graphs[i], cachedFlags[i], buildTimes[i], errs[i] = e.graphFor(&specs[i])
-	}
-	e.pool.RunN(len(specs), func(i int) {
-		if errs[i] != nil {
-			return
-		}
-		out, err := e.simulate(graphs[i], &specs[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		out.GraphCached = cachedFlags[i]
-		out.BuildSeconds = buildTimes[i]
-		outs[i] = out
-	})
-	return outs, errors.Join(errs...)
-}
-
-// CacheLen reports how many task graphs are currently cached.
-func (e *Evaluator) CacheLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"slices"
+	"sync"
 	"testing"
 
 	"tempart/internal/flusim"
@@ -29,44 +30,57 @@ func testSpec(t *testing.T) (Spec, *mesh.Mesh, []int32) {
 }
 
 // TestEvaluateMatchesDirectPipeline pins the facade against the underlying
-// Build+Simulate pipeline on every reported number.
+// Build+Simulate pipeline on every reported number, on testSpec's bounded
+// cluster and on the same processes with unbounded cores, where efficiency
+// is reported as zero.
 func TestEvaluateMatchesDirectPipeline(t *testing.T) {
 	spec, m, part := testSpec(t)
-	e := New(Options{Parallelism: 1})
-	out, err := e.Evaluate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tg, err := taskgraph.Build(m, part, 16, taskgraph.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := flusim.Simulate(tg, spec.ProcOf, spec.Sim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Makespan != res.Makespan {
-		t.Errorf("makespan %d, direct pipeline %d", out.Makespan, res.Makespan)
-	}
-	if out.CriticalPath != res.CriticalPath || out.TotalWork != res.TotalWork {
-		t.Errorf("bounds (%d, %d), direct (%d, %d)",
-			out.CriticalPath, out.TotalWork, res.CriticalPath, res.TotalWork)
-	}
-	if want := metrics.CommVolume(tg, spec.ProcOf); out.CommVolume != want {
-		t.Errorf("comm volume %d, want %d", out.CommVolume, want)
-	}
-	if out.NumTasks != tg.NumTasks() || out.NumDeps != tg.NumDeps() {
-		t.Errorf("size (%d, %d), want (%d, %d)", out.NumTasks, out.NumDeps, tg.NumTasks(), tg.NumDeps())
-	}
-	if out.GraphCached {
-		t.Error("first evaluation reported a cached graph")
-	}
-	if out.BuildSeconds <= 0 {
-		t.Error("first evaluation reported no build time")
-	}
-	wantEff := float64(res.TotalWork) / (float64(res.Makespan) * 16)
-	if out.Efficiency != wantEff {
-		t.Errorf("efficiency %g, want %g", out.Efficiency, wantEff)
+	unbounded := spec
+	unbounded.Sim.Cluster.WorkersPerProc = 0
+	for _, sp := range []Spec{spec, unbounded} {
+		workers := sp.Sim.Cluster.WorkersPerProc
+		out, err := New(Options{}).Evaluate(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := flusim.Simulate(tg, sp.ProcOf, sp.Sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Makespan != res.Makespan {
+			t.Errorf("workers %d: makespan %d, direct pipeline %d", workers, out.Makespan, res.Makespan)
+		}
+		if out.CriticalPath != res.CriticalPath || out.TotalWork != res.TotalWork {
+			t.Errorf("workers %d: bounds (%d, %d), direct (%d, %d)", workers,
+				out.CriticalPath, out.TotalWork, res.CriticalPath, res.TotalWork)
+		}
+		if want := metrics.CommVolume(tg, sp.ProcOf); out.CommVolume != want {
+			t.Errorf("workers %d: comm volume %d, want %d", workers, out.CommVolume, want)
+		}
+		if out.NumTasks != tg.NumTasks() || out.NumDeps != tg.NumDeps() {
+			t.Errorf("workers %d: size (%d, %d), want (%d, %d)", workers,
+				out.NumTasks, out.NumDeps, tg.NumTasks(), tg.NumDeps())
+		}
+		if out.Graph == nil || out.Graph.NumTasks() != tg.NumTasks() {
+			t.Errorf("workers %d: outcome does not carry the simulated graph", workers)
+		}
+		if out.GraphCached {
+			t.Errorf("workers %d: first evaluation reported a cached graph", workers)
+		}
+		if out.BuildSeconds <= 0 {
+			t.Errorf("workers %d: first evaluation reported no build time", workers)
+		}
+		wantEff := 0.0
+		if workers > 0 {
+			wantEff = float64(res.TotalWork) / (float64(res.Makespan) * 16)
+		}
+		if out.Efficiency != wantEff {
+			t.Errorf("workers %d: efficiency %g, want %g", workers, out.Efficiency, wantEff)
+		}
 	}
 }
 
@@ -75,7 +89,7 @@ func TestEvaluateMatchesDirectPipeline(t *testing.T) {
 // misses.
 func TestGraphCacheHit(t *testing.T) {
 	spec, m, part := testSpec(t)
-	e := New(Options{Parallelism: 1})
+	e := New(Options{})
 	if _, err := e.Evaluate(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +145,7 @@ func TestGraphCacheHit(t *testing.T) {
 func TestGraphKeyMisses(t *testing.T) {
 	spec, m, part := testSpec(t)
 	spec.MeshID = "gen:CYLINDER:0.002"
-	e := New(Options{Parallelism: 1, GraphCacheSize: 16})
+	e := New(Options{GraphCacheSize: 16})
 	if _, err := e.Evaluate(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +216,7 @@ func TestGraphKeyMisses(t *testing.T) {
 // share one copy, and no entry aliases the mesh's own slice.
 func TestGraphCacheSharesLevelCopies(t *testing.T) {
 	spec, _, part := testSpec(t)
-	e := New(Options{Parallelism: 1})
+	e := New(Options{})
 	other := spec
 	other.Part = slices.Clone(part)
 	other.Part[0] = (other.Part[0] + 1) % 16
@@ -211,8 +225,8 @@ func TestGraphCacheSharesLevelCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.CacheLen() != 2 {
-		t.Fatalf("cache holds %d graphs, want 2", e.CacheLen())
+	if len(e.cache) != 2 {
+		t.Fatalf("cache holds %d graphs, want 2", len(e.cache))
 	}
 	a, b := e.cache[0].level, e.cache[1].level
 	if &a[0] != &b[0] {
@@ -295,7 +309,7 @@ func BenchmarkGraphLookup(b *testing.B) {
 // negative makespan.
 func TestEvaluateRejectsNegativeCosts(t *testing.T) {
 	spec, _, _ := testSpec(t)
-	e := New(Options{Parallelism: 1})
+	e := New(Options{})
 	for _, costs := range [][2]int32{{-5, 0}, {0, -5}} {
 		sp := spec
 		sp.FaceCost, sp.CellCost = costs[0], costs[1]
@@ -303,73 +317,69 @@ func TestEvaluateRejectsNegativeCosts(t *testing.T) {
 			t.Errorf("costs %v: makespan %d, want an error", costs, out.Makespan)
 		}
 	}
-	if got := e.CacheLen(); got != 0 {
+	if got := len(e.cache); got != 0 {
 		t.Errorf("rejected specs left %d cached graphs", got)
 	}
 }
 
-// TestEvaluateAll checks the fan-out path returns the same outcomes as
-// serial Evaluate calls, builds the shared graph once, and works at
-// parallelism > 1.
-func TestEvaluateAll(t *testing.T) {
+// TestEvaluateConcurrent runs the four schedulers on one spec from
+// concurrent goroutines, as tempartd's workers do: the simulations share
+// one cached graph, every makespan equals the serial one, and the cache
+// ends with exactly one entry.
+func TestEvaluateConcurrent(t *testing.T) {
 	spec, _, _ := testSpec(t)
+	spec.Sim.Seed = 11
 	strategies := []flusim.Strategy{flusim.Eager, flusim.LIFO, flusim.CriticalPathFirst, flusim.RandomOrder}
-
-	serial := New(Options{Parallelism: 1})
-	want := make([]*Outcome, len(strategies))
+	want := make([]int64, len(strategies))
+	serial := New(Options{})
 	for i, s := range strategies {
 		sp := spec
 		sp.Sim.Strategy = s
-		sp.Sim.Seed = 11
 		out, err := serial.Evaluate(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = out
+		want[i] = out.Makespan
 	}
 
-	for _, par := range []int{1, 4} {
-		e := New(Options{Parallelism: par})
-		specs := make([]Spec, len(strategies))
-		for i, s := range strategies {
-			specs[i] = spec
-			specs[i].Sim.Strategy = s
-			specs[i].Sim.Seed = 11
-		}
-		outs, err := e.EvaluateAll(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range outs {
-			if outs[i].Makespan != want[i].Makespan {
-				t.Errorf("parallelism %d, strategy %v: makespan %d, want %d",
-					par, strategies[i], outs[i].Makespan, want[i].Makespan)
+	e := New(Options{})
+	const rounds = 3
+	got := make([]int64, rounds*len(strategies))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp := spec
+			sp.Sim.Strategy = strategies[i%len(strategies)]
+			out, err := e.Evaluate(sp)
+			if err != nil {
+				errs[i] = err
+				return
 			}
-			if outs[i].CommVolume != want[i].CommVolume {
-				t.Errorf("parallelism %d, strategy %v: comm %d, want %d",
-					par, strategies[i], outs[i].CommVolume, want[i].CommVolume)
-			}
+			got[i] = out.Makespan
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		s := strategies[i%len(strategies)]
+		if errs[i] != nil {
+			t.Fatalf("strategy %v: %v", s, errs[i])
 		}
-		// One graph, shared: only the first spec may have built it.
-		built := 0
-		for _, out := range outs {
-			if !out.GraphCached {
-				built++
-			}
+		if got[i] != want[i%len(strategies)] {
+			t.Errorf("strategy %v: concurrent makespan %d, serial %d", s, got[i], want[i%len(strategies)])
 		}
-		if built != 1 {
-			t.Errorf("parallelism %d: %d graph builds for one decomposition, want 1", par, built)
-		}
-		if got := e.CacheLen(); got != 1 {
-			t.Errorf("parallelism %d: cache holds %d graphs, want 1", par, got)
-		}
+	}
+	if n := len(e.cache); n != 1 {
+		t.Errorf("cache holds %d graphs for one decomposition, want 1", n)
 	}
 }
 
 // TestCacheEviction bounds the cache at its configured size.
 func TestCacheEviction(t *testing.T) {
 	spec, _, part := testSpec(t)
-	e := New(Options{Parallelism: 1, GraphCacheSize: 2})
+	e := New(Options{GraphCacheSize: 2})
 	for i := 0; i < 4; i++ {
 		p := append([]int32(nil), part...)
 		p[0] = int32(i % 16)
@@ -379,15 +389,15 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.CacheLen(); got > 2 {
+	if got := len(e.cache); got > 2 {
 		t.Errorf("cache holds %d graphs, capacity 2", got)
 	}
 
-	disabled := New(Options{Parallelism: 1, GraphCacheSize: -1})
+	disabled := New(Options{GraphCacheSize: -1})
 	if _, err := disabled.Evaluate(spec); err != nil {
 		t.Fatal(err)
 	}
-	if got := disabled.CacheLen(); got != 0 {
+	if got := len(disabled.cache); got != 0 {
 		t.Errorf("disabled cache holds %d graphs", got)
 	}
 }
@@ -402,7 +412,7 @@ func TestMeshIDKeying(t *testing.T) {
 	for i := range part {
 		part[i] = int32(i % 8)
 	}
-	e := New(Options{Parallelism: 1})
+	e := New(Options{})
 	mk := func(m *mesh.Mesh) Spec {
 		return Spec{
 			Mesh: m, MeshID: "gen:CYLINDER:0.002", Part: part, NumDomains: 8,

@@ -14,12 +14,12 @@ import (
 	"testing"
 
 	"tempart/internal/core"
+	"tempart/internal/eval"
 	"tempart/internal/experiments"
 	"tempart/internal/flusim"
 	"tempart/internal/mesh"
 	"tempart/internal/partition"
 	"tempart/internal/solver"
-	"tempart/internal/taskgraph"
 )
 
 // benchParams returns the experiment parameters every benchmark here runs at.
@@ -221,16 +221,14 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tg, err := taskgraph.Build(m, r.Part, 128, taskgraph.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pm := flusim.BlockMap(128, 16)
-	cluster := flusim.Cluster{NumProcs: 16, WorkersPerProc: 32}
+	ev := eval.New(eval.Options{})
+	spec := eval.Spec{Mesh: m, Part: r.Part, NumDomains: 128, ProcOf: flusim.BlockMap(128, 16),
+		Sim: flusim.Config{Cluster: flusim.Cluster{NumProcs: 16, WorkersPerProc: 32}, Seed: 3}}
 	spans := map[string]int64{}
 	for i := 0; i < b.N; i++ {
 		for _, s := range []flusim.Strategy{flusim.Eager, flusim.LIFO, flusim.CriticalPathFirst, flusim.RandomOrder} {
-			res, err := flusim.Simulate(tg, pm, flusim.Config{Cluster: cluster, Strategy: s, Seed: 3})
+			spec.Sim.Strategy = s
+			res, err := ev.Evaluate(spec)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -250,19 +248,17 @@ func BenchmarkAblationDualPhase(b *testing.B) {
 	m := mesh.Cylinder(benchParams().Scale)
 	const procs, perProc = 16, 8
 	const domains = procs * perProc
-	cluster := flusim.Cluster{NumProcs: procs, WorkersPerProc: 32}
 	const latency = 200
+	sim := flusim.Config{Cluster: flusim.Cluster{NumProcs: procs, WorkersPerProc: 32}, CommLatency: latency}
+	ev := eval.New(eval.Options{})
 	var flat, dual int64
 	for i := 0; i < b.N; i++ {
 		fr, err := partition.PartitionMesh(context.Background(), m, domains, partition.MCTL, partition.Options{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ftg, err := taskgraph.Build(m, fr.Part, domains, taskgraph.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fres, err := flusim.Simulate(ftg, flusim.BlockMap(domains, procs), flusim.Config{Cluster: cluster, CommLatency: latency})
+		fres, err := ev.Evaluate(eval.Spec{Mesh: m, Part: fr.Part, NumDomains: domains,
+			ProcOf: flusim.BlockMap(domains, procs), Sim: sim})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -272,11 +268,8 @@ func BenchmarkAblationDualPhase(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dtg, err := taskgraph.Build(m, dp.Domain, domains, taskgraph.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dres, err := flusim.Simulate(dtg, dp.ProcOfDomain, flusim.Config{Cluster: cluster, CommLatency: latency})
+		dres, err := ev.Evaluate(eval.Spec{Mesh: m, Part: dp.Domain, NumDomains: domains,
+			ProcOf: dp.ProcOfDomain, Sim: sim})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,24 +289,19 @@ func BenchmarkAblationIterationPipelining(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	one, err := taskgraph.Build(m, r.Part, 64, taskgraph.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	chained, err := taskgraph.BuildIterations(m, r.Part, 64, iters, taskgraph.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pm := flusim.BlockMap(64, 16)
-	cluster := flusim.Cluster{NumProcs: 16, WorkersPerProc: 32}
+	ev := eval.New(eval.Options{})
+	one := eval.Spec{Mesh: m, Part: r.Part, NumDomains: 64, ProcOf: flusim.BlockMap(64, 16),
+		Sim: flusim.Config{Cluster: flusim.Cluster{NumProcs: 16, WorkersPerProc: 32}}}
+	chained := one
+	chained.Iterations = iters
 	var barrier, pipelined int64
 	for i := 0; i < b.N; i++ {
-		rOne, err := flusim.Simulate(one, pm, flusim.Config{Cluster: cluster})
+		rOne, err := ev.Evaluate(one)
 		if err != nil {
 			b.Fatal(err)
 		}
 		barrier = int64(iters) * rOne.Makespan
-		rChain, err := flusim.Simulate(chained, pm, flusim.Config{Cluster: cluster})
+		rChain, err := ev.Evaluate(chained)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -337,7 +325,7 @@ func BenchmarkAblationGeometricBaselines(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sim, err := d.SimulateWith(cluster, flusim.Eager, false)
+			sim, err := d.Simulate(flusim.Config{Cluster: cluster})
 			if err != nil {
 				b.Fatal(err)
 			}

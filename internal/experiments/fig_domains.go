@@ -44,7 +44,7 @@ func domainCharacteristics(p Params, strat partition.Strategy) (*DomainCharacter
 		return nil, err
 	}
 	procOf := flusim.BlockMap(fig7Domains, fig7Cluster.NumProcs)
-	sim, err := d.SimulateWith(fig7Cluster, flusim.Eager, true)
+	sim, err := d.Simulate(flusim.Config{Cluster: fig7Cluster, RecordTrace: true})
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ func Fig9(p Params) (*Fig9Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			sim, err := d.SimulateWith(fig9Cluster, flusim.Eager, true)
+			sim, err := d.Simulate(flusim.Config{Cluster: fig9Cluster, RecordTrace: true})
 			if err != nil {
 				return nil, err
 			}
@@ -120,7 +120,7 @@ func Fig11(p Params) (*Fig11Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				sim, err := d.SimulateWith(fig9Cluster, flusim.Eager, false)
+				sim, err := d.Simulate(flusim.Config{Cluster: fig9Cluster})
 				if err != nil {
 					return nil, err
 				}

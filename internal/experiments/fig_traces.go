@@ -10,7 +10,6 @@ import (
 	"tempart/internal/fv"
 	"tempart/internal/partition"
 	"tempart/internal/runtime"
-	"tempart/internal/trace"
 )
 
 // fig5Cluster is the configuration shared by Figures 5, 12 and 13: 6 MPI
@@ -63,7 +62,7 @@ func Fig5(p Params) (*Fig5Result, error) {
 	}
 
 	// FLUSIM: unit costs.
-	sim, err := d.SimulateWith(fig5Cluster, flusim.Eager, true)
+	sim, err := d.Simulate(flusim.Config{Cluster: fig5Cluster, RecordTrace: true})
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +132,7 @@ func Fig6(p Params) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := d.SimulateWith(core.Cluster{NumProcs: procs, WorkersPerProc: 0}, flusim.Eager, true)
+	sim, err := d.Simulate(flusim.Config{Cluster: core.Cluster{NumProcs: procs, WorkersPerProc: 0}, RecordTrace: true})
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +189,7 @@ func Fig12(p Params) (*Fig12Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim, err := d.SimulateWith(fig5Cluster, flusim.Eager, true)
+		sim, err := d.Simulate(flusim.Config{Cluster: fig5Cluster, RecordTrace: true})
 		if err != nil {
 			return nil, err
 		}
@@ -273,13 +272,4 @@ func (r *Fig13Result) String() string {
 	fmt.Fprintf(&b, "mass drift: SC_OC %.2e, MC_TL %.2e\n", r.MassDriftSCOC, r.MassDriftMCTL)
 	fmt.Fprintf(&b, "\n-- SC_OC --\n%s\n-- MC_TL --\n%s", r.SCOCGantt, r.MCTLGantt)
 	return b.String()
-}
-
-// renderTraceOrEmpty is a nil-safe Gantt helper used by callers that may
-// disable trace recording.
-func renderTraceOrEmpty(tr *trace.Trace, width int) string {
-	if tr == nil {
-		return "(trace not recorded)\n"
-	}
-	return tr.Gantt(width)
 }

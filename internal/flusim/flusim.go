@@ -127,15 +127,6 @@ func BlockMap(numDomains, numProcs int) []int32 {
 	return out
 }
 
-// RoundRobinMap assigns domain d to process d mod numProcs.
-func RoundRobinMap(numDomains, numProcs int) []int32 {
-	out := make([]int32, numDomains)
-	for d := 0; d < numDomains; d++ {
-		out[d] = int32(d % numProcs)
-	}
-	return out
-}
-
 // Simulate executes the task graph on the configured cluster and returns the
 // makespan and trace. Tasks are pinned to the process owning their domain;
 // within a process any free worker may run them. It is a thin wrapper over a

@@ -229,19 +229,12 @@ func TestMoreWorkersNeverSlower(t *testing.T) {
 	}
 }
 
-func TestBlockAndRoundRobinMaps(t *testing.T) {
+func TestBlockMap(t *testing.T) {
 	bm := BlockMap(8, 4)
 	want := []int32{0, 0, 1, 1, 2, 2, 3, 3}
 	for i := range want {
 		if bm[i] != want[i] {
 			t.Fatalf("BlockMap = %v, want %v", bm, want)
-		}
-	}
-	rr := RoundRobinMap(5, 2)
-	wantRR := []int32{0, 1, 0, 1, 0}
-	for i := range wantRR {
-		if rr[i] != wantRR[i] {
-			t.Fatalf("RoundRobinMap = %v, want %v", rr, wantRR)
 		}
 	}
 }

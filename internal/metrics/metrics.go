@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 
-	"tempart/internal/graph"
 	"tempart/internal/mesh"
 	"tempart/internal/partition"
 	"tempart/internal/taskgraph"
@@ -59,19 +58,6 @@ func CommVolume(tg *taskgraph.TaskGraph, procOfDomain []int32) int64 {
 		}
 	}
 	return vol
-}
-
-// MeshCutVolume counts mesh faces whose two cells live on different
-// processes — the mesh-level halo size, a partition-only communication proxy
-// that needs no task graph.
-func MeshCutVolume(m *mesh.Mesh, part, procOfDomain []int32) int64 {
-	var cut int64
-	for _, f := range m.Faces[:m.NumInteriorFaces] {
-		if procOfDomain[part[f.C0]] != procOfDomain[part[f.C1]] {
-			cut++
-		}
-	}
-	return cut
 }
 
 // TaskStats summarises a task graph's granularity.
@@ -211,20 +197,4 @@ func LevelSpread(costs [][]int64) []float64 {
 		out[l] = float64(max) / mean
 	}
 	return out
-}
-
-// CutEdgesBetweenProcs returns the graph edge cut measured at process
-// granularity rather than domain granularity.
-func CutEdgesBetweenProcs(g *graph.Graph, part, procOfDomain []int32) int64 {
-	n := g.NumVertices()
-	var cut int64
-	for v := 0; v < n; v++ {
-		pv := procOfDomain[part[v]]
-		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			if procOfDomain[part[g.Adjncy[i]]] != pv {
-				cut += int64(g.AdjWgt[i])
-			}
-		}
-	}
-	return cut / 2
 }

@@ -51,17 +51,6 @@ func TestCommVolumeZeroWithinOneProc(t *testing.T) {
 	}
 }
 
-func TestMeshCutVolume(t *testing.T) {
-	m := mesh.Strip([]temporal.Level{0, 0, 0, 0})
-	part := []int32{0, 0, 1, 1}
-	if v := MeshCutVolume(m, part, []int32{0, 1}); v != 1 {
-		t.Errorf("MeshCutVolume = %d, want 1 (single cut face)", v)
-	}
-	if v := MeshCutVolume(m, part, []int32{0, 0}); v != 0 {
-		t.Errorf("MeshCutVolume same proc = %d, want 0", v)
-	}
-}
-
 func TestComputeTaskStats(t *testing.T) {
 	m := mesh.Strip([]temporal.Level{0, 0, 1, 1})
 	part := []int32{0, 0, 1, 1}
@@ -147,16 +136,6 @@ func TestFig11bShape(t *testing.T) {
 	mctl16 := vol(partition.MCTL, 16)
 	if mctl16 <= mctl8 {
 		t.Errorf("MC_TL comm volume did not grow with domains: %d (k=16) vs %d (k=8)", mctl16, mctl8)
-	}
-}
-
-func TestCutEdgesBetweenProcs(t *testing.T) {
-	m := mesh.Strip([]temporal.Level{0, 0, 0, 0})
-	g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.Unit})
-	part := []int32{0, 1, 2, 3}
-	// 4 domains on 2 procs: cut between procs is only the middle edge.
-	if v := CutEdgesBetweenProcs(g, part, []int32{0, 0, 1, 1}); v != 1 {
-		t.Errorf("CutEdgesBetweenProcs = %d, want 1", v)
 	}
 }
 

@@ -209,7 +209,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newResultCache(cfg.CacheBytes),
 		parts:   newResultCache(cfg.PartStoreBytes),
-		eval:    eval.New(eval.Options{Parallelism: cfg.MaxParallelism}),
+		eval:    eval.New(eval.Options{}),
 		flight:  obs.NewFlightRecorder(cfg.TraceRingSize, cfg.TraceSampleRate),
 		store:   cfg.Store,
 		cluster: cfg.Cluster,

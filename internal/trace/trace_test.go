@@ -163,24 +163,3 @@ func TestBusyDecompositionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGanttByWorker(t *testing.T) {
-	tr := sampleTrace()
-	out := tr.GanttByWorker(20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// Two (proc, worker) pairs ran spans.
-	if len(lines) != 2 {
-		t.Fatalf("rows = %d, want 2\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "P0 /w0") || !strings.HasPrefix(lines[1], "P1 /w0") {
-		t.Errorf("row labels wrong:\n%s", out)
-	}
-	// Proc 0 worker 0 has a gap.
-	if !strings.Contains(lines[0], ".") {
-		t.Errorf("missing idle gap: %s", lines[0])
-	}
-	empty := (&Trace{}).GanttByWorker(10)
-	if !strings.Contains(empty, "empty") {
-		t.Errorf("empty trace render: %q", empty)
-	}
-}
