@@ -176,9 +176,6 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// SelfID returns this node's identity.
-func (c *Cluster) SelfID() string { return c.self.ID }
-
 // Nodes returns the full membership (sorted by id).
 func (c *Cluster) Nodes() []Node { return c.nodes }
 

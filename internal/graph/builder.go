@@ -124,12 +124,6 @@ func (b *Builder) Build() (*Graph, error) {
 	return g, nil
 }
 
-// FromCSR wraps pre-built CSR arrays into a Graph without copying. The caller
-// is responsible for the CSR invariants (see Validate).
-func FromCSR(xadj, adjncy, adjwgt []int32, ncon int, vwgt []int32) *Graph {
-	return &Graph{Xadj: xadj, Adjncy: adjncy, AdjWgt: adjwgt, NCon: ncon, VWgt: vwgt}
-}
-
 // Grid builds the ncon=1, unit-weight graph of an nx×ny 4-neighbour grid.
 // Vertex (i,j) has id i*ny+j. It is a convenience for tests.
 func Grid(nx, ny int) *Graph {

@@ -25,14 +25,6 @@ type MigrationStats struct {
 	MaxFlowBytes int64 `json:"max_flow_bytes"`
 }
 
-// MovedFraction is MovedCells / TotalCells.
-func (s *MigrationStats) MovedFraction() float64 {
-	if s.TotalCells == 0 {
-		return 0
-	}
-	return float64(s.MovedCells) / float64(s.TotalCells)
-}
-
 // ComputeMigrationStats compares two assignments over the same cells.
 // bytes[v] is the serialized size of cell v; a nil bytes counts every cell as
 // one byte, making the byte totals equal the cell counts.

@@ -48,8 +48,9 @@ func BenchmarkPartitionCylinder(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionKWayCylinder covers the direct k-way construction, whose
-// coarsening dominates (one deep hierarchy instead of a bisection tree).
+// BenchmarkPartitionKWayCylinder covers the direct k-way construction: one
+// deep hierarchy instead of a bisection tree, so the pairwise k-way FM engine
+// (kwayRefine) dominates and coarsening is a small share.
 func BenchmarkPartitionKWayCylinder(b *testing.B) {
 	m := mesh.Cylinder(0.01)
 	const k = 64

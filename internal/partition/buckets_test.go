@@ -4,7 +4,7 @@ import "testing"
 
 func TestGainBucketsOrdering(t *testing.T) {
 	var b gainBuckets
-	b.reset(8, 5)
+	b.reset(8, 5, lifo)
 	b.insert(0, 3)
 	b.insert(1, -2)
 	b.insert(2, 5)
@@ -26,7 +26,7 @@ func TestGainBucketsOrdering(t *testing.T) {
 
 func TestGainBucketsLIFOWithinBucket(t *testing.T) {
 	var b gainBuckets
-	b.reset(4, 3)
+	b.reset(4, 3, lifo)
 	b.insert(0, 2)
 	b.insert(1, 2)
 	b.insert(2, 2)
@@ -38,9 +38,47 @@ func TestGainBucketsLIFOWithinBucket(t *testing.T) {
 	}
 }
 
+// TestGainBucketsFIFOWithinBucket interleaves insert, update and remove and
+// checks that each bucket drains in arrival order: a vertex arrives when it
+// is inserted or updated into a bucket, and an update that keeps its bucket
+// keeps its place.
+func TestGainBucketsFIFOWithinBucket(t *testing.T) {
+	var b gainBuckets
+	b.reset(8, 3, fifo)
+	b.insert(0, 2)
+	b.insert(1, 1)
+	b.insert(2, 2)
+	b.update(3, 1) // absent: arrives in bucket 1 after 1
+	b.insert(4, 2)
+	b.update(1, 2) // leaves bucket 1, arrives in bucket 2 after 4
+	b.remove(2)    // from the middle of bucket 2
+	b.update(0, 2) // same bucket: keeps its place at the head
+	b.insert(5, 1)
+	b.update(4, 3) // bucket 2's middle to bucket 3
+	b.insert(2, 2) // back into bucket 2, after 1
+	b.remove(5)    // bucket 1's tail
+	b.insert(6, 1)
+	for _, w := range []int32{4, 0, 1, 2, 3, 6} {
+		if v, _ := b.popMax(); v != w {
+			t.Fatalf("popMax = %d, want %d (FIFO violated)", v, w)
+		}
+	}
+	if b.len() != 0 {
+		t.Fatalf("len = %d after draining", b.len())
+	}
+	// The tails survive draining: refilled buckets keep arrival order.
+	b.insert(7, 0)
+	b.insert(5, 0)
+	for _, w := range []int32{7, 5} {
+		if v, _ := b.popMax(); v != w {
+			t.Fatalf("popMax after refill = %d, want %d", v, w)
+		}
+	}
+}
+
 func TestGainBucketsUpdateAndRemove(t *testing.T) {
 	var b gainBuckets
-	b.reset(4, 10)
+	b.reset(4, 10, lifo)
 	b.insert(0, 1)
 	b.insert(1, 2)
 	b.update(0, 7) // move to a higher bucket
@@ -66,7 +104,7 @@ func TestGainBucketsUpdateAndRemove(t *testing.T) {
 
 func TestGainBucketsClampsExtremeKeys(t *testing.T) {
 	var b gainBuckets
-	b.reset(4, 2)
+	b.reset(4, 2, lifo)
 	b.insert(0, 100)  // clamps to +2
 	b.insert(1, -100) // clamps to -2
 	b.insert(2, 1)
@@ -80,7 +118,7 @@ func TestGainBucketsClampsExtremeKeys(t *testing.T) {
 
 func TestGainBucketsGrow(t *testing.T) {
 	var b gainBuckets
-	b.reset(2, 4)
+	b.reset(2, 4, lifo)
 	b.insert(0, 1)
 	b.grow(5)
 	b.insert(4, 3)
@@ -94,77 +132,15 @@ func TestGainBucketsGrow(t *testing.T) {
 
 func TestGainBucketsResetReuses(t *testing.T) {
 	var b gainBuckets
-	b.reset(4, 3)
+	b.reset(4, 3, lifo)
 	b.insert(0, 1)
 	b.insert(1, 2)
-	b.reset(3, 2)
+	b.reset(3, 2, lifo)
 	if b.len() != 0 {
 		t.Fatal("reset kept entries")
 	}
 	b.insert(2, -1)
 	if v, _ := b.popMax(); v != 2 {
 		t.Fatal("structure unusable after reset")
-	}
-}
-
-// TestVertexHeapCompaction is the regression test for the unbounded
-// stale-entry growth of the lazy-deletion heap: with a bound attached, lazy
-// re-pushes compact in place instead of accumulating, while popValid still
-// returns the freshest keys.
-func TestVertexHeapCompaction(t *testing.T) {
-	const n = 32
-	keys := make([]int32, n)
-	h := newVertexHeap()
-	limit := heapCompactLimit(n)
-	h.bind(keys, limit)
-	// Push far more stale updates than the bound allows: every round bumps
-	// every vertex's key and lazily re-pushes it.
-	for round := 0; round < 100; round++ {
-		for v := int32(0); v < n; v++ {
-			keys[v] = int32(round) + v
-			h.push(keys[v], v)
-		}
-		if h.len() > limit {
-			t.Fatalf("round %d: heap length %d exceeds bound %d", round, h.len(), limit)
-		}
-	}
-	// The heap must still yield vertices in fresh-key order.
-	prev := int32(1 << 30)
-	seen := map[int32]bool{}
-	for {
-		v, ok := h.popValid(func(int32) bool { return true }, keys)
-		if !ok {
-			break
-		}
-		if seen[v] {
-			t.Fatalf("vertex %d popped twice", v)
-		}
-		seen[v] = true
-		if keys[v] > prev {
-			t.Fatalf("pop order violated: key %d after %d", keys[v], prev)
-		}
-		prev = keys[v]
-	}
-	if len(seen) != n {
-		t.Fatalf("drained %d vertices, want %d", len(seen), n)
-	}
-}
-
-// TestVertexHeapUnboundedWithoutBind documents the pre-compaction behaviour
-// the small-n callers rely on: without bind, the heap never compacts (and
-// popValid filters the stale entries).
-func TestVertexHeapUnboundedWithoutBind(t *testing.T) {
-	keys := []int32{0, 0}
-	h := newVertexHeap()
-	for i := 0; i < 100; i++ {
-		keys[0] = int32(i)
-		h.push(keys[0], 0)
-	}
-	if h.len() != 100 {
-		t.Fatalf("unbound heap compacted: len %d", h.len())
-	}
-	v, ok := h.popValid(func(int32) bool { return true }, keys)
-	if !ok || v != 0 || keys[0] != 99 {
-		t.Fatal("fresh entry lost")
 	}
 }

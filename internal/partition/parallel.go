@@ -39,10 +39,9 @@ type scratch struct {
 	fm       fmState
 	locked   []bool
 	moves    []int32
-	moveGain []int32       // gain of moves[i] at the moment it moved
-	heaps    [2]vertexHeap // small-n fallback path
-	buckets  [2]gainBuckets
-	balCands []balCand // forceBalance candidates
+	moveGain []int32        // gain of moves[i] at the moment it moved
+	buckets  [2]gainBuckets // one per move direction; growBisection's frontier is buckets[0]
+	balCands []balCand      // forceBalance candidates
 
 	// Initial-bisection trial state (initialBisection): seed vertices already
 	// tried at this node, the candidate and best assignments, BFS buffers.
@@ -53,11 +52,9 @@ type scratch struct {
 	bfsQueue   []int32
 
 	// Greedy-graph-growing state (growBisection).
-	growGain     []int32
-	growFrontier []bool
-	growHeap     vertexHeap
-	growParked   []int32
-	growTarget   []int64
+	growGain   []int32
+	growParked []int32
+	growTarget []int64
 }
 
 // capacity files the arena in its pool by its largest node-sized buffer.

@@ -83,31 +83,13 @@ func refineBisection(b *bisection, maxPasses int, sc *scratch, parent obs.Span) 
 	return st.cut, idle
 }
 
-// pass runs one FM pass over the swept state and reports whether it improved
-// (violation, cut). Large graphs take the bucket-list gain structure; small
-// graphs (and graphs whose gain range dwarfs the vertex count, where a bucket
-// array would be mostly empty) fall back to the lazy-deletion heaps. Both
-// gates are pure functions of the graph, so the choice never depends on
-// scheduling.
-func (st *fmState) pass(b *bisection, sc *scratch) bool {
-	if n := b.g.NumVertices(); n >= fmBucketMinVertices && 2*int(st.maxw)+1 <= 8*n {
-		return st.passBuckets(b, sc)
-	}
-	return st.passHeap(b, sc)
-}
-
-// fmBucketMinVertices gates the bucket-based pass: below it the lazy-deletion
-// heap's lower constant factors win and the heap stays (the small-n
-// fallback); above it the O(1) bucket updates dominate.
-const fmBucketMinVertices = 96
-
 // endPass closes a pass whose applied moves sit in sc.moves with the gain
 // each had when it moved in sc.moveGain. A moved vertex's own entry is left
 // alone while the pass runs — it keeps collecting neighbour updates from the
-// value it moved with, which is also what the heap's compaction reads — so
-// its true gain is that entry minus twice the recorded gain. With every
-// entry settled, the moves past the best prefix are undone by the same exact
-// neighbour updates that applied them, and the cut follows the kept prefix.
+// value it moved with — so its true gain is that entry minus twice the
+// recorded gain. With every entry settled, the moves past the best prefix are
+// undone by the same exact neighbour updates that applied them, and the cut
+// follows the kept prefix.
 func (st *fmState) endPass(b *bisection, sc *scratch, bestIdx int, bestCutDelta int64) {
 	g, gain := b.g, st.gain
 	for i, v := range sc.moves {
@@ -129,16 +111,18 @@ func (st *fmState) endPass(b *bisection, sc *scratch, bestIdx int, bestCutDelta 
 	st.cut += bestCutDelta
 }
 
-// passBuckets is the bucket-list FM pass: O(1) candidate updates, no stale
-// entries, no per-move closure allocations. All O(n) working state comes from
-// the scratch arena, so repeated passes allocate nothing.
-func (st *fmState) passBuckets(b *bisection, sc *scratch) bool {
+// pass runs one FM pass over the swept state and reports whether it improved
+// (violation, cut). Candidates wait in one gainBuckets per move direction:
+// O(1) updates, no stale entries, no per-move closure allocations. All O(n)
+// working state comes from the scratch arena, so repeated passes allocate
+// nothing.
+func (st *fmState) pass(b *bisection, sc *scratch) bool {
 	g, gain := b.g, st.gain
 	n := g.NumVertices()
 
 	bk := [2]*gainBuckets{&sc.buckets[0], &sc.buckets[1]}
-	bk[0].reset(n, st.maxw)
-	bk[1].reset(n, st.maxw)
+	bk[0].reset(n, st.maxw, lifo)
+	bk[1].reset(n, st.maxw, lifo)
 	locked := growBool(sc.locked, n)
 	sc.locked = locked
 	// Reverse insertion order: buckets are LIFO, so equal-gain candidates
@@ -174,7 +158,7 @@ func (st *fmState) passBuckets(b *bisection, sc *scratch) bool {
 		curViol = newViol
 		moves, moveGain = append(moves, v), append(moveGain, gain[v])
 
-		// Update neighbour gains: O(1) bucket moves instead of heap pushes.
+		// Update neighbour gains: one O(1) bucket move each.
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
 			u := g.Adjncy[i]
 			w := g.AdjWgt[i]
@@ -207,7 +191,7 @@ func (st *fmState) passBuckets(b *bisection, sc *scratch) bool {
 // would increase the violation (they re-enter when a neighbour move changes
 // their gain), and keep the (violation, gain)-best of the two, returning the
 // loser to its bucket. A second probe round avoids stalling on a single
-// inadmissible top entry, mirroring the heap path.
+// inadmissible top entry.
 func pickMoveBuckets(b *bisection, bk [2]*gainBuckets, gain []int32, curViol float64) (int32, bool) {
 	const eps = 1e-12
 	for probe := 0; probe < 2; probe++ {
@@ -244,85 +228,6 @@ func pickMoveBuckets(b *bisection, bk [2]*gainBuckets, gain []int32, curViol flo
 	return -1, false
 }
 
-// passHeap is the original lazy-deletion-heap FM pass, retained as the
-// small-n fallback (see pass).
-func (st *fmState) passHeap(b *bisection, sc *scratch) bool {
-	g, gain := b.g, st.gain
-	n := g.NumVertices()
-
-	// One heap per move direction (from side s).
-	sc.heaps[0].reset()
-	sc.heaps[1].reset()
-	heaps := [2]*vertexHeap{&sc.heaps[0], &sc.heaps[1]}
-	heaps[0].bind(gain, heapCompactLimit(n))
-	heaps[1].bind(gain, heapCompactLimit(n))
-	locked := growBool(sc.locked, n)
-	sc.locked = locked
-	for v := 0; v < n; v++ {
-		if gain[v]+st.wdeg[v] > 0 {
-			heaps[b.where[v]].push(gain[v], int32(v))
-		}
-	}
-
-	startViol := b.violation()
-	curViol := startViol
-	var curCutDelta int64 // cut change relative to pass start (negative = better)
-
-	moves, moveGain := sc.moves[:0], sc.moveGain[:0]
-	bestIdx := -1 // moves[:bestIdx+1] is the best prefix
-	bestViol, bestCutDelta := startViol, int64(0)
-
-	// Bound non-improving streaks to keep passes near-linear.
-	maxStall := 64 + n/16
-	stall := 0
-
-	valid := [2]func(int32) bool{
-		func(v int32) bool { return !locked[v] && b.where[v] == 0 },
-		func(v int32) bool { return !locked[v] && b.where[v] == 1 },
-	}
-
-	for heaps[0].len()+heaps[1].len() > 0 && stall < maxStall {
-		// Choose the best admissible move from either direction.
-		v, ok := pickMove(b, heaps, gain, curViol, valid)
-		if !ok {
-			break
-		}
-		locked[v] = true
-		newViol := b.violationAfterMove(v)
-		curCutDelta -= int64(gain[v])
-		s := b.where[v]
-		b.move(v)
-		curViol = newViol
-		moves, moveGain = append(moves, v), append(moveGain, gain[v])
-
-		// Update neighbour gains.
-		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			u := g.Adjncy[i]
-			w := g.AdjWgt[i]
-			if b.where[u] == s {
-				gain[u] += 2 * w // edge became external for u
-			} else {
-				gain[u] -= 2 * w // edge became internal for u
-			}
-			if !locked[u] {
-				heaps[b.where[u]].push(gain[u], u)
-			}
-		}
-
-		if betterState(curViol, curCutDelta, bestViol, bestCutDelta) {
-			bestViol, bestCutDelta = curViol, curCutDelta
-			bestIdx = len(moves) - 1
-			stall = 0
-		} else {
-			stall++
-		}
-	}
-
-	sc.moves, sc.moveGain = moves, moveGain
-	st.endPass(b, sc, bestIdx, bestCutDelta)
-	return betterState(bestViol, bestCutDelta, startViol, 0)
-}
-
 // betterState orders (violation, cutDelta) lexicographically with a small
 // violation epsilon.
 func betterState(v1 float64, c1 int64, v2 float64, c2 int64) bool {
@@ -334,50 +239,6 @@ func betterState(v1 float64, c1 int64, v2 float64, c2 int64) bool {
 		return false
 	}
 	return c1 < c2
-}
-
-// pickMove selects the highest-gain unlocked boundary vertex whose move does
-// not increase the violation. When the current state is balanced, moves must
-// keep it balanced; when violated, only violation-reducing or -neutral moves
-// are allowed, preferring reducers.
-func pickMove(b *bisection, heaps [2]*vertexHeap, gain []int32, curViol float64, valid [2]func(int32) bool) (int32, bool) {
-	const eps = 1e-12
-	// Peek the best candidate of each direction (with lazy cleanup), then
-	// evaluate admissibility; a small bounded probe avoids getting stuck on
-	// one inadmissible top entry.
-	for probe := 0; probe < 2; probe++ {
-		var bestV int32 = -1
-		var bestGain int32
-		var bestViol float64
-		for s := int32(0); s < 2; s++ {
-			v, ok := heaps[s].popValid(valid[s], gain)
-			if !ok {
-				continue
-			}
-			nv := b.violationAfterMove(v)
-			if nv > curViol+eps {
-				// Inadmissible now; drop it. It will be re-pushed if a
-				// neighbour move changes its gain.
-				continue
-			}
-			if bestV < 0 || nv < bestViol-eps || (nv <= bestViol+eps && gain[v] > bestGain) {
-				// Return the loser to its heap.
-				if bestV >= 0 {
-					heaps[b.where[bestV]].push(gain[bestV], bestV)
-				}
-				bestV, bestGain, bestViol = v, gain[v], nv
-			} else {
-				heaps[s].push(gain[v], v)
-			}
-		}
-		if bestV >= 0 {
-			return bestV, true
-		}
-		if heaps[0].len()+heaps[1].len() == 0 {
-			break
-		}
-	}
-	return -1, false
 }
 
 // balCand is a forceBalance candidate: a movable vertex and its cut gain.

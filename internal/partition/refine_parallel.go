@@ -787,10 +787,10 @@ func (ps *pairScratch) refine(out []int32) []int32 {
 	// array; extreme gains clamp to the boundary buckets.
 	keyBound := int32(4*nloc + 64)
 	maxKey := satKey(ps.maxDeg, keyBound)
-	ps.bk[0].reset(nloc, maxKey)
-	ps.bk[1].reset(nloc, maxKey)
+	ps.bk[0].reset(nloc, maxKey, lifo)
+	ps.bk[1].reset(nloc, maxKey, lifo)
 	// Reverse insertion: LIFO buckets then pop equal-gain candidates in
-	// ascending local (≈ global) id — spatially coherent, see fmPassBuckets.
+	// ascending local (≈ global) id — spatially coherent, see fmState.pass.
 	for l := nloc - 1; l >= 0; l-- {
 		ps.bk[ps.side[l]].insert(int32(l), satKey(ps.gain[l], maxKey))
 	}

@@ -304,14 +304,6 @@ func (s *Store) Get(ns, key string) ([]byte, bool) {
 	return data, true
 }
 
-// Has reports whether (ns, key) is committed, without reading the blob.
-func (s *Store) Has(ns, key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[blobKey(ns, key)]
-	return ok
-}
-
 // JobReplays returns the folded job journal as of Open, in first-submitted
 // order. The daemon re-queues non-terminal entries and remembers terminal
 // ones.

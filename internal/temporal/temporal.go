@@ -86,10 +86,6 @@ func (s Scheme) Cost(τ Level) int32 {
 	return 1 << (s.MaxLevel - τ)
 }
 
-// Updates returns how many times a level-τ cell is recomputed per iteration;
-// identical to Cost for the unit-work-per-update model.
-func (s Scheme) Updates(τ Level) int { return int(s.Cost(τ)) }
-
 // SubiterationWork returns, given per-level active cell counts, the total
 // work units injected by subiteration sub: the number of active cells (each
 // update costs one unit).
