@@ -3,6 +3,7 @@ package graph
 import (
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Parallelism resolves a requested worker count: values <= 0 mean "use every
@@ -20,7 +21,9 @@ func Parallelism(workers int) int {
 // the workers, and helpers run only while a token is available. Acquisition
 // never blocks — when the pool is saturated, work simply runs on the caller —
 // so nested Fork/RunN calls cannot deadlock, and total concurrency stays
-// bounded by the width no matter how deep the recursion fans out.
+// bounded by the width no matter how deep the recursion fans out. Fork
+// hands one closure to a helper; RunN starts its helpers once and lets them
+// pull task indices until none is left.
 //
 // A nil *Pool is valid and means strictly serial execution; every method
 // degrades to calling the closures inline.
@@ -73,36 +76,43 @@ func (p *Pool) Fork(a, b func()) {
 	}
 }
 
-// RunN runs f(0) … f(n-1), each at most once, with concurrency bounded by
-// the pool width. Tasks that cannot obtain a token run on the caller; the
-// call returns when every task has finished. Results must not depend on
-// which tasks ran concurrently.
+// RunN runs f(0) … f(n-1), each exactly once, and returns when all have
+// finished. The caller and up to Width()-1 helpers, one per token free at
+// the call, pull indices from a shared counter until it passes n, so a batch
+// of short tasks costs one goroutine per helper rather than one per task.
+// On a saturated pool every task runs on the caller. Results must not
+// depend on which tasks ran concurrently, nor on which goroutine ran them.
 func (p *Pool) RunN(n int, f func(i int)) {
-	if p == nil {
+	if p == nil || n <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
 		return
 	}
+	var next atomic.Int64
+	drain := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for i := n - 1; i >= 1; i-- {
+helpers:
+	for h := 1; h < n; h++ {
 		select {
 		case p.sem <- struct{}{}:
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer func() {
 					<-p.sem
 					wg.Done()
 				}()
-				f(i)
-			}(i)
+				drain()
+			}()
 		default:
-			f(i)
+			break helpers
 		}
 	}
-	if n > 0 {
-		f(0)
-	}
+	drain()
 	wg.Wait()
 }
 

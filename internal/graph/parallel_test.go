@@ -50,6 +50,76 @@ func TestPoolRunNRunsEachTaskOnce(t *testing.T) {
 	}
 }
 
+// TestPoolRunNSharedCounter: the caller and the helpers pull indices from
+// one counter, and every index still runs exactly once — on a free pool, with
+// a RunN nested in every task of another on the same pool, and on a pool
+// whose tokens are all held, where every task runs on the caller. At no
+// point do more tasks run at once than the pool is wide. Run under -race.
+func TestPoolRunNSharedCounter(t *testing.T) {
+	for _, width := range []int{2, 3, 8} {
+		p := NewPool(width)
+		var active, peak atomic.Int32
+		enter := func() {
+			a := active.Add(1)
+			for old := peak.Load(); a > old && !peak.CompareAndSwap(old, a); old = peak.Load() {
+			}
+		}
+		leave := func() { active.Add(-1) }
+		checkOnce := func(name string, hits []atomic.Int32) {
+			t.Helper()
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("width %d, %s: index %d ran %d times", width, name, i, got)
+				}
+			}
+		}
+
+		for _, n := range []int{2, width, 5 * width, 1000} {
+			hits := make([]atomic.Int32, n)
+			p.RunN(n, func(i int) {
+				enter()
+				hits[i].Add(1)
+				leave()
+			})
+			checkOnce("flat", hits)
+		}
+
+		const outer, inner = 17, 23
+		nested := make([]atomic.Int32, outer*inner)
+		p.RunN(outer, func(i int) {
+			p.RunN(inner, func(j int) {
+				enter()
+				nested[i*inner+j].Add(1)
+				leave()
+			})
+		})
+		checkOnce("nested", nested)
+		if got := peak.Load(); got > int32(width) {
+			t.Fatalf("width %d: %d tasks ran at once", width, got)
+		}
+
+		// Saturated: every token is held, so no helper starts and the tasks
+		// run one after another on the caller.
+		for i := 0; i < cap(p.sem); i++ {
+			p.sem <- struct{}{}
+		}
+		peak.Store(0)
+		saturated := make([]atomic.Int32, 100)
+		p.RunN(len(saturated), func(i int) {
+			enter()
+			saturated[i].Add(1)
+			leave()
+		})
+		for i := 0; i < cap(p.sem); i++ {
+			<-p.sem
+		}
+		checkOnce("saturated", saturated)
+		if got := peak.Load(); got != 1 {
+			t.Fatalf("width %d, saturated: %d tasks ran at once, want 1", width, got)
+		}
+	}
+}
+
 func TestPoolForkNested(t *testing.T) {
 	// Deep nested forks must neither deadlock nor exceed the bound; the count
 	// of leaves is the correctness check.

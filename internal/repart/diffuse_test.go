@@ -1,0 +1,154 @@
+package repart
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"tempart/internal/graph"
+	"tempart/internal/mesh"
+	"tempart/internal/partition"
+)
+
+// skewedGrid is an nx×ny grid with ncon vertex weights drawn from [vlo, 3]
+// and edge weights from 1..9, and an assignment to k stripes of which the
+// first holds a third of the cells, so diffusion has overload to move.
+func skewedGrid(t *testing.T, nx, ny, ncon, k int, vlo int32) (*graph.Graph, []int32) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(nx*ny+ncon) + int64(vlo)))
+	b := graph.NewBuilder(ncon)
+	w := make([]int32, ncon)
+	for i := 0; i < nx*ny; i++ {
+		for c := range w {
+			w[c] = vlo + rng.Int31n(4-vlo)
+		}
+		b.AddVertex(w...)
+	}
+	for i := 0; i < nx; i++ {
+		for j := 0; j < ny; j++ {
+			v := int32(i*ny + j)
+			if j+1 < ny {
+				b.AddEdge(v, v+1, 1+rng.Int31n(9))
+			}
+			if i+1 < nx {
+				b.AddEdge(v, v+int32(ny), 1+rng.Int31n(9))
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := nx * ny
+	part := make([]int32, n)
+	for v := range part {
+		if v >= n/3 {
+			part[v] = 1 + int32((v-n/3)*(k-1)/(n-n/3))
+		}
+	}
+	return g, part
+}
+
+// TestDiffuseSkipMatchesFull: the diffusion sweeps with the skip move
+// exactly the cells the unpruned sweeps move, so a cell the skip passes over
+// had no admissible move. The inputs are the drift fixture at two shifts,
+// with and without migration penalties, and skewed grids with one and three
+// constraints; the skip must fire on each. On grids with negative vertex
+// weights diffuse must turn the skip off, and forcing it on must change the
+// result on at least one of them: the switch is needed.
+func TestDiffuseSkipMatchesFull(t *testing.T) {
+	type input struct {
+		name string
+		g    *graph.Graph
+		part []int32
+		k    int
+		pen  []int64
+	}
+	var inputs []input
+	for _, shift := range []float64{0.05, 0.3} {
+		m, old := driftedCylinder(t, 0.002, 16, shift)
+		g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
+		for _, penalty := range []float64{0, -1} {
+			pen := penalties(g, Options{MigrationPenalty: penalty, MigBytes: MeshMigrationBytes(m)})
+			inputs = append(inputs, input{fmt.Sprintf("cylinder-shift%g-penalty%g", shift, penalty), g, old.Part, 16, pen})
+		}
+	}
+	for _, ncon := range []int{1, 3} {
+		g, part := skewedGrid(t, 50, 50, ncon, 8, 0)
+		inputs = append(inputs, input{fmt.Sprintf("grid-ncon%d", ncon), g, part, 8, nil})
+	}
+	var negatives []input
+	for _, ncon := range []int{1, 3} {
+		g, part := skewedGrid(t, 50, 50, ncon, 8, -2)
+		negatives = append(negatives, input{fmt.Sprintf("grid-ncon%d-negative-weights", ncon), g, part, 8, nil})
+	}
+
+	// sweep runs the sweeps as diffuse does with default options (seed 0).
+	sweep := func(in input, skip bool) ([]int32, int) {
+		part := slices.Clone(in.part)
+		caps := diffuseCaps(in.g, in.k, 1.05)
+		skipped, ok := diffuseSweeps(context.Background(), in.g, part, in.k, caps, in.pen, 0, skip)
+		if !ok {
+			t.Fatal("sweeps cancelled")
+		}
+		return part, skipped
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			if slices.ContainsFunc(in.g.VWgt, negative) {
+				t.Fatal("input has a negative vertex weight")
+			}
+			want, _ := sweep(in, false)
+			got, skipped := sweep(in, true)
+			if !slices.Equal(got, want) {
+				t.Fatalf("skipping sweeps differ from the full sweeps at %d cells", diffCells(got, want))
+			}
+			moved := diffCells(want, in.part)
+			if skipped == 0 || moved == 0 {
+				t.Fatalf("%d cell visits skipped, %d cells moved: nothing was compared", skipped, moved)
+			}
+			t.Logf("%d cells moved, %d cell visits skipped", moved, skipped)
+		})
+	}
+	diverged := 0
+	for _, in := range negatives {
+		t.Run(in.name, func(t *testing.T) {
+			if !slices.ContainsFunc(in.g.VWgt, negative) {
+				t.Fatal("input has no negative vertex weight")
+			}
+			full, _ := sweep(in, false)
+			forced, _ := sweep(in, true)
+			if d := diffCells(forced, full); d > 0 {
+				diverged++
+				t.Logf("forcing the skip changes %d cells", d)
+			}
+			// diffuse itself must sweep every cell: its result is the full
+			// sweeps followed by the same unbiased polish.
+			got := slices.Clone(in.part)
+			if err := diffuse(context.Background(), in.g, got, in.k, Options{MigrationPenalty: -1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := partition.RefineKWay(context.Background(), in.g, full, in.k, partition.RefineOptions{Origin: in.part}); err != nil {
+				t.Fatal(err)
+			}
+			if d := diffCells(got, full); d > 0 {
+				t.Fatalf("diffuse differs from the full sweeps and polish at %d cells", d)
+			}
+		})
+	}
+	if diverged == 0 {
+		t.Error("forcing the skip on the negative-weight grids changed nothing: they do not show why diffuse turns it off")
+	}
+}
+
+func diffCells(a, b []int32) int {
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
+}

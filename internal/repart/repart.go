@@ -19,10 +19,11 @@
 //     coarsest-to-finest with a migration-penalty term biasing moves toward
 //     cells that are cheap to ship.
 //
-//   - Diffuse: a diffusive fallback that shifts boundary cells along
-//     overloaded→underloaded part pairs, one constraint at a time, then
-//     polishes the edge cut with the same penalty-biased greedy refinement.
-//     Cheaper than Refine and sufficient for small drift.
+//   - Diffuse: a diffusive fallback that shifts boundary cells of
+//     overloaded parts to adjacent parts, judging each move by the overage
+//     summed over all constraints, then polishes the edge cut with the same
+//     penalty-biased greedy refinement. Cheaper than Refine and sufficient
+//     for small drift.
 //
 // Auto (the default) picks a strategy from the measured drift: partitions
 // still inside tolerance are kept untouched, mild drift diffuses, heavy
