@@ -177,7 +177,7 @@ func (g *Graph) Contract(cmap []int32, ncoarse int) *Graph {
 // posPools recycles the -1-filled position tables contractRange uses,
 // bucketed by power-of-two size class so one paper-scale contraction cannot
 // pin multi-megabyte tables into every later small request (see sizeclass.go
-// for the class discipline). The algorithm restores every touched entry to -1
+// for the class discipline). contractRange resets every entry it sets to -1
 // before returning, so a pooled table is clean by construction and only first
 // use (or growth) pays the fill.
 var posPools SizedPool[[]int32]
@@ -199,13 +199,16 @@ func putPosTable(p *[]int32) { posPools.Put(p, cap(*p)) }
 // ContractP is Contract with the row assembly sharded over the pool's
 // workers. Every coarse vertex's weight and adjacency row depend only on its
 // own fine vertices, so shards write disjoint state and the merged result is
-// bit-identical to the serial contraction for any pool width.
+// bit-identical to the serial contraction for any pool width. The coarse
+// graph's arrays are drawn from the word pool (GetWords); its caller owns it
+// and may Release it once nothing reads it.
 func (g *Graph) ContractP(cmap []int32, ncoarse int, pool *Pool) *Graph {
 	cg := &Graph{
 		NCon: g.NCon,
-		VWgt: make([]int32, ncoarse*g.NCon),
-		Xadj: make([]int32, ncoarse+1),
+		VWgt: GetWords(ncoarse * g.NCon),
+		Xadj: GetWords(ncoarse + 1),
 	}
+	cg.Xadj[0] = 0
 	// Group fine vertices by coarse vertex for cache-friendly assembly.
 	order, starts := groupByCoarse(cmap, ncoarse)
 
@@ -217,116 +220,105 @@ func (g *Graph) ContractP(cmap []int32, ncoarse int, pool *Pool) *Graph {
 		adj, wgt := g.contractRange(cg, cmap, order, starts, bounds[s], bounds[s+1])
 		outs[s] = rows{adj, wgt}
 	})
+	PutWords(order)
+	PutWords(starts)
 
 	// contractRange left per-row lengths in Xadj[cv+1]; prefix-sum them into
-	// offsets, then splice the shard rows (contiguous per shard) into place.
+	// offsets, then copy the shard rows (contiguous per shard) into place at
+	// exact size and return the shard buffers.
 	for cv := 0; cv < ncoarse; cv++ {
 		cg.Xadj[cv+1] += cg.Xadj[cv]
 	}
-	if nshards == 1 {
-		cg.Adjncy, cg.AdjWgt = outs[0].adj, outs[0].wgt
-		return cg
-	}
 	total := int(cg.Xadj[ncoarse])
-	cg.Adjncy = make([]int32, total)
-	cg.AdjWgt = make([]int32, total)
+	cg.Adjncy = GetWords(total)
+	cg.AdjWgt = GetWords(total)
 	pool.RunN(nshards, func(s int) {
 		off := cg.Xadj[bounds[s]]
 		copy(cg.Adjncy[off:], outs[s].adj)
 		copy(cg.AdjWgt[off:], outs[s].wgt)
+		PutWords(outs[s].adj)
+		PutWords(outs[s].wgt)
 	})
 	return cg
 }
 
-// contractRange assembles coarse vertices [lo, hi): it accumulates their
-// weights into cg.VWgt, records each row's length in cg.Xadj[cv+1], and
-// returns the concatenated adjacency/weight rows for the range.
+// contractRange assembles coarse vertices [lo, hi) in one scan of their fine
+// rows. It accumulates their weights into cg.VWgt, records each row's length
+// in cg.Xadj[cv+1], and returns the rows laid back to back in pooled buffers
+// sized by the range's fine edge count, an upper bound; ContractP copies
+// them once into the exact-size coarse arrays. An entry is laid where a
+// neighbour is first seen and later fine edges to the same coarse neighbour
+// add to its weight through the position table, so every row keeps its
+// first-seen adjacency order. Once a row is laid its own entries reset the
+// table, which is clean again when the range is done.
 func (g *Graph) contractRange(cg *Graph, cmap, order, starts []int32, lo, hi int) (adj, wgt []int32) {
 	posBuf := getPosTable(len(cg.Xadj) - 1)
 	defer putPosTable(posBuf)
 	pos := *posBuf
 
-	// Pass 1: count each row's distinct coarse neighbours. Sizing the shard
-	// rows by the fine edge count instead would over-allocate by the dedup
-	// factor — and at one shard the returned slices BECOME the coarse graph,
-	// so the slack would ride along for the level's whole lifetime, right
-	// through the triple-resident contraction window that is the
-	// partitioner's peak-memory moment.
-	touched := make([]int32, 0, 64)
-	total := 0
-	for cv := lo; cv < hi; cv++ {
-		rowLen := 0
-		for _, v := range order[starts[cv]:starts[cv+1]] {
-			for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-				cu := cmap[g.Adjncy[i]]
-				if int(cu) == cv {
-					continue
-				}
-				if pos[cu] < 0 {
-					pos[cu] = 0
-					rowLen++
-					touched = append(touched, cu)
-				}
-			}
+	bound := len(g.Adjncy)
+	if hi-lo < len(cg.Xadj)-1 {
+		bound = 0
+		for _, v := range order[starts[lo]:starts[hi]] {
+			bound += int(g.Xadj[v+1] - g.Xadj[v])
 		}
-		for _, cu := range touched {
-			pos[cu] = -1
-		}
-		touched = touched[:0]
-		cg.Xadj[cv+1] = int32(rowLen)
-		total += rowLen
 	}
-
-	// Pass 2: fill, scanning in exactly the same order, so rows keep the
-	// first-seen adjacency order and the bytes match a single-pass assembly.
-	adj = make([]int32, 0, total)
-	wgt = make([]int32, 0, total)
+	adj, wgt = GetWords(bound), GetWords(bound)
+	ncon := g.NCon
+	xadj, adjncy, adjwgt := g.Xadj, g.Adjncy, g.AdjWgt
+	k := 0
 	for cv := lo; cv < hi; cv++ {
+		row := k
+		vw := cg.VWgt[cv*ncon : (cv+1)*ncon]
+		clear(vw)
 		for _, v := range order[starts[cv]:starts[cv+1]] {
-			for c := 0; c < g.NCon; c++ {
-				cg.VWgt[cv*g.NCon+c] += g.VWgt[int(v)*g.NCon+c]
+			for c, w := range g.VWgt[int(v)*ncon : (int(v)+1)*ncon] {
+				vw[c] += w
 			}
-			for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-				cu := cmap[g.Adjncy[i]]
+			for i := xadj[v]; i < xadj[v+1]; i++ {
+				cu := cmap[adjncy[i]]
 				if int(cu) == cv {
 					continue
 				}
 				if p := pos[cu]; p < 0 {
-					pos[cu] = int32(len(adj))
-					adj = append(adj, cu)
-					wgt = append(wgt, g.AdjWgt[i])
-					touched = append(touched, cu)
+					pos[cu] = int32(k)
+					adj[k] = cu
+					wgt[k] = adjwgt[i]
+					k++
 				} else {
-					wgt[p] += g.AdjWgt[i]
+					wgt[p] += adjwgt[i]
 				}
 			}
 		}
-		for _, cu := range touched {
+		for _, cu := range adj[row:k] {
 			pos[cu] = -1
 		}
-		touched = touched[:0]
+		cg.Xadj[cv+1] = int32(k - row)
 	}
-	return adj, wgt
+	return adj[:k], wgt[:k]
 }
 
-// groupByCoarse returns fine vertices ordered by their coarse vertex, plus
-// the CSR-style starts array (len ncoarse+1).
+// groupByCoarse returns fine vertices ordered by their coarse vertex, each
+// group in ascending fine id, plus the CSR-style starts array (len
+// ncoarse+1). Both are drawn from the word pool; the caller returns them.
 func groupByCoarse(cmap []int32, ncoarse int) (order []int32, starts []int32) {
-	counts := make([]int32, ncoarse+1)
+	starts = GetWords(ncoarse + 1)
+	clear(starts)
 	for _, cv := range cmap {
-		counts[cv+1]++
+		starts[cv+1]++
 	}
 	for i := 1; i <= ncoarse; i++ {
-		counts[i] += counts[i-1]
+		starts[i] += starts[i-1]
 	}
-	starts = counts
-	order = make([]int32, len(cmap))
-	fill := make([]int32, ncoarse)
-	copy(fill, starts[:ncoarse])
+	// Placing a fine vertex advances its group's start; once every vertex is
+	// placed, starts[cv] holds group cv+1's start, and one shift restores it.
+	order = GetWords(len(cmap))
 	for v, cv := range cmap {
-		order[fill[cv]] = int32(v)
-		fill[cv]++
+		order[starts[cv]] = int32(v)
+		starts[cv]++
 	}
+	copy(starts[1:], starts[:ncoarse])
+	starts[0] = 0
 	return order, starts
 }
 
@@ -356,7 +348,9 @@ func (s *Scratch) Cap() int { return len(s.local) }
 // SubgraphWith is Subgraph backed by caller-provided scratch (nil allocates
 // fresh buffers). Unlike Subgraph it returns the input slice itself as the
 // index→id mapping instead of a copy; the caller owns both and may reuse the
-// slice once the mapping is no longer needed.
+// slice once the mapping is no longer needed. The subgraph's arrays are
+// drawn from the word pool (GetWords); the caller may Release it once
+// nothing reads it.
 func (g *Graph) SubgraphWith(vertices []int32, sc *Scratch) (*Graph, []int32) {
 	n := len(vertices)
 	if sc == nil {
@@ -374,15 +368,16 @@ func (g *Graph) SubgraphWith(vertices []int32, sc *Scratch) (*Graph, []int32) {
 	}
 	sg := &Graph{
 		NCon: g.NCon,
-		Xadj: make([]int32, n+1),
-		VWgt: make([]int32, n*g.NCon),
+		Xadj: GetWords(n + 1),
+		VWgt: GetWords(n * g.NCon),
 	}
+	sg.Xadj[0] = 0
 	edgeCap := 0
 	for _, v := range vertices {
 		edgeCap += int(g.Xadj[v+1] - g.Xadj[v])
 	}
-	adj := make([]int32, 0, edgeCap)
-	wgt := make([]int32, 0, edgeCap)
+	adj := GetWords(edgeCap)[:0]
+	wgt := GetWords(edgeCap)[:0]
 	for i, v := range vertices {
 		copy(sg.VWgt[i*g.NCon:(i+1)*g.NCon], g.WeightVec(v))
 		for j := g.Xadj[v]; j < g.Xadj[v+1]; j++ {

@@ -182,8 +182,8 @@ func TestPoolBoundsCoverAndChunk(t *testing.T) {
 }
 
 func graphsEqual(a, b *Graph) bool {
-	if a.NCon != b.NCon || len(a.Xadj) != len(b.Xadj) ||
-		len(a.Adjncy) != len(b.Adjncy) || len(a.VWgt) != len(b.VWgt) {
+	if a.NCon != b.NCon || len(a.Xadj) != len(b.Xadj) || len(a.Adjncy) != len(b.Adjncy) ||
+		len(a.AdjWgt) != len(b.AdjWgt) || len(a.VWgt) != len(b.VWgt) {
 		return false
 	}
 	for i := range a.Xadj {

@@ -67,5 +67,42 @@ func (p *SizedPool[T]) Get(n int) *T {
 	return new(T)
 }
 
+// getFit is Get for callers that cannot use a value with less capacity than
+// n. Only n's own class can hold one: the probe draws up to fitDraws values
+// from it, keeps the first that fits and files the undersized ones back for
+// smaller requests, then moves up a class. A class shared by arrays of
+// nearly equal sizes (a row-offset array of n+1 words and a weight array of
+// n) so costs no allocation per mismatched draw. It returns nil when no
+// value fits.
+func (p *SizedPool[T]) getFit(n int, capOf func(*T) int) *T {
+	var small [fitDraws]any
+	c := reqClass(n)
+	var fit *T
+	drawn := 0
+	for ; drawn < fitDraws; drawn++ {
+		v := p.classes[c].Get()
+		if v == nil {
+			break
+		}
+		if x := v.(*T); capOf(x) >= n {
+			fit = x
+			break
+		}
+		small[drawn] = v
+	}
+	for _, v := range small[:drawn] {
+		p.classes[c].Put(v)
+	}
+	for hi := 1; fit == nil && hi < classProbes && c+hi < sizeClasses; hi++ {
+		if v := p.classes[c+hi].Get(); v != nil {
+			fit = v.(*T)
+		}
+	}
+	return fit
+}
+
+// fitDraws bounds how many values getFit draws from a request's own class.
+const fitDraws = 4
+
 // Put files x under the class of capacity, its element count.
 func (p *SizedPool[T]) Put(x *T, capacity int) { p.classes[capClass(capacity)].Put(x) }

@@ -203,9 +203,15 @@ func growBisection(b *bisection, frac float64, seed int32, sc *scratch) {
 }
 
 // pseudoPeripheral returns a vertex roughly farthest from start via two BFS
-// sweeps.
-func pseudoPeripheral(g *graph.Graph, start int32, sc *scratch) int32 {
-	return bfsFarthest(g, bfsFarthest(g, start, sc), sc)
+// sweeps. The second sweep depends only on the graph and the first sweep's
+// end vertex far, so farthest memoizes it by far (-1: not swept yet), and
+// the trials of one node that reach the same far vertex sweep from it once.
+func pseudoPeripheral(g *graph.Graph, start int32, farthest []int32, sc *scratch) int32 {
+	far := bfsFarthest(g, start, sc)
+	if farthest[far] < 0 {
+		farthest[far] = bfsFarthest(g, far, sc)
+	}
+	return farthest[far]
 }
 
 // bfsFarthest returns the last vertex a BFS from start reaches. The queue is

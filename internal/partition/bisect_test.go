@@ -97,8 +97,9 @@ func TestFMStateMatchesRecompute(t *testing.T) {
 	}
 }
 
-// exhaustiveInitial is the trial loop without the seed-vertex memo: every
-// trial grows, refines and is scored with an independently computed cut.
+// exhaustiveInitial is the trial loop without the seed-vertex memo and
+// without the memoized second sweep: every trial sweeps twice, grows,
+// refines and is scored with an independently computed cut.
 func exhaustiveInitial(g *graph.Graph, frac float64, caps0, caps1 []int64, opt Options, rng randSource, sc *scratch) []int32 {
 	n := g.NumVertices()
 	var best []int32
@@ -106,7 +107,7 @@ func exhaustiveInitial(g *graph.Graph, frac float64, caps0, caps1 []int64, opt O
 	var bestCut int64
 	for trial := 0; trial < opt.InitTrials; trial++ {
 		where := make([]int32, n)
-		seed := pseudoPeripheral(g, int32(rng.Intn(n)), sc)
+		seed := bfsFarthest(g, bfsFarthest(g, int32(rng.Intn(n)), sc), sc)
 		viol, _, _ := initTrial(g, where, seed, frac, caps0, caps1, opt.RefinePasses, sc, obs.Span{})
 		if cut := ComputeEdgeCut(g, where); best == nil || betterState(viol, cut, bestViol, bestCut) {
 			best, bestViol, bestCut = where, viol, cut

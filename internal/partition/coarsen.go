@@ -34,6 +34,7 @@ func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng randSource,
 			break // cancelled mid-match; do not contract
 		}
 		if float64(ncoarse) > 0.9*float64(cur.NumVertices()) {
+			graph.PutWords(cmap)
 			lspan.End()
 			break // diminishing returns; stop here
 		}
@@ -70,6 +71,7 @@ func shrinkMatchScratch(sc *scratch, n int) {
 	if c := cap(sc.match); c >= 2*n && c > floorWords {
 		sc.match = nil
 		sc.pref = nil
+		sc.order = nil
 	}
 }
 
@@ -115,12 +117,12 @@ func heavyEdgeMatching(ctx context.Context, g *graph.Graph, rng randSource, pool
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
-	for oi, vi := range order {
+	order := Perm(growI32(sc.order, n), rng)
+	sc.order = order
+	for oi, v := range order {
 		if oi%matchCancelStride == 0 && ctx.Err() != nil {
 			return nil, 0, false
 		}
-		v := int32(vi)
 		if match[v] >= 0 {
 			continue
 		}
@@ -144,9 +146,9 @@ func heavyEdgeMatching(ctx context.Context, g *graph.Graph, rng randSource, pool
 		}
 	}
 
-	// cmap outlives the call (it is retained by the level hierarchy), so it
-	// is allocated fresh rather than drawn from the scratch arena.
-	cmap = make([]int32, n)
+	// cmap outlives the call (it is retained by the level hierarchy, which
+	// returns it), so it comes from the word pool, not the scratch arena.
+	cmap = graph.GetWords(n)
 	for i := range cmap {
 		cmap[i] = -1
 	}
@@ -164,10 +166,24 @@ func heavyEdgeMatching(ctx context.Context, g *graph.Graph, rng randSource, pool
 	return cmap, int(next), true
 }
 
+// Perm fills buf with a random permutation of [0, len(buf)) and returns it.
+// It makes exactly the draws rand.Perm(len(buf)) makes, in the same order,
+// so the permutation and the source's later stream equal rand.Perm's,
+// without its []int allocation.
+func Perm(buf []int32, rng interface{ Intn(n int) int }) []int32 {
+	for i := range buf {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = int32(i)
+	}
+	return buf
+}
+
 // projectAssignment pushes a coarse 0/1 (or k-way) assignment down one level:
-// each fine vertex inherits the part of its coarse vertex.
+// each fine vertex inherits the part of its coarse vertex. The fine
+// assignment comes from the word pool; its caller returns it.
 func projectAssignment(cmap []int32, coarsePart []int32) []int32 {
-	fine := make([]int32, len(cmap))
+	fine := graph.GetWords(len(cmap))
 	for v, cv := range cmap {
 		fine[v] = coarsePart[cv]
 	}

@@ -83,7 +83,9 @@ func PartitionKWay(ctx context.Context, g *graph.Graph, k int, opt Options) (*Re
 			kwayRefine(ctx, cg, part, k, caps, opt.RefinePasses, pool).annotate(rspan)
 			rspan.End()
 		}
-		part = projectAssignment(h.cmap(li), part)
+		fine := projectAssignment(h.cmap(li), part)
+		graph.PutWords(part)
+		part = fine
 		h.release(li)
 	}
 	// The walk is done loading; free the read-back buffers before the

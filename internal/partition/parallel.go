@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand"
 	"sync"
 
 	"tempart/internal/graph"
@@ -32,6 +33,11 @@ type scratch struct {
 	split []int32 // stable-partition spill buffer (recursiveBisect)
 	match []int32 // heavy-edge matching state
 	pref  []int32 // precomputed heaviest-neighbour candidates
+	order []int32 // heavy-edge matching visit order (Perm)
+
+	// rng is the node's random source, reseeded per node (seeded): one
+	// generator per arena instead of a fresh one, and its seeding, per node.
+	rng *rand.Rand
 
 	bis bisection // the one live bisection (newBisection)
 
@@ -44,8 +50,10 @@ type scratch struct {
 	balCands []balCand      // forceBalance candidates
 
 	// Initial-bisection trial state (initialBisection): seed vertices already
-	// tried at this node, the candidate and best assignments, BFS buffers.
+	// tried at this node, each first sweep's end vertex's farthest vertex
+	// (-1 until swept), the candidate and best assignments, BFS buffers.
 	triedSeed  []bool
+	farthest   []int32
 	trialWhere []int32
 	bestWhere  []int32
 	bfsSeen    []bool
@@ -73,6 +81,18 @@ func (s *scratch) capacity() int {
 var scratchPools graph.SizedPool[scratch]
 
 func getScratch(n int) *scratch { return scratchPools.Get(n) }
+
+// seeded returns the arena's random source reseeded with seed. Seeding a
+// rand.Rand restarts it exactly as rand.New(rand.NewSource(seed)) would
+// start, so a node draws the same stream from any arena.
+func (s *scratch) seeded(seed int64) *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
+	return s.rng
+}
 
 func putScratch(s *scratch) { scratchPools.Put(s, s.capacity()) }
 

@@ -130,17 +130,17 @@ func TestDeriveSeedAddressesDistinct(t *testing.T) {
 	}
 }
 
-// cancelOnPerm is a randSource whose first Perm call cancels the context —
-// simulating cancellation arriving exactly when a matching pass begins.
-type cancelOnPerm struct {
+// cancelOnIntn is a randSource whose first Intn call cancels the context.
+// A matching pass's first draw is the first Intn of its visit order, so
+// this simulates cancellation arriving exactly when a matching pass begins.
+type cancelOnIntn struct {
 	rng    *rand.Rand
 	cancel context.CancelFunc
 }
 
-func (c *cancelOnPerm) Intn(n int) int { return c.rng.Intn(n) }
-func (c *cancelOnPerm) Perm(n int) []int {
+func (c *cancelOnIntn) Intn(n int) int {
 	c.cancel()
-	return c.rng.Perm(n)
+	return c.rng.Intn(n)
 }
 
 // TestCoarsenCancelLatency pins the satellite fix: when cancellation lands
@@ -150,7 +150,7 @@ func (c *cancelOnPerm) Perm(n int) []int {
 func TestCoarsenCancelLatency(t *testing.T) {
 	g := mesh.Cylinder(0.01).DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
 	ctx, cancel := context.WithCancel(context.Background())
-	src := &cancelOnPerm{rng: rand.New(rand.NewSource(1)), cancel: cancel}
+	src := &cancelOnIntn{rng: rand.New(rand.NewSource(1)), cancel: cancel}
 	h := coarsen(ctx, g, 128, src, nil, new(scratch), streamFloor(Options{}))
 	defer h.close()
 	if h.levels() != 1 {

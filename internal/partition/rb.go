@@ -2,7 +2,6 @@ package partition
 
 import (
 	"context"
-	"math/rand"
 
 	"tempart/internal/graph"
 	"tempart/internal/obs"
@@ -86,10 +85,11 @@ func bisectNode(ctx context.Context, g *graph.Graph, t SubtreeTask, opt Options,
 	frac := float64(k1) / float64(t.K)
 
 	sc := getScratch(len(t.Vertices))
-	rng := rand.New(rand.NewSource(t.Seed))
+	rng := sc.seeded(t.Seed)
 	sspan := obs.StartSpan(ctx, "partition/subgraph")
 	var sg *graph.Graph
 	var orig []int32
+	built := false // sg was extracted here, and is released here
 	if len(t.Vertices) == g.NumVertices() && isIdentity(t.Vertices) {
 		// Root node (or root of a subtree covering the whole graph): the
 		// extracted subgraph would be byte-for-byte g itself — the identity
@@ -103,6 +103,7 @@ func bisectNode(ctx context.Context, g *graph.Graph, t SubtreeTask, opt Options,
 		gsc := getGraphScratch(g.NumVertices())
 		sg, orig = g.SubgraphWith(t.Vertices, gsc) // orig aliases t.Vertices
 		putGraphScratch(gsc)
+		built = true
 	}
 	if sspan.Active() {
 		sspan.SetInt("vertices", int64(len(t.Vertices)))
@@ -133,6 +134,12 @@ func bisectNode(ctx context.Context, g *graph.Graph, t SubtreeTask, opt Options,
 	}
 	copy(vertices[nleft:], spill)
 	sc.split = spill
+	// The node's hierarchy is done: its subgraph and assignment go back to
+	// the word pool for the children to build theirs from.
+	graph.PutWords(where)
+	if built {
+		sg.Release()
+	}
 	putScratch(sc) // children fetch their own arenas
 
 	left = SubtreeTask{
@@ -163,7 +170,7 @@ func rootBisect(ctx context.Context, g *graph.Graph, k int, opt Options, pool *g
 	n := g.NumVertices()
 
 	sc := getScratch(n)
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := sc.seeded(opt.Seed)
 	sspan := obs.StartSpan(ctx, "partition/subgraph")
 	if sspan.Active() {
 		sspan.SetInt("vertices", int64(n))
@@ -188,6 +195,7 @@ func rootBisect(ctx context.Context, g *graph.Graph, k int, opt Options, pool *g
 			ri++
 		}
 	}
+	graph.PutWords(where)
 	// The root's scratch is deliberately NOT pooled: its buffers are sized by
 	// the whole graph, and ceil filing would hand them to the first child —
 	// whose coarsening window is the next peak-memory moment — instead of

@@ -320,12 +320,17 @@ func initialBisection(ctx context.Context, g *graph.Graph, frac float64, caps0, 
 	n := g.NumVertices()
 	tried := growBool(sc.triedSeed, n)
 	sc.triedSeed = tried
+	farthest := growI32(sc.farthest, n)
+	sc.farthest = farthest
+	for i := range farthest {
+		farthest[i] = -1
+	}
 	cand := growI32(sc.trialWhere, n)
 	best = growI32(sc.bestWhere, n)
 	bestViol, bestCut := 0.0, int64(0)
 	run, skipped := 0, 0
 	for trial := 0; trial < opt.InitTrials && ctx.Err() == nil; trial++ {
-		seed := pseudoPeripheral(g, int32(rng.Intn(n)), sc)
+		seed := pseudoPeripheral(g, int32(rng.Intn(n)), farthest, sc)
 		if tried[seed] {
 			skipped++
 			continue
@@ -356,11 +361,11 @@ func initialBisection(ctx context.Context, g *graph.Graph, frac float64, caps0, 
 // bisectGraph runs the full multilevel 2-way pipeline on g: coarsen, grow an
 // initial bisection on the coarsest graph (several trials, best kept), then
 // uncoarsen with FM refinement at every level. frac is the share of every
-// constraint that side 0 should receive. Returns the side of each vertex;
-// the slice may belong to sc and is valid until the arena's next use.
-// When ctx is cancelled, remaining trials and refinement passes are skipped
-// (projection still runs so the assignment stays full length); the top-level
-// construction reports the cancellation.
+// constraint that side 0 should receive. Returns the side of each vertex in
+// an array drawn from the word pool, which the caller returns once it is
+// done with it. When ctx is cancelled, remaining trials and refinement
+// passes are skipped (projection still runs so the assignment stays full
+// length); the top-level construction reports the cancellation.
 func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options, rng randSource, pool *graph.Pool, sc *scratch) []int32 {
 	caps0, caps1 := sideCaps(g, frac, opt.ImbalanceTol)
 	h := coarsen(ctx, g, opt.CoarsenTo, rng, pool, sc, streamFloor(opt))
@@ -372,10 +377,17 @@ func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options,
 
 	// Uncoarsen and refine. Spilled interior rungs are reloaded one at a
 	// time (h.graph) and released once their refinement pass is done, so
-	// the resident graph state stays O(finest + coarsest + one rung).
+	// the resident graph state stays O(finest + coarsest + one rung). The
+	// coarsest assignment belongs to sc; every projection comes from the
+	// word pool and goes back once projected in turn.
+	pooled := false
 	for li := h.levels() - 1; li >= 1; li-- {
 		rspan := obs.StartSpan(ctx, "partition/refine")
-		where = projectAssignment(h.cmap(li), where)
+		fine := projectAssignment(h.cmap(li), where)
+		if pooled {
+			graph.PutWords(where)
+		}
+		where, pooled = fine, true
 		if li == 1 {
 			// Level 0 is always resident: nothing loads after this
 			// projection, so the read-back buffers must not sit under the
@@ -397,6 +409,11 @@ func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options,
 		_, idle = refineBisection(b, opt.RefinePasses, sc, rspan)
 		rspan.End()
 		h.release(li - 1)
+	}
+	if !pooled {
+		// Nothing was coarsened: hand back a pooled copy of the arena's
+		// assignment, so the caller owns what it gets either way.
+		where = append(graph.GetWords(len(where))[:0], where...)
 	}
 	if ctx.Err() != nil {
 		return where
@@ -437,5 +454,4 @@ func sideCaps(g *graph.Graph, frac, tol float64) (caps0, caps1 []int64) {
 // interface so tests can substitute deterministic sequences.
 type randSource interface {
 	Intn(n int) int
-	Perm(n int) []int
 }

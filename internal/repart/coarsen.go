@@ -23,7 +23,10 @@ type rlevel struct {
 // refineWarm is the warm-started multilevel strategy: coarsen with matching
 // restricted to the old parts, seed the coarsest graph with the projected
 // old assignment, and refine coarsest-to-finest with the migration-penalty
-// bias. part is updated in place.
+// bias. part is updated in place. The hierarchy's int32 arrays (coarse
+// graphs, cmaps, origins, the visit order and the projected assignments)
+// come from the graph package's word pool, and each goes back once the
+// level it belongs to is refined and projected.
 func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options) error {
 	span := obs.StartSpan(ctx, "repart/refine_warm")
 	defer span.End()
@@ -39,8 +42,9 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 		coarseTo = min
 	}
 
-	levels := []rlevel{{g: g, origin: clone32(part), pen: penalties(g, opt)}}
-	order := make([]int32, g.NumVertices()) // matching visit order, reused per level
+	levels := []rlevel{{g: g, origin: pooledCopy(part), pen: penalties(g, opt)}}
+	order := graph.GetWords(g.NumVertices()) // matching visit order, reused per level
+	defer graph.PutWords(order)
 	for {
 		cur := levels[len(levels)-1]
 		n := cur.g.NumVertices()
@@ -50,16 +54,17 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 		cspan := obs.StartSpan(ctx, "repart/coarsen")
 		cspan.SetInt("level", int64(len(levels)-1))
 		cspan.SetInt("vertices", int64(n))
-		cmap, ncoarse := matchWithinParts(cur.g, cur.origin, perm(order, n, rng))
+		cmap, ncoarse := matchWithinParts(cur.g, cur.origin, partition.Perm(order[:n], rng))
 		cspan.SetInt("coarse_vertices", int64(ncoarse))
 		if ncoarse > n*9/10 { // diminishing returns: stop below 10% shrink
+			graph.PutWords(cmap)
 			cspan.End()
 			break
 		}
 		cg := cur.g.ContractP(cmap, ncoarse, pool)
 		next := rlevel{
 			g:      cg,
-			origin: make([]int32, ncoarse),
+			origin: graph.GetWords(ncoarse),
 			pen:    make([]int64, ncoarse),
 		}
 		for v := 0; v < n; v++ {
@@ -86,7 +91,7 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 
 	// The coarsest assignment is exactly the projected old assignment (the
 	// warm start); refine it at every level on the way back up.
-	cur := clone32(levels[len(levels)-1].origin)
+	cur := pooledCopy(levels[len(levels)-1].origin)
 	for li := len(levels) - 1; li >= 0; li-- {
 		lv := levels[li]
 		rspan := obs.StartSpan(ctx, "repart/refine")
@@ -104,15 +109,23 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 		}
 		if li > 0 {
 			fine := levels[li-1]
-			next := make([]int32, fine.g.NumVertices())
+			next := graph.GetWords(fine.g.NumVertices())
 			for v := range next {
 				next[v] = cur[fine.cmap[v]]
 			}
+			graph.PutWords(cur)
 			cur = next
+			// Level li is refined and projected: nothing reads it, its
+			// origin or the cmap onto it again.
+			lv.g.Release()
+			graph.PutWords(lv.origin)
+			graph.PutWords(fine.cmap)
 		}
 		rspan.End()
 	}
 	copy(part, cur)
+	graph.PutWords(cur)
+	graph.PutWords(levels[0].origin)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -134,25 +147,13 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	return nil
 }
 
-// perm returns rng.Perm(n) in buf[:n]: the same permutation from the same
-// draws, without allocating an []int per level.
-func perm(buf []int32, n int, rng *rand.Rand) []int32 {
-	buf = buf[:n]
-	for i := 0; i < n; i++ {
-		j := rng.Intn(i + 1)
-		buf[i] = buf[j]
-		buf[j] = int32(i)
-	}
-	return buf
-}
-
 // matchWithinParts is heavy-edge matching restricted to endpoints sharing
 // the same origin part, so the old assignment projects exactly onto the
 // coarse graph. Vertices are visited in the given order; unmatched ones map
 // to singleton coarse vertices.
 func matchWithinParts(g *graph.Graph, origin []int32, order []int32) (cmap []int32, ncoarse int) {
 	n := g.NumVertices()
-	cmap = make([]int32, n)
+	cmap = graph.GetWords(n)
 	for i := range cmap {
 		cmap[i] = -1
 	}
@@ -189,6 +190,11 @@ func optWithRefineDefaults(o partition.Options) partition.Options {
 		o.RefinePasses = 8
 	}
 	return o
+}
+
+// pooledCopy returns a copy of s in an array from the word pool.
+func pooledCopy(s []int32) []int32 {
+	return append(graph.GetWords(len(s))[:0], s...)
 }
 
 func clone32(s []int32) []int32 {

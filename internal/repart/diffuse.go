@@ -80,7 +80,7 @@ func diffuseSweeps(ctx context.Context, g *graph.Graph, part []int32, k int, cap
 	// levelling move, below). The pair (total, sorted vector) therefore only
 	// falls and the sweeps end; maxSweeps bounds them regardless.
 	rng := rand.New(rand.NewSource(seed))
-	order := perm(make([]int32, n), n, rng)
+	order := partition.Perm(make([]int32, n), rng)
 	if pen != nil {
 		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(pen[a], pen[b]) })
 	}
