@@ -176,9 +176,6 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// Nodes returns the full membership (sorted by id).
-func (c *Cluster) Nodes() []Node { return c.nodes }
-
 // Owner maps a content address onto the member that owns its shard. Every
 // node computes the same answer from the same membership.
 func (c *Cluster) Owner(key [32]byte) Node {

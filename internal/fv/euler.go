@@ -91,9 +91,6 @@ func NewEulerState(m *mesh.Mesh, p EulerParams) *EulerState {
 	return s
 }
 
-// Mesh returns the state's mesh.
-func (s *EulerState) Mesh() *mesh.Mesh { return s.m }
-
 // NumCells returns the number of cells in the state.
 func (s *EulerState) NumCells() int { return len(s.cells) }
 

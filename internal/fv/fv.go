@@ -93,12 +93,6 @@ func NewState(m *mesh.Mesh, p Params) *State {
 	return s
 }
 
-// Mesh returns the state's mesh.
-func (s *State) Mesh() *mesh.Mesh { return s.m }
-
-// Params returns the physics parameters.
-func (s *State) Params() Params { return s.p }
-
 // RefreshLevels re-derives the level-dependent caches (temporal scheme and
 // per-face time steps) after the mesh's temporal levels changed in place —
 // e.g. by mesh.ReassignLevels during a solver-loop repartition. Call it only
@@ -151,13 +145,6 @@ func (s *State) InitGaussian(cx, cy, cz, width, amplitude float64) {
 		dy := float64(m.CY[c]) - cy
 		dz := float64(m.CZ[c]) - cz
 		s.U[c] = amplitude * math.Exp(-(dx*dx+dy*dy+dz*dz)*inv)
-	}
-}
-
-// InitUniform sets U to a constant.
-func (s *State) InitUniform(v float64) {
-	for c := range s.U {
-		s.U[c] = v
 	}
 }
 
@@ -218,17 +205,6 @@ func (s *State) Mass() float64 {
 		total += s.AccL[f] + s.AccR[f]
 	}
 	return total
-}
-
-// MaxAbs returns max |U|, a cheap stability probe.
-func (s *State) MaxAbs() float64 {
-	var v float64
-	for _, u := range s.U {
-		if a := math.Abs(u); a > v {
-			v = a
-		}
-	}
-	return v
 }
 
 // RunIteration advances one full iteration serially, following exactly the

@@ -69,9 +69,6 @@ func (b *Builder) AddEdge(u, v int32, w int32) {
 	b.edges = append(b.edges, builderEdge{u, v, w})
 }
 
-// NumVertices returns the number of vertices added so far.
-func (b *Builder) NumVertices() int { return b.nv }
-
 // Build assembles the CSR graph. It may be called once; the builder should
 // not be reused afterwards.
 func (b *Builder) Build() (*Graph, error) {

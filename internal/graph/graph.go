@@ -36,9 +36,6 @@ func (g *Graph) NumVertices() int { return len(g.Xadj) - 1 }
 // internally).
 func (g *Graph) NumEdges() int { return len(g.Adjncy) / 2 }
 
-// Degree returns the number of neighbours of v.
-func (g *Graph) Degree(v int32) int { return int(g.Xadj[v+1] - g.Xadj[v]) }
-
 // Neighbors returns the adjacency slice of v. The returned slice aliases the
 // graph's storage and must not be modified.
 func (g *Graph) Neighbors(v int32) []int32 { return g.Adjncy[g.Xadj[v]:g.Xadj[v+1]] }
@@ -66,15 +63,6 @@ func (g *Graph) TotalWeights() []int64 {
 		}
 	}
 	return tot
-}
-
-// TotalEdgeWeight returns the sum of the weights of all undirected edges.
-func (g *Graph) TotalEdgeWeight() int64 {
-	var s int64
-	for _, w := range g.AdjWgt {
-		s += int64(w)
-	}
-	return s / 2
 }
 
 // Validate checks structural invariants: monotone Xadj, in-range adjacency,
@@ -130,9 +118,6 @@ func (g *Graph) findEdgeWeight(u, v int32) int32 {
 	return -1
 }
 
-// HasEdge reports whether u and v are adjacent.
-func (g *Graph) HasEdge(u, v int32) bool { return g.findEdgeWeight(u, v) >= 0 }
-
 // Components labels each vertex with its connected-component index and
 // returns (labels, count). Labels are dense in [0,count).
 func (g *Graph) Components() ([]int32, int) {
@@ -165,15 +150,6 @@ func (g *Graph) Components() ([]int32, int) {
 	return comp, count
 }
 
-// Contract builds the coarse graph induced by a vertex mapping. cmap[v] gives
-// the coarse vertex of fine vertex v and must be dense in [0, ncoarse).
-// Coarse vertex weights are the per-constraint sums of their fine vertices;
-// coarse edge weights are the sums of fine edge weights between the two
-// coarse endpoints. Fine edges internal to a coarse vertex disappear.
-func (g *Graph) Contract(cmap []int32, ncoarse int) *Graph {
-	return g.ContractP(cmap, ncoarse, nil)
-}
-
 // posPools recycles the -1-filled position tables contractRange uses,
 // bucketed by power-of-two size class so one paper-scale contraction cannot
 // pin multi-megabyte tables into every later small request (see sizeclass.go
@@ -196,10 +172,16 @@ func getPosTable(n int) *[]int32 {
 
 func putPosTable(p *[]int32) { posPools.Put(p, cap(*p)) }
 
-// ContractP is Contract with the row assembly sharded over the pool's
-// workers. Every coarse vertex's weight and adjacency row depend only on its
-// own fine vertices, so shards write disjoint state and the merged result is
-// bit-identical to the serial contraction for any pool width. The coarse
+// ContractP builds the coarse graph induced by a vertex mapping. cmap[v]
+// gives the coarse vertex of fine vertex v and must be dense in
+// [0, ncoarse). Coarse vertex weights are the per-constraint sums of their
+// fine vertices; coarse edge weights are the sums of fine edge weights
+// between the two coarse endpoints. Fine edges internal to a coarse vertex
+// disappear. The row assembly is sharded over the pool's workers (a nil pool
+// runs it serially). Every coarse vertex's weight and adjacency row depend
+// only on its own fine vertices, so shards write disjoint state and the
+// merged result is bit-identical to the serial contraction for any pool
+// width. The coarse
 // graph's arrays are drawn from the word pool (GetWords); its caller owns it
 // and may Release it once nothing reads it.
 func (g *Graph) ContractP(cmap []int32, ncoarse int, pool *Pool) *Graph {

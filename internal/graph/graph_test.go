@@ -2,9 +2,19 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// totalEdgeWeight sums the weights of g's undirected edges.
+func totalEdgeWeight(g *Graph) int64 {
+	var s int64
+	for _, w := range g.AdjWgt {
+		s += int64(w)
+	}
+	return s / 2
+}
 
 func mustBuild(t *testing.T, b *Builder) *Graph {
 	t.Helper()
@@ -34,17 +44,17 @@ func TestBuilderTriangle(t *testing.T) {
 	if got := g.NumEdges(); got != 3 {
 		t.Errorf("NumEdges = %d, want 3", got)
 	}
-	if got := g.TotalEdgeWeight(); got != 6 {
-		t.Errorf("TotalEdgeWeight = %d, want 6", got)
+	if got := totalEdgeWeight(g); got != 6 {
+		t.Errorf("total edge weight = %d, want 6", got)
 	}
 	tot := g.TotalWeights()
 	if tot[0] != 2 || tot[1] != 2 {
 		t.Errorf("TotalWeights = %v, want [2 2]", tot)
 	}
-	if !g.HasEdge(a, c) || !g.HasEdge(c, a) {
+	if !slices.Contains(g.Neighbors(a), c) || !slices.Contains(g.Neighbors(c), a) {
 		t.Error("missing edge a-c")
 	}
-	if g.HasEdge(a, a) {
+	if slices.Contains(g.Neighbors(a), a) {
 		t.Error("unexpected self edge")
 	}
 }
@@ -152,7 +162,7 @@ func TestGridStructure(t *testing.T) {
 		t.Errorf("NumEdges = %d, want 17", got)
 	}
 	// Corner vertex has degree 2.
-	if d := g.Degree(0); d != 2 {
+	if d := len(g.Neighbors(0)); d != 2 {
 		t.Errorf("Degree(corner) = %d, want 2", d)
 	}
 }
@@ -208,7 +218,7 @@ func TestContractPairs(t *testing.T) {
 	b.AddEdge(3, 0, 4)
 	g := mustBuild(t, b)
 
-	cg := g.Contract([]int32{0, 0, 1, 1}, 2)
+	cg := g.ContractP([]int32{0, 0, 1, 1}, 2, nil)
 	if err := cg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,15 +247,15 @@ func TestContractIdentityPreservesGraph(t *testing.T) {
 	for i := range id {
 		id[i] = int32(i)
 	}
-	cg := g.Contract(id, g.NumVertices())
+	cg := g.ContractP(id, g.NumVertices(), nil)
 	if err := cg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cg.NumEdges() != g.NumEdges() {
 		t.Errorf("edges %d != %d", cg.NumEdges(), g.NumEdges())
 	}
-	if cg.TotalEdgeWeight() != g.TotalEdgeWeight() {
-		t.Errorf("edge weight %d != %d", cg.TotalEdgeWeight(), g.TotalEdgeWeight())
+	if totalEdgeWeight(cg) != totalEdgeWeight(g) {
+		t.Errorf("edge weight %d != %d", totalEdgeWeight(cg), totalEdgeWeight(g))
 	}
 }
 
@@ -307,7 +317,7 @@ func TestContractConservesWeightsProperty(t *testing.T) {
 		for i := range cmap {
 			cmap[i] = int32(i % ncoarse)
 		}
-		cg := g.Contract(cmap, ncoarse)
+		cg := g.ContractP(cmap, ncoarse, nil)
 		if err := cg.Validate(); err != nil {
 			t.Logf("validate: %v", err)
 			return false
@@ -328,7 +338,7 @@ func TestContractConservesWeightsProperty(t *testing.T) {
 				}
 			}
 		}
-		return cg.TotalEdgeWeight() == cross/2
+		return totalEdgeWeight(cg) == cross/2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

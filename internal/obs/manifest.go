@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -64,15 +63,4 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// SortedCounterNames returns the manifest's counter names in order — handy
-// for stable textual summaries alongside the JSON.
-func (m *Manifest) SortedCounterNames() []string {
-	names := make([]string, 0, len(m.Counters))
-	for k := range m.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

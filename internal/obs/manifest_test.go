@@ -44,7 +44,4 @@ func TestManifestRoundTrip(t *testing.T) {
 	if back.Finished.Before(back.Started) {
 		t.Error("finished before started")
 	}
-	if names := m.SortedCounterNames(); len(names) != 1 || names[0] != "trials" {
-		t.Errorf("sorted counter names = %v", names)
-	}
 }

@@ -71,7 +71,7 @@ func PartitionKWay(ctx context.Context, g *graph.Graph, k int, opt Options) (*Re
 
 	// Uncoarsen with k-way refinement at every level. Spilled interior
 	// rungs are reloaded one at a time and released after their pass.
-	caps := kwayCaps(g, k, opt.ImbalanceTol)
+	caps := KWayCaps(g, k, opt.ImbalanceTol)
 	for li := h.levels() - 1; li >= 1; li-- {
 		if ctx.Err() == nil {
 			cg := h.graph(li)
@@ -109,13 +109,16 @@ func errBadK(k int) error {
 	return fmt.Errorf("partition: k = %d, want >= 1", k)
 }
 
-// kwayCaps returns per-part per-constraint weight caps (shared by all parts
-// since targets are uniform).
-func kwayCaps(g *graph.Graph, k int, tol float64) []int64 {
+// KWayCaps returns per-part per-constraint weight caps (shared by all parts
+// since targets are uniform): tol·ideal, raised to the feasibility floors a
+// cap below ceil(ideal) (pigeonhole) or below the heaviest single vertex
+// (indivisibility) would violate. The repartitioner's diffusion balances to
+// the same caps.
+func KWayCaps(g *graph.Graph, k int, tol float64) []int64 {
 	return kwayCapsInto(nil, g, k, tol)
 }
 
-// kwayCapsInto is kwayCaps writing into dst (grown as needed), so pooled
+// kwayCapsInto is KWayCaps writing into dst (grown as needed), so pooled
 // callers avoid the allocation. Totals and per-vertex maxima are accumulated
 // in stack buffers so the steady-state path stays allocation-free.
 func kwayCapsInto(dst []int64, g *graph.Graph, k int, tol float64) []int64 {

@@ -94,7 +94,7 @@ func TestKWayRefineImprovesCut(t *testing.T) {
 		part[i] = int32(i % 4)
 	}
 	before := ComputeEdgeCut(g, part)
-	caps := kwayCaps(g, 4, 1.05)
+	caps := KWayCaps(g, 4, 1.05)
 	kwayRefine(context.Background(), g, part, 4, caps, 8, nil)
 	after := ComputeEdgeCut(g, part)
 	if after > before {

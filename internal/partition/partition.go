@@ -21,6 +21,14 @@ import (
 	"tempart/internal/obs"
 )
 
+// The defaults of the options left unset: Options.withDefaults, RefineKWay,
+// the repartitioner and the daemon's request keys all read them from here.
+const (
+	DefaultImbalanceTol = 1.05
+	DefaultInitTrials   = 8
+	DefaultRefinePasses = 8
+)
+
 // Options controls the multilevel partitioner.
 type Options struct {
 	// Seed makes runs reproducible. The zero value is a valid seed.
@@ -62,16 +70,16 @@ type Options struct {
 
 func (o Options) withDefaults(ncon int) Options {
 	if o.ImbalanceTol <= 1 {
-		o.ImbalanceTol = 1.05
+		o.ImbalanceTol = DefaultImbalanceTol
 	}
 	if o.CoarsenTo <= 0 {
 		o.CoarsenTo = 128 * ncon
 	}
 	if o.InitTrials <= 0 {
-		o.InitTrials = 8
+		o.InitTrials = DefaultInitTrials
 	}
 	if o.RefinePasses <= 0 {
-		o.RefinePasses = 8
+		o.RefinePasses = DefaultRefinePasses
 	}
 	return o
 }
@@ -341,7 +349,7 @@ func PolishRB(ctx context.Context, g *graph.Graph, part []int32, k int, opt Opti
 	opt = opt.withDefaults(g.NCon)
 	pool := graph.NewPool(opt.Parallelism)
 	pspan := obs.StartSpan(ctx, "partition/refine")
-	caps := kwayCaps(g, k, opt.ImbalanceTol)
+	caps := KWayCaps(g, k, opt.ImbalanceTol)
 	st := kwayRefine(ctx, g, part, k, caps, rbPolishPasses, pool)
 	pspan.SetStr("stage", "rb_polish")
 	st.annotate(pspan)

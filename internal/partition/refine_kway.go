@@ -52,10 +52,10 @@ func RefineKWay(ctx context.Context, g *graph.Graph, part []int32, k int, opt Re
 		return err
 	}
 	if opt.ImbalanceTol <= 1 {
-		opt.ImbalanceTol = 1.05
+		opt.ImbalanceTol = DefaultImbalanceTol
 	}
 	if opt.Passes <= 0 {
-		opt.Passes = 8
+		opt.Passes = DefaultRefinePasses
 	}
 	var bias moveBias
 	if opt.Origin != nil {

@@ -97,7 +97,7 @@ func TestGreedyMovesMatchScan(t *testing.T) {
 					}
 				}
 			}
-			caps := kwayCaps(g, k, 1.05)
+			caps := KWayCaps(g, k, 1.05)
 			ks := getKwayScratch(n)
 			defer putKwayScratch(ks)
 			defer func() { ks.onGreedyMove = nil }()
@@ -190,7 +190,7 @@ func TestGreedyScanPruneMatchesFull(t *testing.T) {
 					bias.pen[v] = int64(lo + rng.Intn(10-lo))
 				}
 			}
-			caps := kwayCaps(g, k, 1.05)
+			caps := KWayCaps(g, k, 1.05)
 			ks := getKwayScratch(n)
 			defer putKwayScratch(ks)
 			ks.begin(g, part, k)
@@ -328,7 +328,7 @@ func FuzzRefineKWay(f *testing.F) {
 	f.Add([]byte{4, 9, 0, 1, 2, 0, 3, 1, 0, 1, 2, 3, 3, 2, 1, 0, 0, 1, 0, 1, 2, 0, 2, 3, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, start, k, opt := fuzzRefineInput(data)
-		caps := kwayCaps(g, k, 1.05)
+		caps := KWayCaps(g, k, 1.05)
 		var bias moveBias
 		if opt.Origin != nil && opt.MovePenalty != nil {
 			bias = moveBias{origin: opt.Origin, pen: opt.MovePenalty}

@@ -116,7 +116,7 @@ func TestIdlePairSkipMatchesExhaustive(t *testing.T) {
 				t.Fatalf("k = %d: dense = %v", k, densePairs(k))
 			}
 			initial := stripedAssignment(n, k)
-			caps := kwayCaps(g, k, 1.05)
+			caps := KWayCaps(g, k, 1.05)
 
 			// Exhaustive reference: no idle record survives a pass.
 			want := append([]int32(nil), initial...)
@@ -271,7 +271,7 @@ func TestConnTableMatchesScan(t *testing.T) {
 		t.Run(in.name, func(t *testing.T) {
 			g, k := in.g, in.k
 			n := g.NumVertices()
-			caps := kwayCaps(g, k, 1.05)
+			caps := KWayCaps(g, k, 1.05)
 			ks := getKwayScratch(n)
 			defer putKwayScratch(ks)
 			defer func() { ks.onCommit = nil }()
@@ -418,7 +418,7 @@ func TestSweepGainsMatchRegister(t *testing.T) {
 			g, k := in.g, in.k
 			n := g.NumVertices()
 			part := stripedAssignment(n, k)
-			caps := kwayCaps(g, k, 1.05)
+			caps := KWayCaps(g, k, 1.05)
 			ks := getKwayScratch(n)
 			defer putKwayScratch(ks)
 			checked := 0
@@ -469,7 +469,7 @@ func TestPairArenasLiveWithKwayArena(t *testing.T) {
 	g := weightedGrid(t, 60, 60, 1)
 	n := g.NumVertices()
 	const k = 16
-	caps := kwayCaps(g, k, 1.05)
+	caps := KWayCaps(g, k, 1.05)
 	pool := graph.NewPool(4)
 	ks := getKwayScratch(n)
 	defer putKwayScratch(ks)
@@ -508,7 +508,7 @@ func TestKWayStampWrap(t *testing.T) {
 	g := weightedGrid(t, 60, 60, 1)
 	n := g.NumVertices()
 	const k = 16
-	caps := kwayCaps(g, k, 1.05)
+	caps := KWayCaps(g, k, 1.05)
 	want := stripedAssignment(n, k)
 	kwayRefine(context.Background(), g, want, k, caps, 12, nil)
 

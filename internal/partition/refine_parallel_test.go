@@ -43,7 +43,7 @@ func TestRefineKWayDeterministicAcrossParallelism(t *testing.T) {
 	}
 	for _, tc := range variants {
 		t.Run(tc.name, func(t *testing.T) {
-			caps := kwayCaps(g, k, 1.05)
+			caps := KWayCaps(g, k, 1.05)
 			overage := func(part []int32) int64 {
 				pw := make([]int64, k*g.NCon)
 				for v := 0; v < n; v++ {
@@ -182,7 +182,7 @@ func TestKWayPairColoringDisjoint(t *testing.T) {
 	ks := getKwayScratch(n)
 	defer putKwayScratch(ks)
 	ks.begin(g, part, k)
-	caps := kwayCaps(g, k, 1.05)
+	caps := KWayCaps(g, k, 1.05)
 	kwayPass(g, part, k, caps, ks, nil, new(kwayStats))
 	if len(ks.pairs) == 0 {
 		t.Fatal("no pairs discovered on a striped assignment")

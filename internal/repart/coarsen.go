@@ -33,7 +33,6 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	// Per-level child spans (repart/coarsen going down, repart/refine coming
 	// back up) tile this one; see TestRefineWarmSpansTile.
 	ctx = obs.ContextWithSpan(ctx, span)
-	opt.Part = optWithRefineDefaults(opt.Part)
 	rng := rand.New(rand.NewSource(opt.Part.Seed))
 	pool := graph.NewPool(opt.Part.Parallelism)
 
@@ -180,16 +179,6 @@ func matchWithinParts(g *graph.Graph, origin []int32, order []int32) (cmap []int
 		}
 	}
 	return cmap, ncoarse
-}
-
-func optWithRefineDefaults(o partition.Options) partition.Options {
-	if o.ImbalanceTol <= 1 {
-		o.ImbalanceTol = 1.05
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 8
-	}
-	return o
 }
 
 // pooledCopy returns a copy of s in an array from the word pool.

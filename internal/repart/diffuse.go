@@ -3,7 +3,6 @@ package repart
 import (
 	"cmp"
 	"context"
-	"math"
 	"math/rand"
 	"slices"
 
@@ -20,8 +19,7 @@ import (
 func diffuse(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options) error {
 	span := obs.StartSpan(ctx, "repart/diffuse")
 	defer span.End()
-	opt.Part = optWithRefineDefaults(opt.Part)
-	caps := diffuseCaps(g, k, opt.Part.ImbalanceTol)
+	caps := partition.KWayCaps(g, k, opt.Part.ImbalanceTol)
 	pen := penalties(g, opt)
 	origin := clone32(part) // pre-diffusion homes, so the polish can send cells back
 
@@ -186,34 +184,4 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// diffuseCaps mirrors the partitioner's per-part per-constraint caps,
-// including the feasibility floors: caps below ceil(ideal) (pigeonhole) or
-// below the heaviest single vertex (indivisibility) are unreachable and
-// would make the sweep thrash.
-func diffuseCaps(g *graph.Graph, k int, tol float64) []int64 {
-	tot := g.TotalWeights()
-	n := g.NumVertices()
-	maxV := make([]int64, g.NCon)
-	for v := 0; v < n; v++ {
-		for c := 0; c < g.NCon; c++ {
-			if w := int64(g.Weight(int32(v), c)); w > maxV[c] {
-				maxV[c] = w
-			}
-		}
-	}
-	caps := make([]int64, g.NCon)
-	for c := range tot {
-		ideal := float64(tot[c]) / float64(k)
-		cap := int64(ideal * tol)
-		if feasible := int64(math.Ceil(ideal - 1e-9)); feasible > cap {
-			cap = feasible
-		}
-		if maxV[c] > cap {
-			cap = maxV[c]
-		}
-		caps[c] = cap
-	}
-	return caps
 }

@@ -88,7 +88,7 @@ func TestDiffuseSkipMatchesFull(t *testing.T) {
 	// sweep runs the sweeps as diffuse does with default options (seed 0).
 	sweep := func(in input, skip bool) ([]int32, int) {
 		part := slices.Clone(in.part)
-		caps := diffuseCaps(in.g, in.k, 1.05)
+		caps := partition.KWayCaps(in.g, in.k, partition.DefaultImbalanceTol)
 		skipped, ok := diffuseSweeps(context.Background(), in.g, part, in.k, caps, in.pen, 0, skip)
 		if !ok {
 			t.Fatal("sweeps cancelled")
@@ -127,7 +127,7 @@ func TestDiffuseSkipMatchesFull(t *testing.T) {
 			// diffuse itself must sweep every cell: its result is the full
 			// sweeps followed by the same unbiased polish.
 			got := slices.Clone(in.part)
-			if err := diffuse(context.Background(), in.g, got, in.k, Options{MigrationPenalty: -1}); err != nil {
+			if err := diffuse(context.Background(), in.g, got, in.k, Options{MigrationPenalty: -1}.withDefaults()); err != nil {
 				t.Fatal(err)
 			}
 			if err := partition.RefineKWay(context.Background(), in.g, full, in.k, partition.RefineOptions{Origin: in.part}); err != nil {

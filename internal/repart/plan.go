@@ -1,13 +1,10 @@
 package repart
 
 import (
-	"context"
 	"fmt"
 
-	"tempart/internal/graph"
 	"tempart/internal/mesh"
 	"tempart/internal/metrics"
-	"tempart/internal/partition"
 )
 
 // Move is one cell changing domains.
@@ -91,35 +88,4 @@ func MeshMigrationBytes(m *mesh.Mesh) []int64 {
 		out[v] = b
 	}
 	return out
-}
-
-// Planner couples repartitioning with plan emission: one call produces the
-// new partition and the migration plan (per-domain send/receive lists plus
-// byte volumes) that realises it.
-type Planner struct {
-	// Bytes is the per-cell migration cost, used both to bias the
-	// repartition and to weight the plan (see MeshMigrationBytes). Nil
-	// weights cells equally. It overrides Opt.MigBytes.
-	Bytes []int64
-	// Opt forwards to Repartition.
-	Opt Options
-}
-
-// Repartition runs repart.Repartition with the planner's byte weighting and
-// derives the migration plan from the old to the new assignment. The plan's
-// Stats equals the result's Stats.
-func (pl *Planner) Repartition(ctx context.Context, g *graph.Graph, old *partition.Result) (*Result, *MigrationPlan, error) {
-	opt := pl.Opt
-	if pl.Bytes != nil {
-		opt.MigBytes = pl.Bytes
-	}
-	res, err := Repartition(ctx, g, old, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := Plan(old.Part, res.Part, old.NumParts, opt.MigBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, plan, nil
 }

@@ -108,26 +108,22 @@ type Options struct {
 	// MigBytes[v], when set, is the serialized size of cell v — the cost of
 	// migrating it. Nil treats all cells as equally expensive.
 	MigBytes []int64
-	// DiffuseThreshold and ScratchThreshold are the Auto policy's imbalance
-	// cut-points: drift at or below DiffuseThreshold diffuses, above
-	// ScratchThreshold partitions from scratch, in between warm-starts
-	// multilevel refinement. Defaults 1.30 and 8.0.
-	DiffuseThreshold float64
-	ScratchThreshold float64
 }
+
+// The Auto policy's imbalance cut-points: drift at or below diffuseThreshold
+// diffuses, above scratchThreshold partitions from scratch, in between
+// warm-starts multilevel refinement.
+const (
+	diffuseThreshold = 1.30
+	scratchThreshold = 8.0
+)
 
 func (o Options) withDefaults() Options {
 	if o.MigrationPenalty == 0 {
 		o.MigrationPenalty = 0.5
 	}
-	if o.DiffuseThreshold <= 1 {
-		o.DiffuseThreshold = 1.30
-	}
-	if o.ScratchThreshold <= 1 {
-		o.ScratchThreshold = 8.0
-	}
 	if o.Part.ImbalanceTol <= 1 {
-		o.Part.ImbalanceTol = 1.05
+		o.Part.ImbalanceTol = partition.DefaultImbalanceTol
 	}
 	return o
 }
@@ -186,9 +182,9 @@ func Repartition(ctx context.Context, g *graph.Graph, old *partition.Result, opt
 		switch {
 		case imbBefore <= opt.Part.ImbalanceTol:
 			mode = Keep
-		case imbBefore <= opt.DiffuseThreshold:
+		case imbBefore <= diffuseThreshold:
 			mode = Diffuse
-		case imbBefore <= opt.ScratchThreshold:
+		case imbBefore <= scratchThreshold:
 			mode = Refine
 		default:
 			mode = Scratch

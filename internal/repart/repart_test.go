@@ -275,22 +275,6 @@ func TestMeshMigrationBytes(t *testing.T) {
 	}
 }
 
-func TestPlannerMatchesRepartition(t *testing.T) {
-	m, old := driftedCylinder(t, 0.002, 8, 0.3)
-	g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
-	pl := &Planner{Bytes: MeshMigrationBytes(m), Opt: Options{Mode: Refine}}
-	res, plan, err := pl.Repartition(context.Background(), g, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Stats.MovedCells != res.Stats.MovedCells || plan.Stats.MovedBytes != res.Stats.MovedBytes {
-		t.Errorf("plan stats %+v disagree with result stats %+v", plan.Stats, res.Stats)
-	}
-	if len(plan.Moves) != res.Stats.MovedCells {
-		t.Errorf("%d moves for %d moved cells", len(plan.Moves), res.Stats.MovedCells)
-	}
-}
-
 // TestIncrementalMakespanAndMigrationAcceptance is the acceptance criterion
 // for the incremental repartitioner: on the drift workload at epoch ≥ 2,
 // incremental repartitioning reaches within 5% of the fresh-from-scratch

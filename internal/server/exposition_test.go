@@ -132,7 +132,7 @@ func fixtureCluster(t *testing.T) (*cluster.Cluster, func()) {
 	})
 	cl, err := cluster.New(cluster.Options{
 		NodeID:           "n1",
-		Peers:            []cluster.Node{{ID: "n1"}, {ID: "n2", URL: "http://n2"}, {ID: "n3", URL: "http://n3"}},
+		Peers:            fleetPeers,
 		BreakerThreshold: 2,
 		RetryBackoff:     time.Millisecond,
 		HedgeDelay:       time.Millisecond,
@@ -144,6 +144,9 @@ func fixtureCluster(t *testing.T) (*cluster.Cluster, func()) {
 	return cl, func() { close(hang) }
 }
 
+// fleetPeers is the membership of the cluster fixtureCluster builds.
+var fleetPeers = []cluster.Node{{ID: "n1"}, {ID: "n2", URL: "http://n2"}, {ID: "n3", URL: "http://n3"}}
+
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
@@ -154,8 +157,7 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 // hedge wins.
 func driveCluster(t *testing.T, cl *cluster.Cluster) {
 	ctx := context.Background()
-	nodes := cl.Nodes()
-	n2, n3 := nodes[1], nodes[2]
+	n2, n3 := fleetPeers[1], fleetPeers[2]
 	for i := 0; i < 2; i++ {
 		if _, err := cl.Forward(ctx, n2, "/v1/partition", "", "application/json", "", "", nil); err != nil {
 			t.Fatal(err)

@@ -412,13 +412,13 @@ func (r *PartitionRequest) key() cacheKey {
 	// its zero marker is canonical.
 	o := r.Options
 	if o.ImbalanceTol <= 1 {
-		o.ImbalanceTol = 1.05
+		o.ImbalanceTol = partition.DefaultImbalanceTol
 	}
 	if o.InitTrials <= 0 {
-		o.InitTrials = 8
+		o.InitTrials = partition.DefaultInitTrials
 	}
 	if o.RefinePasses <= 0 {
-		o.RefinePasses = 8
+		o.RefinePasses = partition.DefaultRefinePasses
 	}
 	if o.Trials <= 1 {
 		o.Trials = 1

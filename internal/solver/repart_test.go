@@ -57,8 +57,8 @@ func TestRunWithRepartPolicy(t *testing.T) {
 	}
 	// The new assignment must be live: partition, mesh-order part and task
 	// graph agree on the cell count, and the state still runs.
-	if len(s.CurrentPart()) != s.Mesh.NumCells() {
-		t.Fatalf("CurrentPart has %d cells, mesh %d", len(s.CurrentPart()), s.Mesh.NumCells())
+	if len(s.part) != s.Mesh.NumCells() {
+		t.Fatalf("part has %d cells, mesh %d", len(s.part), s.Mesh.NumCells())
 	}
 	if err := s.Partition.Validate(s.Mesh.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})); err != nil {
 		t.Error(err)

@@ -98,10 +98,6 @@ type Solver struct {
 	part []int32
 }
 
-// CurrentPart returns the current domain assignment over Solver.Mesh's cell
-// order. It changes when a Repart policy fires; callers must not modify it.
-func (s *Solver) CurrentPart() []int32 { return s.part }
-
 // Report summarises a multi-iteration run.
 type Report struct {
 	// WallPerIteration is each iteration's end-to-end time.
@@ -276,14 +272,4 @@ func (s *Solver) RunContext(ctx context.Context, iterations int) (*Report, error
 func (s *Solver) VirtualMakespan(rep *Report, cluster flusim.Cluster, strategy flusim.Strategy, recordTrace bool) (*flusim.Result, error) {
 	procOf := flusim.BlockMap(s.cfg.NumDomains, cluster.NumProcs)
 	return runtime.VirtualSchedule(s.TG, rep.Durations, procOf, cluster, strategy, recordTrace)
-}
-
-// UnitMakespan schedules the task graph with its abstract costs (1 unit per
-// object) on a cluster — the pure FLUSIM view, useful to compare against the
-// measured-duration replay.
-func (s *Solver) UnitMakespan(cluster flusim.Cluster, strategy flusim.Strategy, recordTrace bool) (*flusim.Result, error) {
-	procOf := flusim.BlockMap(s.cfg.NumDomains, cluster.NumProcs)
-	return flusim.Simulate(s.TG, procOf, flusim.Config{
-		Cluster: cluster, Strategy: strategy, RecordTrace: recordTrace,
-	})
 }

@@ -73,7 +73,7 @@ func TestRunMatchesSerialReference(t *testing.T) {
 	}
 	// Serial reference with identical initial state, on the solver's
 	// domain-reordered mesh copy (cell ids differ from the input mesh).
-	ref := fv.NewState(s.Mesh, s.State.Params())
+	ref := fv.NewState(s.Mesh, s.cfg.FV)
 	copy(ref.U, s.State.U)
 	ref.RunIteration()
 	ref.RunIteration()
@@ -113,24 +113,6 @@ func TestVirtualMakespanBounds(t *testing.T) {
 	}
 	if res.TotalWork != wall {
 		t.Errorf("virtual total work %d != summed durations %d", res.TotalWork, wall)
-	}
-}
-
-func TestUnitMakespan(t *testing.T) {
-	m := mesh.Cube(0.02)
-	s, err := New(context.Background(), m, Config{NumDomains: 4, Strategy: partition.SCOC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.UnitMakespan(flusim.Cluster{NumProcs: 2, WorkersPerProc: 2}, flusim.Eager, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan <= 0 || res.Trace == nil {
-		t.Error("degenerate unit makespan")
-	}
-	if res.TotalWork != s.TG.TotalWork() {
-		t.Errorf("unit total work %d != graph work %d", res.TotalWork, s.TG.TotalWork())
 	}
 }
 

@@ -86,19 +86,6 @@ func (s Scheme) Cost(τ Level) int32 {
 	return 1 << (s.MaxLevel - τ)
 }
 
-// SubiterationWork returns, given per-level active cell counts, the total
-// work units injected by subiteration sub: the number of active cells (each
-// update costs one unit).
-func (s Scheme) SubiterationWork(sub int, cellsPerLevel []int64) int64 {
-	var w int64
-	for τ, n := range cellsPerLevel {
-		if s.Active(sub, Level(τ)) {
-			w += n
-		}
-	}
-	return w
-}
-
 // IterationWork returns the total work of a full iteration given per-level
 // cell counts: Σ_τ cells[τ]·2^(MaxLevel−τ).
 func (s Scheme) IterationWork(cellsPerLevel []int64) int64 {
@@ -107,23 +94,6 @@ func (s Scheme) IterationWork(cellsPerLevel []int64) int64 {
 		w += n * int64(s.Cost(Level(τ)))
 	}
 	return w
-}
-
-// LevelFromDt assigns the temporal level for a cell whose maximum stable time
-// step is dt, given the base (finest) step dtBase: the largest τ ≤ maxLevel
-// with dtBase·2^τ ≤ dt. Cells with dt < dtBase get level 0 (they constrain
-// the scheme; callers normally choose dtBase = min dt).
-func LevelFromDt(dt, dtBase float64, maxLevel Level) Level {
-	if dt <= dtBase {
-		return 0
-	}
-	var τ Level
-	step := dtBase
-	for τ < maxLevel && step*2 <= dt {
-		step *= 2
-		τ++
-	}
-	return τ
 }
 
 func trailingZeros(x int) int {

@@ -75,42 +75,3 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV parses a trace written by WriteCSV. Makespan is recovered as the
-// maximum span end; NumProcs as max proc + 1.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("trace: empty CSV")
-	}
-	if len(records[0]) != 6 || records[0][0] != "proc" {
-		return nil, fmt.Errorf("trace: unexpected CSV header %v", records[0])
-	}
-	t := &Trace{}
-	for i, rec := range records[1:] {
-		vals := make([]int64, 6)
-		for j, f := range rec {
-			v, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: row %d field %d: %w", i+1, j, err)
-			}
-			vals[j] = v
-		}
-		s := Span{
-			Proc: int32(vals[0]), Worker: int32(vals[1]), Task: int32(vals[2]),
-			Sub: int32(vals[3]), Start: vals[4], End: vals[5],
-		}
-		t.Spans = append(t.Spans, s)
-		if int(s.Proc)+1 > t.NumProcs {
-			t.NumProcs = int(s.Proc) + 1
-		}
-		if s.End > t.Makespan {
-			t.Makespan = s.End
-		}
-	}
-	return t, nil
-}

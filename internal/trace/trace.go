@@ -43,15 +43,6 @@ func (t *Trace) TotalBusy() int64 {
 	return b
 }
 
-// BusyPerProc returns the summed busy time of each process's workers.
-func (t *Trace) BusyPerProc() []int64 {
-	out := make([]int64, t.NumProcs)
-	for _, s := range t.Spans {
-		out[s.Proc] += s.End - s.Start
-	}
-	return out
-}
-
 // BusyBySubiteration returns busy[proc][sub]: the cumulative computation
 // time process proc spent in subiteration sub — the data behind the paper's
 // Figures 7b and 10b.

@@ -24,9 +24,14 @@ func TestTotalBusyAndPerProc(t *testing.T) {
 	if got := tr.TotalBusy(); got != 18 {
 		t.Errorf("TotalBusy = %d, want 18", got)
 	}
-	per := tr.BusyPerProc()
-	if per[0] != 8 || per[1] != 10 {
-		t.Errorf("BusyPerProc = %v, want [8 10]", per)
+	for p, want := range []int64{8, 10} {
+		var got int64
+		for _, b := range tr.BusyBySubiteration(2)[p] {
+			got += b
+		}
+		if got != want {
+			t.Errorf("proc %d busy = %d, want %d", p, got, want)
+		}
 	}
 }
 
@@ -147,7 +152,10 @@ func TestBusyDecompositionProperty(t *testing.T) {
 			}
 		}
 		bySub := tr.BusyBySubiteration(4)
-		perProc := tr.BusyPerProc()
+		perProc := make([]int64, tr.NumProcs)
+		for _, sp := range tr.Spans {
+			perProc[sp.Proc] += sp.End - sp.Start
+		}
 		for p := 0; p < 3; p++ {
 			var s int64
 			for _, v := range bySub[p] {
