@@ -58,7 +58,7 @@ func goldenRows() []goldenRow {
 		goldenRow{Mesh: "CYLINDER", Scale: 0.003, K: 128, Strategy: "MC_TL", Method: methodRefineBiased, Seed: 1})
 }
 
-// methodRefineBiased marks the row that pins RefineKWay itself rather than a
+// methodRefineBiased marks the row that pins the Refiner itself rather than a
 // construction: a striped assignment refined under a migration bias toward
 // the stripes, the call shape internal/repart makes.
 const methodRefineBiased = "refine_biased"
@@ -71,8 +71,7 @@ func refineBiasedDigest(t *testing.T, g *graph.Graph, r goldenRow, par int) stri
 	for i := range pen {
 		pen[i] = int64(i%3) + 1
 	}
-	err := RefineKWay(context.Background(), g, part, r.K, RefineOptions{
-		Parallelism: par, Origin: origin, MovePenalty: pen})
+	err := refineFresh(context.Background(), g, part, r.K, RefineOptions{Parallelism: par}, origin, pen)
 	if err != nil {
 		t.Fatalf("%v: %v", r, err)
 	}

@@ -75,24 +75,24 @@ func TestPartitionUnchangedByTracing(t *testing.T) {
 	}
 }
 
-// TestRefineKWayUnchangedByTracing is the same contract for the entry point
-// the repartitioner drives: RefineKWay, biased, at every parallelism.
+// TestRefineKWayUnchangedByTracing is the same contract for the refiner the
+// repartitioner drives, biased, at every parallelism.
 func TestRefineKWayUnchangedByTracing(t *testing.T) {
 	g := weightedGrid(t, 40, 40, 2)
 	n := g.NumVertices()
 	const k = 10
 	initial := stripedAssignment(n, k)
 	bias := testBias(initial, true)
-	opt := RefineOptions{Origin: bias.origin, MovePenalty: bias.pen, Parallelism: 1}
+	opt := RefineOptions{Parallelism: 1}
 	base := append([]int32(nil), initial...)
-	if err := RefineKWay(context.Background(), g, base, k, opt); err != nil {
+	if err := refineFresh(context.Background(), g, base, k, opt, bias.origin, bias.pen); err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
 		opt.Parallelism = par
 		rec := obs.NewRecorder()
 		traced := append([]int32(nil), initial...)
-		if err := RefineKWay(obs.WithRecorder(context.Background(), rec), g, traced, k, opt); err != nil {
+		if err := refineFresh(obs.WithRecorder(context.Background(), rec), g, traced, k, opt, bias.origin, bias.pen); err != nil {
 			t.Fatal(err)
 		}
 		for v := range base {
@@ -112,8 +112,8 @@ func TestRefineKWayUnchangedByTracing(t *testing.T) {
 }
 
 // checkGreedyCounters checks the work counters of a greedy refinement span
-// (RefineKWay): at least one pass ran, and every committed or stale move was
-// a candidate of a scan.
+// (Refiner.Refine): at least one pass ran, every committed or stale move was
+// a candidate of a scan, and every candidate a visited vertex's.
 func checkGreedyCounters(t *testing.T, sp obs.SpanRecord) {
 	t.Helper()
 	val := func(key string) int64 {
@@ -123,9 +123,9 @@ func checkGreedyCounters(t *testing.T, sp obs.SpanRecord) {
 		}
 		return v
 	}
-	passes, cands, moves, stale := val("passes"), val("candidates"), val("moves"), val("stale")
-	if passes < 1 || moves < 0 || stale < 0 || moves+stale > cands {
-		t.Errorf("implausible counters passes=%d candidates=%d moves=%d stale=%d", passes, cands, moves, stale)
+	passes, visited, cands, moves, stale := val("passes"), val("visited"), val("candidates"), val("moves"), val("stale")
+	if passes < 1 || moves < 0 || stale < 0 || moves+stale > cands || cands > visited {
+		t.Errorf("implausible counters passes=%d visited=%d candidates=%d moves=%d stale=%d", passes, visited, cands, moves, stale)
 	}
 	if _, pairs := intAttr(sp, "pairs_run"); pairs {
 		t.Errorf("greedy refine span carries pair counters")

@@ -160,10 +160,20 @@ func kwayCapsInto(dst []int64, g *graph.Graph, k int, tol float64) []int64 {
 // origin adds it back, lateral moves between two non-origin parts are
 // neutral. It is how incremental repartitioning (internal/repart) expresses
 // "restore balance, but migrate as little data as possible" through
-// RefineKWay's greedy passes. The zero moveBias is "unbiased".
+// Refiner's greedy passes. The zero moveBias is "unbiased".
 type moveBias struct {
 	origin []int32
 	pen    []int64
+}
+
+// same reports whether b and o are the same bias: the same origin and
+// penalty arrays, not merely equal contents.
+func (b moveBias) same(o moveBias) bool {
+	return sameArray(b.origin, o.origin) && sameArray(b.pen, o.pen)
+}
+
+func sameArray[E any](a, b []E) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // delta returns the gain adjustment for moving v from part `from` to `to`.

@@ -119,18 +119,21 @@ func TestRefineKWayOriginWithoutPenalty(t *testing.T) {
 	}
 	origin := make([]int32, len(part))
 	copy(origin, part)
-	if err := RefineKWay(context.Background(), g, part, 3, RefineOptions{Origin: origin}); err != nil {
-		t.Fatalf("RefineKWay with nil MovePenalty: %v", err)
+	if err := refineFresh(context.Background(), g, part, 3, RefineOptions{}, origin, nil); err != nil {
+		t.Fatalf("refinement with a nil penalty: %v", err)
 	}
 	if err := NewResult(g, part, 3).Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	// Length mismatches are still rejected.
-	if err := RefineKWay(context.Background(), g, part, 3, RefineOptions{Origin: origin[:1]}); err == nil {
+	if err := refineFresh(context.Background(), g, part, 3, RefineOptions{}, origin[:1], nil); err == nil {
 		t.Error("accepted short origin")
 	}
-	if err := RefineKWay(context.Background(), g, part, 3, RefineOptions{Origin: origin, MovePenalty: []int64{1}}); err == nil {
+	if err := refineFresh(context.Background(), g, part, 3, RefineOptions{}, origin, []int64{1}); err == nil {
 		t.Error("accepted short penalty")
+	}
+	if err := refineFresh(context.Background(), g, part[:1], 3, RefineOptions{}, nil, nil); err == nil {
+		t.Error("accepted a short assignment")
 	}
 }
 

@@ -124,6 +124,14 @@ func growI64(buf []int64, n int) []int64 {
 	return buf[:n]
 }
 
+// growU64 is growI32 for uint64 buffers.
+func growU64(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
+}
+
 // growBool is growI32 for bool buffers, additionally clearing the slice.
 func growBool(buf []bool, n int) []bool {
 	if cap(buf) < n {

@@ -21,7 +21,7 @@ import (
 	"tempart/internal/obs"
 )
 
-// The defaults of the options left unset: Options.withDefaults, RefineKWay,
+// The defaults of the options left unset: Options.withDefaults, NewRefiner,
 // the repartitioner and the daemon's request keys all read them from here.
 const (
 	DefaultImbalanceTol = 1.05

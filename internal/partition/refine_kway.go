@@ -4,52 +4,60 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"tempart/internal/graph"
 	"tempart/internal/obs"
 )
 
-// RefineOptions controls RefineKWay.
+// RefineOptions controls a Refiner.
 type RefineOptions struct {
 	// ImbalanceTol is the per-constraint balance tolerance (default 1.05).
 	ImbalanceTol float64
-	// Passes bounds the greedy refinement passes (default 8).
+	// Passes bounds the greedy refinement passes of one Refine (default 8).
 	Passes int
 	// Parallelism bounds the worker goroutines of the candidate scans
 	// (<= 0: one per core). The refined assignment is byte-identical at
 	// every setting; see Options.Parallelism.
 	Parallelism int
-	// Origin and MovePenalty, when both set (length = vertices), bias
-	// refinement against migration: moving vertex v off Origin[v] reduces
-	// the move's gain by MovePenalty[v] edge-weight units, and moving it
-	// back to Origin[v] adds the same. Balance-restoring moves remain
-	// admissible regardless of penalty — the bias steers which vertices
-	// migrate, it never blocks rebalancing. Origin with a nil MovePenalty
-	// is a zero bias: refinement runs unbiased. The caller keeps
-	// |gain| + MovePenalty[v] inside int64.
-	Origin      []int32
-	MovePenalty []int64
 }
 
-// RefineKWay improves an existing k-way assignment in place with greedy
+// Refiner is the warm path's k-way refinement (internal/repart): greedy
 // multi-constraint boundary passes on the part-connectivity table,
-// optionally biased against migration (see RefineOptions). It is the warm
-// path's refinement (internal/repart); the cold constructions keep the
-// pairwise-FM engine, which finds more cut from a poor start. Cancelling ctx
-// stops at the next pass boundary; the assignment is always left in a
-// consistent (if less refined) state. Steady-state calls allocate nothing:
-// every working buffer comes from pooled scratch arenas.
-func RefineKWay(ctx context.Context, g *graph.Graph, part []int32, k int, opt RefineOptions) error {
+// optionally biased against migration. The cold constructions keep the
+// pairwise-FM engine, which finds more cut from a poor start.
+//
+// One Refiner serves one repartition: it owns a single k-way arena, sized
+// by NewRefiner for the finest graph, and every level of a coarse-to-fine
+// hierarchy and every move between refinements reuse it. Begin lays the
+// connectivity table of an assignment; Move and Refine keep it exact, so a
+// Refine after Moves continues on the live table instead of building it
+// again. Steady-state use allocates nothing once the pooled arena has grown
+// to the problem size. A Refiner is not safe for concurrent use, and Close
+// hands its arena back: the Refiner must not be used after it.
+type Refiner struct {
+	ks     *kwayScratch
+	k      int
+	opt    RefineOptions
+	pool   *graph.Pool
+	g      *graph.Graph // the graph of the live table, set by Begin
+	part   []int32      // the assignment the live table describes
+	builds int          // tables laid by Begin
+}
+
+// NewRefiner returns a refiner into k parts whose arena is reserved for g,
+// the finest graph it will refine, and part, that graph's assignment: the
+// vertex-sized arrays hold g's vertices and the table's entry arena holds a
+// row entry for every edge end part cuts, so the coarser levels refined
+// first do not grow it level by level.
+func NewRefiner(g *graph.Graph, part []int32, k int, opt RefineOptions) (*Refiner, error) {
 	n := g.NumVertices()
 	if len(part) != n {
-		return fmt.Errorf("partition: %d assignments for %d vertices", len(part), n)
+		return nil, fmt.Errorf("partition: %d assignments for %d vertices", len(part), n)
 	}
 	if k < 1 {
-		return errBadK(k)
-	}
-	if err := checkLabels(part, k); err != nil {
-		return err
+		return nil, errBadK(k)
 	}
 	if opt.ImbalanceTol <= 1 {
 		opt.ImbalanceTol = DefaultImbalanceTol
@@ -57,29 +65,91 @@ func RefineKWay(ctx context.Context, g *graph.Graph, part []int32, k int, opt Re
 	if opt.Passes <= 0 {
 		opt.Passes = DefaultRefinePasses
 	}
+	ks := getKwayScratch(n)
+	ks.reserve(g, part, k)
+	r := &ks.ref
+	*r = Refiner{ks: ks, k: k, opt: opt, pool: graph.NewPool(opt.Parallelism)}
+	return r, nil
+}
+
+// Begin lays the part weights, caps and connectivity table of part on g;
+// later Moves and Refines update part in place. part must stay the
+// caller's live assignment until the next Begin.
+func (r *Refiner) Begin(g *graph.Graph, part []int32) error {
+	if len(part) != g.NumVertices() {
+		return fmt.Errorf("partition: %d assignments for %d vertices", len(part), g.NumVertices())
+	}
+	if err := checkLabels(part, r.k); err != nil {
+		return err
+	}
+	ks := r.ks
+	r.g, r.part = g, part
+	ks.caps = kwayCapsInto(ks.caps, g, r.k, r.opt.ImbalanceTol)
+	ks.begin(g, part, r.k)
+	r.builds++
+	return nil
+}
+
+// Refine runs greedy passes over the live table, biased against moving a
+// vertex v off origin[v] by pen[v] edge-weight units: moving it back to its
+// origin earns the same. Balance-restoring moves stay admissible whatever
+// the penalty — the bias steers which vertices migrate, it never blocks
+// rebalancing. A nil origin, or a nil pen, is a zero bias; the caller keeps
+// |gain| + pen[v] inside int64. Cancelling ctx stops at the next pass
+// boundary; the assignment is always left consistent.
+func (r *Refiner) Refine(ctx context.Context, origin []int32, pen []int64) error {
+	n := len(r.part)
 	var bias moveBias
-	if opt.Origin != nil {
-		if len(opt.Origin) != n {
-			return fmt.Errorf("partition: origin length %d, want %d", len(opt.Origin), n)
+	if origin != nil {
+		if len(origin) != n {
+			return fmt.Errorf("partition: origin length %d, want %d", len(origin), n)
 		}
-		if opt.MovePenalty != nil {
-			if len(opt.MovePenalty) != n {
-				return fmt.Errorf("partition: penalty length %d, want %d", len(opt.MovePenalty), n)
+		if pen != nil {
+			if len(pen) != n {
+				return fmt.Errorf("partition: penalty length %d, want %d", len(pen), n)
 			}
-			bias = moveBias{origin: opt.Origin, pen: opt.MovePenalty}
+			bias = moveBias{origin: origin, pen: pen}
 		}
 	}
-	pool := graph.NewPool(opt.Parallelism)
-	ks := getKwayScratch(n)
-	defer putKwayScratch(ks)
+	ks := r.ks
 	span := obs.StartSpan(ctx, "partition/refine")
-	ks.caps = kwayCapsInto(ks.caps, g, k, opt.ImbalanceTol)
-	st := kwayGreedy(ctx, g, part, k, ks.caps, opt.Passes, pool, bias, ks)
+	var st kwayStats
+	if n > 0 && r.k > 1 {
+		if ks.prune {
+			// The visit set for this bias: built, or rebuilt from the
+			// boundary lists the Moves since the last Refine kept.
+			ks.track(r.g, r.part, r.k, ks.caps, bias)
+		}
+		st = ks.greedyPasses(ctx, r.g, r.part, r.k, ks.caps, r.opt.Passes, r.pool, bias)
+	}
 	span.SetStr("stage", "refine_kway")
 	span.SetInt("vertices", int64(n))
 	st.annotate(span)
 	span.End()
 	return nil
+}
+
+// Move moves vertex v of the live assignment to part to, keeping the part
+// weights and the table exact.
+func (r *Refiner) Move(v, to int32) { r.ks.moveVertex(r.g, r.part, v, to) }
+
+// PartWeights returns the live part weights, part p's weight on constraint
+// c at p·NCon + c. The slice is the refiner's own: read it, do not write it.
+func (r *Refiner) PartWeights() []int64 { return r.ks.pw[:r.k*r.g.NCon] }
+
+// Caps returns the per-constraint part weight caps of the live graph
+// (KWayCaps at the refiner's tolerance).
+func (r *Refiner) Caps() []int64 { return r.ks.caps }
+
+// TableBuilds returns how many connectivity tables Begin has laid.
+func (r *Refiner) TableBuilds() int { return r.builds }
+
+// Close returns the arena to its pool.
+func (r *Refiner) Close() {
+	ks := r.ks
+	ks.tracking, ks.vbias = false, moveBias{} // do not pin the caller's arrays
+	*r = Refiner{}
+	putKwayScratch(ks)
 }
 
 // Greedy k-way refinement (METIS/ParMETIS style boundary passes) on the
@@ -88,9 +158,9 @@ func RefineKWay(ctx context.Context, g *graph.Graph, part []int32, k int, opt Re
 // their own, the second only to lower ones, so two vertices can never swap
 // across a boundary in the same sub-pass. A sub-pass
 //
-//  1. scans the boundary in chunks on the graph.Pool against the read-only
-//     table and part weights, and keeps every vertex whose best move
-//     (bestMove) is admissible;
+//  1. scans the visit set (below) in chunks on the graph.Pool against the
+//     read-only table and part weights, and keeps every vertex whose best
+//     move (bestMove) is admissible;
 //  2. sorts the candidates by (overage change ascending, gain descending,
 //     vertex ascending) — a total order, so the candidate list is a pure
 //     function of the pre-sub-pass state whatever the chunking;
@@ -120,15 +190,11 @@ func cmpGreedyMove(a, b greedyMove) int {
 	return cmp.Or(cmp.Compare(a.dOver, b.dOver), cmp.Compare(b.gain, a.gain), cmp.Compare(a.v, b.v))
 }
 
-// kwayGreedy runs greedy passes in place over the arena ks; see above.
-// Passes stop early when a full pass commits no move, and cancelling ctx
-// stops at the next pass boundary.
-func kwayGreedy(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, bias moveBias, ks *kwayScratch) kwayStats {
+// greedyPasses runs greedy passes over the live table. Passes stop early
+// when a full pass commits no move, and cancelling ctx stops at the next
+// pass boundary.
+func (ks *kwayScratch) greedyPasses(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, bias moveBias) kwayStats {
 	st := kwayStats{greedy: true}
-	if g.NumVertices() == 0 || k <= 1 {
-		return st
-	}
-	ks.begin(g, part, k)
 	for pass := 0; pass < passes; pass++ {
 		if ctx.Err() != nil {
 			break
@@ -145,11 +211,17 @@ func kwayGreedy(ctx context.Context, g *graph.Graph, part []int32, k int, caps [
 }
 
 // greedySubPass runs one sub-pass: moves to higher part ids when up, to
-// lower ones otherwise.
+// lower ones otherwise. The scan visits the visit set when the prune holds,
+// building it first if the arena keeps none for these caps and this bias.
 func (ks *kwayScratch) greedySubPass(g *graph.Graph, part []int32, k int, caps []int64, pool *graph.Pool, bias moveBias, up bool, st *kwayStats) {
 	n := len(part)
-	if ks.prune {
-		ks.markOver(k, caps)
+	if ks.prune && !ks.visitFor(caps, bias) {
+		ks.track(g, part, k, caps, bias)
+	}
+	if ks.tracking {
+		st.visited += ks.visitCount()
+	} else {
+		st.visited += ks.boundaryCount()
 	}
 	chunks := min(pool.Width(), n/greedyMinChunk)
 	if chunks <= 1 {
@@ -186,10 +258,31 @@ func (ks *kwayScratch) greedySubPass(g *graph.Graph, part []int32, k int, caps [
 }
 
 // scanMoves appends to out the admissible best move of every vertex in
-// [lo, hi). It only reads the arena, so chunks may run concurrently. A
-// vertex without a row, or one cannotMove rules out, is passed over without
+// [lo, hi), in ascending vertex order. It only reads the arena, so chunks
+// may run concurrently. With a visit set kept for these caps and this bias
+// it evaluates the set's vertices only; otherwise it passes over a vertex
+// without a row, or one cannotMove rules out (after markOver), without
 // evaluating a move.
 func (ks *kwayScratch) scanMoves(g *graph.Graph, part []int32, caps []int64, bias moveBias, up bool, lo, hi int, out []greedyMove) []greedyMove {
+	if ks.visitFor(caps, bias) {
+		for w := lo / 64; w*64 < hi; w++ {
+			word := ks.visit[w]
+			base := w * 64
+			if base < lo {
+				word &^= 1<<(lo-base) - 1
+			}
+			if hi-base < 64 {
+				word &= 1<<(hi-base) - 1
+			}
+			for ; word != 0; word &= word - 1 {
+				v := int32(w*64 + bits.TrailingZeros64(word))
+				if m, ok := ks.bestMove(g, part, caps, bias, v, up); ok {
+					out = append(out, m)
+				}
+			}
+		}
+		return out
+	}
 	for v := int32(lo); v < int32(hi); v++ {
 		if ks.rowN[v] == 0 || ks.prune && ks.cannotMove(g, part, bias, v) {
 			continue
@@ -234,8 +327,8 @@ func (ks *kwayScratch) markOver(k int, caps []int64) {
 //     gain.
 //
 // Both bounds need every vertex and edge weight non-negative
-// (kwayScratch.prune), and the over-cap lists as markOver left them at the
-// start of the sub-pass.
+// (kwayScratch.prune), and over-cap lists that markOver made from the
+// current part weights.
 func (ks *kwayScratch) cannotMove(g *graph.Graph, part []int32, bias moveBias, v int32) bool {
 	from := part[v]
 	bound := ks.net[v]
@@ -256,6 +349,153 @@ func (ks *kwayScratch) cannotMove(g *graph.Graph, part []int32, bias moveBias, v
 		}
 	}
 	return true
+}
+
+// The visit set. While the prune holds, the arena keeps, for one set of caps
+// and one bias, the set of vertices cannotMove does not rule out: the
+// vertices with a row whose gain bound is positive, plus those weighing in a
+// constraint on which their part is over its cap. The scan iterates it in
+// ascending vertex order (a bitset, visit), so it never asks about the
+// vertices the prune passes over, and it finds exactly the candidates the
+// pruned scan of all n vertices finds, in the same order.
+//
+// The set is exact after every commit, not only at sub-pass starts:
+// moveVertex re-evaluates the moved vertex and its neighbours, the only
+// vertices whose row, net weight or part a move changes, and, when the move
+// takes its source or target part across one of its caps, lists the
+// over-cap constraints again (markOver) and re-evaluates every boundary
+// vertex of that part. Per-part boundary lists (bhead, bnext, bprev) name
+// those vertices without a scan. A bias change rebuilds the set from the
+// lists (track); the pairwise engine, which does not scan, never builds it
+// and pays one flag test for it in moveVertex.
+
+// unlisted marks bprev[v] of a vertex on no boundary list.
+const unlisted = -2
+
+// visitFor reports whether the arena keeps a visit set for caps and bias.
+// The bias is compared by identity: a caller that changes a bias's contents
+// in place rebuilds the set itself (Refiner.Refine always does).
+func (ks *kwayScratch) visitFor(caps []int64, bias moveBias) bool {
+	return ks.tracking && ks.vbias.same(bias) && slices.Equal(ks.vcaps, caps)
+}
+
+// track builds the visit set of (g, part, k) for caps and bias, and the
+// boundary lists first if moveVertex has not kept them since begin.
+func (ks *kwayScratch) track(g *graph.Graph, part []int32, k int, caps []int64, bias moveBias) {
+	n := len(part)
+	ks.vcaps = append(ks.vcaps[:0], caps...)
+	ks.vbias = bias
+	if !ks.tracking {
+		ks.bhead = growI32(ks.bhead, k)
+		for p := range ks.bhead {
+			ks.bhead[p] = -1
+		}
+		ks.bnext = growI32(ks.bnext, n)
+		ks.bprev = growI32(ks.bprev, n)
+		for v := int32(n) - 1; v >= 0; v-- {
+			ks.bprev[v] = unlisted
+			if ks.rowN[v] > 0 {
+				ks.list(part, v)
+			}
+		}
+		ks.tracking = true
+	}
+	ks.markOver(k, caps)
+	ks.visit = growU64(ks.visit, (n+63)/64)
+	clear(ks.visit)
+	for p := int32(0); p < int32(k); p++ {
+		ks.revisitPart(g, part, p)
+	}
+}
+
+// list puts v at the head of its part's boundary list.
+func (ks *kwayScratch) list(part []int32, v int32) {
+	p := part[v]
+	h := ks.bhead[p]
+	ks.bnext[v], ks.bprev[v] = h, -1
+	if h >= 0 {
+		ks.bprev[h] = v
+	}
+	ks.bhead[p] = v
+}
+
+// unlist takes v off its part's boundary list, if it is on it.
+func (ks *kwayScratch) unlist(part []int32, v int32) {
+	prev, next := ks.bprev[v], ks.bnext[v]
+	if prev == unlisted {
+		return
+	}
+	if prev >= 0 {
+		ks.bnext[prev] = next
+	} else {
+		ks.bhead[part[v]] = next
+	}
+	if next >= 0 {
+		ks.bprev[next] = prev
+	}
+	ks.bprev[v] = unlisted
+}
+
+// revisit brings v's list entry and visit bit up to date with its row and
+// part.
+func (ks *kwayScratch) revisit(g *graph.Graph, part []int32, v int32) {
+	if ks.rowN[v] == 0 {
+		ks.unlist(part, v)
+		ks.mark(v, false)
+		return
+	}
+	if ks.bprev[v] == unlisted {
+		ks.list(part, v)
+	}
+	ks.mark(v, !ks.cannotMove(g, part, ks.vbias, v))
+}
+
+// revisitPart re-evaluates every boundary vertex of part p.
+func (ks *kwayScratch) revisitPart(g *graph.Graph, part []int32, p int32) {
+	for v := ks.bhead[p]; v >= 0; v = ks.bnext[v] {
+		ks.mark(v, !ks.cannotMove(g, part, ks.vbias, v))
+	}
+}
+
+// mark puts v in the visit set, or takes it out.
+func (ks *kwayScratch) mark(v int32, in bool) {
+	if in {
+		ks.visit[v/64] |= 1 << (v % 64)
+	} else {
+		ks.visit[v/64] &^= 1 << (v % 64)
+	}
+}
+
+// crossesCap reports whether adding d·wv to the part weights pw takes them
+// across a cap of the visit set on a constraint.
+func (ks *kwayScratch) crossesCap(pw []int64, wv []int32, d int64) bool {
+	for c, w := range wv {
+		if w != 0 && (pw[c] > ks.vcaps[c]) != (pw[c]+d*int64(w) > ks.vcaps[c]) {
+			return true
+		}
+	}
+	return false
+}
+
+// visitCount returns the size of the visit set.
+func (ks *kwayScratch) visitCount() int {
+	c := 0
+	for _, w := range ks.visit {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// boundaryCount returns the number of vertices with a row: what a scan
+// without a visit set looks at.
+func (ks *kwayScratch) boundaryCount() int {
+	c := 0
+	for _, nr := range ks.rowN {
+		if nr > 0 {
+			c++
+		}
+	}
+	return c
 }
 
 // bestMove returns v's best move in the sub-pass direction against the

@@ -2,11 +2,13 @@ package partition
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"tempart/internal/graph"
+	"tempart/internal/obs"
 )
 
 // totalOverage sums the cap overshoot of every part and constraint.
@@ -54,6 +56,16 @@ func scanGreedyMove(g *graph.Graph, part []int32, pw [][]int64, caps []int64, bi
 		}
 	}
 	return best, best.to >= 0 && (best.dOver < 0 || (best.dOver == 0 && best.gain > 0))
+}
+
+// kwayGreedy lays the table of (g, part) in the arena ks and runs greedy
+// passes over it in place: one refinement on a caller-held arena.
+func kwayGreedy(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, bias moveBias, ks *kwayScratch) kwayStats {
+	if g.NumVertices() == 0 || k <= 1 {
+		return kwayStats{greedy: true}
+	}
+	ks.begin(g, part, k)
+	return ks.greedyPasses(ctx, g, part, k, caps, passes, pool, bias)
 }
 
 // watchGreedyMoves installs an onGreedyMove hook on ks that checks every
@@ -244,7 +256,7 @@ func TestGreedyScanPruneMatchesFull(t *testing.T) {
 // 0..5 (disconnected pieces and hubs occur as the bytes fall), k in
 // 1..n+4, a start assignment, and a bias — none, origin without penalty,
 // or random penalties including huge ones.
-func fuzzRefineInput(data []byte) (*graph.Graph, []int32, int, RefineOptions) {
+func fuzzRefineInput(data []byte) (g *graph.Graph, part []int32, k int, origin []int32, pen []int64) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -254,7 +266,7 @@ func fuzzRefineInput(data []byte) (*graph.Graph, []int32, int, RefineOptions) {
 		return int(b)
 	}
 	n := 1 + next()%40
-	k := 1 + next()%(n+4)
+	k = 1 + next()%(n+4)
 	ncon := 1 + next()%3
 	mode := next() % 3
 	b := graph.NewBuilder(ncon)
@@ -265,24 +277,23 @@ func fuzzRefineInput(data []byte) (*graph.Graph, []int32, int, RefineOptions) {
 		}
 		b.AddVertex(w...)
 	}
-	part := make([]int32, n)
+	part = make([]int32, n)
 	for v := range part {
 		part[v] = int32(next() % k)
 	}
-	var opt RefineOptions
 	if mode > 0 {
-		opt.Origin = make([]int32, n)
-		for v := range opt.Origin {
-			opt.Origin[v] = int32(next() % k)
+		origin = make([]int32, n)
+		for v := range origin {
+			origin[v] = int32(next() % k)
 		}
 	}
 	if mode == 2 {
-		opt.MovePenalty = make([]int64, n)
-		for v := range opt.MovePenalty {
+		pen = make([]int64, n)
+		for v := range pen {
 			if p := next(); p == 255 {
-				opt.MovePenalty[v] = 1 << 50
+				pen[v] = 1 << 50
 			} else {
-				opt.MovePenalty[v] = int64(p % 16)
+				pen[v] = int64(p % 16)
 			}
 		}
 	}
@@ -296,14 +307,15 @@ func fuzzRefineInput(data []byte) (*graph.Graph, []int32, int, RefineOptions) {
 	if err != nil {
 		panic(err)
 	}
-	return g, part, k, opt
+	return g, part, k, origin, pen
 }
 
 // FuzzRefineKWay: on arbitrary small graphs, start assignments and biases,
-// RefineKWay never panics, keeps every label in [0, k), never raises the
+// the Refiner never panics, keeps every label in [0, k), never raises the
 // total cap overage above the start's, commits only admissible moves (each
-// checked against an adjacency scan through the commit hook), and returns
-// the same bytes at Parallelism 1 and 4.
+// checked against an adjacency scan through the commit hook), ends where
+// passes that scan every vertex end, and returns the same bytes at
+// Parallelism 1 and 4.
 func FuzzRefineKWay(f *testing.F) {
 	f.Add([]byte{12, 5, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 1, 5, 6, 1, 6, 7, 1, 7, 8, 1, 8, 9, 1, 9, 10, 1, 10, 11, 1})
 	// A hub joined to every vertex, two constraints, random penalties.
@@ -327,11 +339,11 @@ func FuzzRefineKWay(f *testing.F) {
 	// k above n, zero-weight edges, origin without penalty.
 	f.Add([]byte{4, 9, 0, 1, 2, 0, 3, 1, 0, 1, 2, 3, 3, 2, 1, 0, 0, 1, 0, 1, 2, 0, 2, 3, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, start, k, opt := fuzzRefineInput(data)
+		g, start, k, origin, pen := fuzzRefineInput(data)
 		caps := KWayCaps(g, k, 1.05)
 		var bias moveBias
-		if opt.Origin != nil && opt.MovePenalty != nil {
-			bias = moveBias{origin: opt.Origin, pen: opt.MovePenalty}
+		if origin != nil && pen != nil {
+			bias = moveBias{origin: origin, pen: pen}
 		}
 
 		part := slices.Clone(start)
@@ -347,11 +359,21 @@ func FuzzRefineKWay(f *testing.F) {
 			t.Fatalf("total overage %d -> %d", before, after)
 		}
 
+		// The visit set leaves out only vertices without an admissible
+		// move: passes that scan every vertex with a row end the same.
+		full := slices.Clone(start)
+		ks = new(kwayScratch)
+		ks.begin(g, full, k)
+		ks.prune = false
+		ks.greedyPasses(context.Background(), g, full, k, caps, 8, nil, bias)
+		if !slices.Equal(full, part) {
+			t.Fatalf("passes over every vertex end at %v, over the visit set at %v", full, part)
+		}
+
 		var ref []int32
 		for _, par := range []int{1, 4} {
 			got := slices.Clone(start)
-			opt.Parallelism = par
-			if err := RefineKWay(context.Background(), g, got, k, opt); err != nil {
+			if err := refineFresh(context.Background(), g, got, k, RefineOptions{Parallelism: par}, origin, pen); err != nil {
 				t.Fatal(err)
 			}
 			for v, p := range got {
@@ -362,11 +384,402 @@ func FuzzRefineKWay(f *testing.F) {
 			if ref == nil {
 				ref = got
 				if !slices.Equal(got, part) {
-					t.Fatalf("RefineKWay differs from its greedy passes")
+					t.Fatalf("the refiner differs from its greedy passes")
 				}
 			} else if !slices.Equal(got, ref) {
 				t.Fatalf("parallelism %d differs from 1", par)
 			}
 		}
 	})
+}
+
+// refineFresh refines part on g in one call with a refiner of its own:
+// taken, its table laid, refined under the bias (origin, pen), closed.
+func refineFresh(ctx context.Context, g *graph.Graph, part []int32, k int, opt RefineOptions, origin []int32, pen []int64) error {
+	r, err := NewRefiner(g, part, k, opt)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	if err := r.Begin(g, part); err != nil {
+		return err
+	}
+	return r.Refine(ctx, origin, pen)
+}
+
+// visitSetErr compares the arena's visit set with the pruned scan's
+// definition recomputed from scratch — every vertex with a row that
+// cannotMove, after markOver on the live part weights, does not rule out
+// under caps and bias — the over-cap lists the arena keeps with markOver's,
+// and each part's boundary list with its vertices that have a row.
+func visitSetErr(g *graph.Graph, part []int32, k int, caps []int64, bias moveBias, ks *kwayScratch) error {
+	if !ks.tracking {
+		return fmt.Errorf("no visit set kept")
+	}
+	keptAt, keptCons := slices.Clone(ks.overAt), slices.Clone(ks.overCons)
+	ks.markOver(k, caps)
+	for p := 0; p < k; p++ {
+		kept, fresh := keptCons[keptAt[p]:keptAt[p+1]], ks.overCons[ks.overAt[p]:ks.overAt[p+1]]
+		if !slices.Equal(kept, fresh) {
+			return fmt.Errorf("part %d: over its cap on constraints %v as kept, %v by its part weights", p, kept, fresh)
+		}
+	}
+	for v := int32(0); v < int32(len(part)); v++ {
+		want := ks.rowN[v] > 0 && !ks.cannotMove(g, part, bias, v)
+		if got := ks.visit[v/64]&(1<<(v%64)) != 0; got != want {
+			return fmt.Errorf("vertex %d in part %d (row of %d, net %d): in the set %v, the prune says %v", v, part[v], ks.rowN[v], ks.net[v], got, want)
+		}
+	}
+	listed := 0
+	for p := int32(0); p < int32(k); p++ {
+		prev := int32(-1)
+		for v := ks.bhead[p]; v >= 0; v = ks.bnext[v] {
+			if part[v] != p || ks.rowN[v] == 0 || ks.bprev[v] != prev {
+				return fmt.Errorf("part %d's boundary list holds vertex %d of part %d with a row of %d (back link %d, want %d)", p, v, part[v], ks.rowN[v], ks.bprev[v], prev)
+			}
+			prev = v
+			listed++
+		}
+	}
+	if rows := ks.boundaryCount(); listed != rows {
+		return fmt.Errorf("%d vertices listed, %d have a row", listed, rows)
+	}
+	return nil
+}
+
+// TestGreedyVisitSetMatchesPrune: the visit set a refiner keeps is exactly
+// the set of vertices the pruned scan does not rule out — once Refine has
+// built it on the table Begin laid, before and after every commit of every
+// sub-pass, and after a bias change that rewrites the origins in place, so
+// that only Refine's rebuild can notice it. The inputs are refineInputs
+// (k = 2100 among them), a grid with zero-weight edges and a grid whose
+// penalties go negative, each with random origins and penalties. The
+// sub-passes must visit fewer vertices than have a row, and the visited
+// counter must be the set's size at every sub-pass start. On grids with
+// negative weights there must be no set, and every sub-pass must visit
+// every vertex with a row.
+func TestGreedyVisitSetMatchesPrune(t *testing.T) {
+	type setInput struct {
+		refineInput
+		negPen bool // penalties drawn from [-5, 9] instead of [0, 9]
+	}
+	var inputs []setInput
+	for _, in := range refineInputs(t) {
+		inputs = append(inputs, setInput{in, false})
+	}
+	inputs = append(inputs,
+		setInput{refineInput{"grid-zero-weight-edges", gridWeightsFrom(t, 40, 40, 1, 0), 8, true}, false},
+		setInput{refineInput{"grid-negative-penalties", weightedGrid(t, 40, 40, 2), 8, true}, true},
+		setInput{refineInput{"grid-negative-vertex-weights", signedGrid(t, 40, 40, 2, -2, 1), 8, true}, false},
+		setInput{refineInput{"grid-negative-edge-weights", signedGrid(t, 40, 40, 1, 1, -9), 8, false}, false},
+	)
+	for _, in := range inputs {
+		negative := anyNegative(in.g.VWgt) || anyNegative(in.g.AdjWgt)
+		t.Run(in.name, func(t *testing.T) {
+			g, k := in.g, in.k
+			n := g.NumVertices()
+			part := stripedAssignment(n, k)
+			var origin []int32
+			var pen []int64
+			if in.bias {
+				rng := rand.New(rand.NewSource(int64(n + k)))
+				lo := 0
+				if in.negPen {
+					lo = -5
+				}
+				origin, pen = slices.Clone(part), make([]int64, n)
+				for v := range origin {
+					if rng.Intn(3) == 0 {
+						origin[v] = rng.Int31n(int32(k))
+					}
+					pen[v] = int64(lo + rng.Intn(10-lo))
+				}
+			}
+			r, err := NewRefiner(g, part, k, RefineOptions{Parallelism: 4, Passes: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			ks := r.ks
+			if err := r.Begin(g, part); err != nil {
+				t.Fatal(err)
+			}
+			caps := r.Caps()
+			var bias moveBias // the bias of the Refine under way
+			checked := 0
+			check := func(when string) {
+				checked++
+				if negative {
+					if ks.tracking {
+						t.Fatalf("%s: a visit set on a graph with negative weights", when)
+					}
+					return
+				}
+				if err := visitSetErr(g, part, k, caps, bias, ks); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			}
+			// What a sub-pass starting now should look at — the vertices
+			// the prune keeps, or every vertex with a row on a graph with
+			// negative weights — and how many vertices have a row.
+			var starts, rows []int
+			atStart := func() {
+				ks.markOver(k, caps)
+				keep, b := 0, 0
+				for v := int32(0); v < int32(n); v++ {
+					if ks.rowN[v] > 0 {
+						b++
+						if negative || !ks.cannotMove(g, part, bias, v) {
+							keep++
+						}
+					}
+				}
+				starts, rows = append(starts, keep), append(rows, b)
+			}
+			if ks.tracking {
+				t.Fatal("Begin built a visit set: the set is Refine's, built for its bias")
+			}
+			ks.onGreedyMove = func(greedyMove, bool) { check("before a commit") }
+			ks.onCommit = func() {
+				check("after a sub-pass")
+				atStart()
+			}
+			defer func() { ks.onGreedyMove, ks.onCommit = nil, nil }()
+			for round := 0; round < 2; round++ {
+				if round == 1 {
+					// New origins, a third of them off the refined parts,
+					// and new penalties — on a biased input in the same
+					// arrays, which only a rebuild of the set on every
+					// Refine notices.
+					if origin == nil {
+						origin, pen = make([]int32, n), make([]int64, n)
+					}
+					rng := rand.New(rand.NewSource(int64(n)))
+					copy(origin, part)
+					for v := range origin {
+						if rng.Intn(3) == 0 {
+							origin[v] = rng.Int31n(int32(k))
+						}
+						pen[v] = int64(1 + rng.Intn(9))
+					}
+				}
+				bias = moveBias{origin: origin, pen: pen}
+				starts, rows = starts[:0], rows[:0]
+				atStart()
+				rec := obs.NewRecorder()
+				if err := r.Refine(obs.WithRecorder(context.Background(), rec), origin, pen); err != nil {
+					t.Fatal(err)
+				}
+				check("after a Refine")
+				sp := rec.Snapshot()[0]
+				passes, _ := intAttr(sp, "passes")
+				visited, _ := intAttr(sp, "visited")
+				moves, _ := intAttr(sp, "moves")
+				subPasses := int(2 * passes)
+				var want, boundary int
+				for i := 0; i < subPasses; i++ {
+					want += starts[i]
+					boundary += rows[i]
+				}
+				if int(visited) != want {
+					t.Fatalf("round %d: %d vertices visited, the prune keeps %d over %d sub-passes", round, visited, want, subPasses)
+				}
+				if moves == 0 || (!negative && visited >= int64(boundary)) {
+					t.Fatalf("round %d: %d moves, %d of %d vertices with a row visited: nothing was compared", round, moves, visited, boundary)
+				}
+				t.Logf("round %d: %d passes, %d moves, %d of %d vertices with a row visited", round, passes, moves, visited, boundary)
+			}
+			if checked == 0 {
+				t.Fatal("nothing was compared")
+			}
+		})
+	}
+}
+
+// warmLevel is one level of a warm-start hierarchy: its graph, the map of
+// its vertices onto the next coarser level's (nil on the coarsest), and the
+// origins and penalties projected onto it.
+type warmLevel struct {
+	g      *graph.Graph
+	cmap   []int32
+	origin []int32
+	pen    []int64
+}
+
+// warmHierarchy coarsens g by matching each vertex with its first
+// unmatched neighbour of the same origin part, as the warm path's
+// hierarchy does, until a level has at most 600 vertices or shrinks by
+// less than a tenth. It returns the levels finest first.
+func warmHierarchy(g *graph.Graph, origin []int32, pen []int64) []warmLevel {
+	levels := []warmLevel{{g: g, origin: origin, pen: pen}}
+	for {
+		cur := &levels[len(levels)-1]
+		n := cur.g.NumVertices()
+		if n <= 600 {
+			return levels
+		}
+		cmap := make([]int32, n)
+		for v := range cmap {
+			cmap[v] = -1
+		}
+		nc := int32(0)
+		for v := int32(0); v < int32(n); v++ {
+			if cmap[v] >= 0 {
+				continue
+			}
+			cmap[v] = nc
+			for _, u := range cur.g.Adjncy[cur.g.Xadj[v]:cur.g.Xadj[v+1]] {
+				if cmap[u] < 0 && cur.origin[u] == cur.origin[v] {
+					cmap[u] = nc
+					break
+				}
+			}
+			nc++
+		}
+		if int(nc) > n*9/10 {
+			return levels
+		}
+		next := warmLevel{g: cur.g.ContractP(cmap, int(nc), nil), origin: make([]int32, nc)}
+		if cur.pen != nil {
+			next.pen = make([]int64, nc)
+		}
+		for v, c := range cmap {
+			next.origin[c] = cur.origin[v]
+			if cur.pen != nil {
+				next.pen[c] += cur.pen[v]
+			}
+		}
+		cur.cmap = cmap
+		levels = append(levels, next)
+	}
+}
+
+// refineHierarchy refines the projected origins of levels coarse to fine
+// with refine and returns the finest level's assignment.
+func refineHierarchy(levels []warmLevel, refine func(lv warmLevel, part []int32)) []int32 {
+	part := slices.Clone(levels[len(levels)-1].origin)
+	for li := len(levels) - 1; li >= 0; li-- {
+		refine(levels[li], part)
+		if li > 0 {
+			fine := levels[li-1]
+			next := make([]int32, fine.g.NumVertices())
+			for v := range next {
+				next[v] = part[fine.cmap[v]]
+			}
+			part = next
+		}
+	}
+	return part
+}
+
+// TestRefinerReuseMatchesFresh: one refiner taken for the finest graph and
+// carried over a coarse-to-fine warm-start hierarchy, then through moves
+// made with Move, then through a polish on the live table, leaves exactly
+// the assignment that a fresh arena per refinement and a table laid anew for
+// the polish give — and its table and part weights equal a fresh scan's
+// after the hierarchy, after the moves and after the polish.
+func TestRefinerReuseMatchesFresh(t *testing.T) {
+	ctx := context.Background()
+	for _, in := range refineInputs(t) {
+		t.Run(in.name, func(t *testing.T) {
+			g, k := in.g, in.k
+			n := g.NumVertices()
+			old := stripedAssignment(n, k)
+			var pen []int64
+			if in.bias {
+				pen = testBias(old, true).pen
+			}
+			levels := warmHierarchy(g, old, pen)
+			if len(levels) < 3 {
+				t.Fatalf("a hierarchy of %d levels", len(levels))
+			}
+			opt := RefineOptions{Parallelism: 2}
+			pool := graph.NewPool(2)
+			biasOf := func(origin []int32, pen []int64) moveBias {
+				if pen == nil {
+					return moveBias{}
+				}
+				return moveBias{origin: origin, pen: pen}
+			}
+
+			r, err := NewRefiner(g, old, k, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			tableErr := func(when string, part []int32) {
+				t.Helper()
+				if err := connTableErr(g, part, r.ks); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if got, want := r.PartWeights(), slices.Concat(partWeights(g, part, k)...); !slices.Equal(got, want) {
+					t.Fatalf("%s: part weights %v, a fresh count %v", when, got, want)
+				}
+			}
+			// The finest level is refined in the returned assignment, which
+			// the refiner's table describes from then on.
+			got := refineHierarchy(levels, func(lv warmLevel, part []int32) {
+				if err := r.Begin(lv.g, part); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Refine(ctx, lv.origin, lv.pen); err != nil {
+					t.Fatal(err)
+				}
+			})
+			want := refineHierarchy(levels, func(lv warmLevel, part []int32) {
+				caps := KWayCaps(lv.g, k, DefaultImbalanceTol)
+				kwayGreedy(ctx, lv.g, part, k, caps, DefaultRefinePasses, pool, biasOf(lv.origin, lv.pen), new(kwayScratch))
+			})
+			if d := diffVertices(got, want); d > 0 {
+				t.Fatalf("after the hierarchy: the reused refiner differs from fresh arenas at %d vertices", d)
+			}
+			tableErr("after the hierarchy", got)
+
+			// Moves in the manner of a diffusion: every seventh vertex with
+			// a neighbour in another part joins that part.
+			home := slices.Clone(got)
+			moved := 0
+			for v := int32(0); v < int32(n); v += 7 {
+				for _, u := range g.Adjncy[g.Xadj[v]:g.Xadj[v+1]] {
+					if to := got[u]; to != got[v] {
+						r.Move(v, to)
+						want[v] = to
+						moved++
+						break
+					}
+				}
+			}
+			if moved == 0 || !slices.Equal(got, want) {
+				t.Fatalf("%d moves made", moved)
+			}
+			tableErr("after the moves", got)
+
+			before := r.TableBuilds()
+			if err := r.Refine(ctx, home, pen); err != nil {
+				t.Fatal(err)
+			}
+			st := kwayGreedy(ctx, g, want, k, KWayCaps(g, k, DefaultImbalanceTol), DefaultRefinePasses, pool, biasOf(home, pen), new(kwayScratch))
+			if st.moves == 0 {
+				t.Fatal("the polish moved nothing: nothing was compared")
+			}
+			if d := diffVertices(got, want); d > 0 {
+				t.Fatalf("after the polish: the live table's polish differs from a fresh one at %d vertices", d)
+			}
+			if r.TableBuilds() != before || before != len(levels) {
+				t.Fatalf("%d tables laid over %d levels, %d after the polish", before, len(levels), r.TableBuilds())
+			}
+			tableErr("after the polish", got)
+			t.Logf("%d levels, %d moves, polish %+v", len(levels), moved, st)
+		})
+	}
+}
+
+func diffVertices(a, b []int32) int {
+	d := 0
+	for i := range a {
+		if a[i] != b[i] {
+			d++
+		}
+	}
+	return d
 }

@@ -534,7 +534,7 @@ func TestRefineKWayRejectsOutOfRangeLabels(t *testing.T) {
 	for _, bad := range []int32{-1, 4, 99} {
 		part := stripedAssignment(g.NumVertices(), 4)
 		part[17] = bad
-		if err := RefineKWay(context.Background(), g, part, 4, RefineOptions{}); err == nil {
+		if err := refineFresh(context.Background(), g, part, 4, RefineOptions{}, nil, nil); err == nil {
 			t.Errorf("accepted label %d with k = 4", bad)
 		}
 	}

@@ -70,14 +70,14 @@ type connEntry struct {
 
 // kwayStats counts the work of one k-way refinement call. For the pairwise
 // engine every scheduled pair slot is either run or skipped, and idle counts
-// the runs that returned no move. For the greedy passes (kwayGreedy, greedy
-// set) candidates counts the scans' admissible moves and stale those the
-// commit re-check rejected.
+// the runs that returned no move. For the greedy passes (greedyPasses, greedy
+// set) visited counts the vertices the scans looked at, candidates their
+// admissible moves and stale those the commit re-check rejected.
 type kwayStats struct {
 	passes, moves                     int
 	pairsRun, pairsSkipped, pairsIdle int
 	greedy                            bool
-	candidates, stale                 int
+	visited, candidates, stale        int
 }
 
 // annotate attaches the counters of the engine that ran to a refinement
@@ -88,6 +88,7 @@ func (s kwayStats) annotate(span obs.Span) {
 	}
 	span.SetInt("passes", int64(s.passes))
 	if s.greedy {
+		span.SetInt("visited", int64(s.visited))
 		span.SetInt("candidates", int64(s.candidates))
 		span.SetInt("stale", int64(s.stale))
 	} else {
@@ -113,7 +114,7 @@ func densePairs(k int) bool { return k*k <= maxDensePairs }
 // array lives here, so steady-state refinement allocates nothing once the
 // buffers have grown to the problem size.
 type kwayScratch struct {
-	caps    []int64 // kwayCapsInto buffer (RefineKWay)
+	caps    []int64 // kwayCapsInto buffer (Refiner)
 	pw      []int64 // part weights, k*ncon flattened
 	pairIdx []int32 // dense (a*k+b) -> pair index, -1 when absent
 	pairMap map[int64]int32
@@ -142,11 +143,22 @@ type kwayScratch struct {
 	// prune is set by begin when no vertex or edge weight of the graph is
 	// negative, the condition under which the greedy scan may skip the
 	// vertices cannotMove rules out. overAt and overCons list, per part, the
-	// constraints it is over its cap on, as of the start of the greedy
-	// sub-pass (markOver).
+	// constraints it is over its cap on (markOver).
 	prune    bool
 	overAt   []int32
 	overCons []int32
+
+	// The greedy scan's visit set (refine_kway.go): while tracking, visit
+	// holds a bit for every vertex cannotMove does not rule out under the
+	// caps vcaps and the bias vbias, and bhead/bnext/bprev list each part's
+	// vertices with a row (bprev[v] unlisted: none). begin clears tracking.
+	tracking bool
+	vcaps    []int64
+	vbias    moveBias
+	visit    []uint64
+	bhead    []int32
+	bnext    []int32
+	bprev    []int32
 
 	// Change tracking, in pass stamps: stamp numbers the passes this arena
 	// has run (begin takes one too), ver[p] is the stamp of the pass that
@@ -186,6 +198,10 @@ type kwayScratch struct {
 	ccaps  []int64
 	cround []int32 // the round's pairs that run, in commit order
 	runOne func(i int)
+
+	// The refiner that holds this arena (NewRefiner), kept here so that
+	// taking one from the pool allocates nothing.
+	ref Refiner
 }
 
 // kwayScratchPools is size-classed by localID capacity (one of the arena's
@@ -215,6 +231,37 @@ func getKwayScratch(n int) *kwayScratch {
 }
 
 func putKwayScratch(ks *kwayScratch) { kwayScratchPools.Put(ks, cap(ks.localID)) }
+
+// reserve sizes the arena for tables of graphs up to g's size: its
+// vertex-sized arrays for g's vertices, its entry arena, with begin's 1/8
+// headroom, for one entry per edge end that part cuts on g — at least the
+// rows of part's table — and the part-sized ones for k parts. begin on g or
+// on a coarsening of it then lays its rows in one sweep unless refinement
+// has cut more edges since.
+func (ks *kwayScratch) reserve(g *graph.Graph, part []int32, k int) {
+	n := g.NumVertices()
+	ks.net = growI64(ks.net, n)
+	ks.rowAt = growI32(ks.rowAt, n)
+	ks.rowN = growI32(ks.rowN, n)
+	ks.rowCap = growI32(ks.rowCap, n)
+	ks.bnext = growI32(ks.bnext, n)
+	ks.bprev = growI32(ks.bprev, n)
+	ks.visit = growU64(ks.visit, (n+63)/64)
+	ks.bhead = growI32(ks.bhead, k)
+	ks.pw = growI64(ks.pw, k*g.NCon)
+	ends := 0
+	for v := 0; v < n; v++ {
+		pv := part[v]
+		for _, u := range g.Adjncy[g.Xadj[v]:g.Xadj[v+1]] {
+			if part[u] != pv {
+				ends++
+			}
+		}
+	}
+	if need := ends + ends/8; cap(ks.ents) < need {
+		ks.ents = make([]connEntry, 0, need)
+	}
+}
 
 // kwayRefine runs parallel pairwise-FM k-way refinement passes in place; see
 // the engine comment above. Passes stop early when a full pass commits no
@@ -298,6 +345,7 @@ func (ks *kwayScratch) begin(g *graph.Graph, part []int32, k int) {
 		ks.layRow(g, part, v)
 	}
 	ks.prune = !anyNegative(g.VWgt) && !anyNegative(g.AdjWgt)
+	ks.tracking = false
 
 	if densePairs(k) {
 		ks.idleAt = growI32(ks.idleAt, k*k)
@@ -477,9 +525,17 @@ func (ks *kwayScratch) moveVertex(g *graph.Graph, part []int32, v, to int32) {
 	ncon := g.NCon
 	fw, tw := ks.pw[int(from)*ncon:], ks.pw[int(to)*ncon:]
 	wv := g.WeightVec(v)
+	var fromCrosses, toCrosses bool
+	if ks.tracking {
+		fromCrosses, toCrosses = ks.crossesCap(fw, wv, -1), ks.crossesCap(tw, wv, 1)
+		ks.unlist(part, v)
+	}
 	for c := 0; c < ncon; c++ {
 		fw[c] -= int64(wv[c])
 		tw[c] += int64(wv[c])
+	}
+	if fromCrosses || toCrosses {
+		ks.markOver(len(ks.bhead), ks.vcaps) // the lists cover every part
 	}
 	part[v] = to
 	for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
@@ -495,8 +551,20 @@ func (ks *kwayScratch) moveVertex(g *graph.Graph, part []int32, v, to int32) {
 			ks.disconnect(u, from, w)
 			ks.connect(g, u, to, w)
 		}
+		if ks.tracking {
+			ks.revisit(g, part, u)
+		}
 	}
 	ks.scanRow(g, part, v)
+	if ks.tracking {
+		ks.revisit(g, part, v)
+		if fromCrosses {
+			ks.revisitPart(g, part, from)
+		}
+		if toCrosses {
+			ks.revisitPart(g, part, to)
+		}
+	}
 }
 
 // tick starts the next stamp. On the (theoretical) wrap the idle records are

@@ -19,7 +19,7 @@ func stripedAssignment(n, k int) []int32 {
 }
 
 // TestRefineKWayDeterministicAcrossParallelism extends the determinism
-// contract to RefineKWay's greedy passes: the refined assignment is
+// contract to the Refiner's greedy passes: the refined assignment is
 // byte-identical at every Parallelism setting, biased and unbiased. Run
 // under -race in CI, this also checks the concurrent candidate scans
 // against the serial commit for data races.
@@ -36,10 +36,10 @@ func TestRefineKWayDeterministicAcrossParallelism(t *testing.T) {
 	}
 	variants := []struct {
 		name string
-		opt  RefineOptions
+		bias moveBias
 	}{
-		{"unbiased", RefineOptions{}},
-		{"biased", RefineOptions{Origin: origin, MovePenalty: pen}},
+		{"unbiased", moveBias{}},
+		{"biased", moveBias{origin: origin, pen: pen}},
 	}
 	for _, tc := range variants {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,9 +66,8 @@ func TestRefineKWayDeterministicAcrossParallelism(t *testing.T) {
 			var refCut int64
 			for _, par := range parallelismSettings {
 				part := append([]int32(nil), initial...)
-				opt := tc.opt
-				opt.Parallelism = par
-				if err := RefineKWay(context.Background(), g, part, k, opt); err != nil {
+				opt := RefineOptions{Parallelism: par}
+				if err := refineFresh(context.Background(), g, part, k, opt, tc.bias.origin, tc.bias.pen); err != nil {
 					t.Fatal(err)
 				}
 				cut := ComputeEdgeCut(g, part)
@@ -100,7 +99,7 @@ func TestRefineKWayDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestRefineKWayRepairsImbalance: RefineKWay must perform the
+// TestRefineKWayRepairsImbalance: the Refiner must perform the
 // balance-restoring duty repart relies on — moves that reduce cap overage
 // are admissible regardless of gain. The overload sits on a shared boundary
 // (like repart's warm starts after drift): chain migration through saturated
@@ -128,7 +127,7 @@ func TestRefineKWayRepairsImbalance(t *testing.T) {
 		}
 	}
 	before := NewResult(g, append([]int32(nil), part...), k).MaxImbalance()
-	if err := RefineKWay(context.Background(), g, part, k, RefineOptions{ImbalanceTol: 1.05, Parallelism: 1}); err != nil {
+	if err := refineFresh(context.Background(), g, part, k, RefineOptions{ImbalanceTol: 1.05, Parallelism: 1}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := NewResult(g, part, k).MaxImbalance()
@@ -141,9 +140,10 @@ func TestRefineKWayRepairsImbalance(t *testing.T) {
 }
 
 // TestRefineKWayAllocs pins the scratch-arena contract: after warm-up,
-// steady-state k-way refinement allocates nothing — every buffer (part
-// weights, pair lists, coloring state, bucket structures) comes from pooled
-// arenas.
+// steady-state k-way refinement allocates nothing — a refiner taken, its
+// table laid, refined under a bias and closed again, every buffer (part
+// weights, the table, the visit set, the candidate lists) and the refiner
+// itself come from the pooled arena.
 func TestRefineKWayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses reuse under the race detector")
@@ -154,19 +154,20 @@ func TestRefineKWayAllocs(t *testing.T) {
 	const k = 8
 	part := stripedAssignment(n, k)
 	opt := RefineOptions{Parallelism: 1, Passes: 2}
+	bias := testBias(part, true)
 	// Warm the pools and converge the assignment.
 	for i := 0; i < 3; i++ {
-		if err := RefineKWay(context.Background(), g, part, k, opt); err != nil {
+		if err := refineFresh(context.Background(), g, part, k, opt, bias.origin, bias.pen); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := RefineKWay(context.Background(), g, part, k, opt); err != nil {
+		if err := refineFresh(context.Background(), g, part, k, opt, bias.origin, bias.pen); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state RefineKWay allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("steady-state refinement allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

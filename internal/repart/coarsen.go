@@ -61,10 +61,9 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 			break
 		}
 		cg := cur.g.ContractP(cmap, ncoarse, pool)
-		next := rlevel{
-			g:      cg,
-			origin: graph.GetWords(ncoarse),
-			pen:    make([]int64, ncoarse),
+		next := rlevel{g: cg, origin: graph.GetWords(ncoarse)}
+		if cur.pen != nil {
+			next.pen = make([]int64, ncoarse)
 		}
 		for v := 0; v < n; v++ {
 			c := cmap[v]
@@ -72,9 +71,6 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 			if cur.pen != nil {
 				next.pen[c] += cur.pen[v]
 			}
-		}
-		if cur.pen == nil {
-			next.pen = nil
 		}
 		levels[len(levels)-1].cmap = cmap
 		levels = append(levels, next)
@@ -89,26 +85,37 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	}
 
 	// The coarsest assignment is exactly the projected old assignment (the
-	// warm start); refine it at every level on the way back up.
-	cur := pooledCopy(levels[len(levels)-1].origin)
+	// warm start); refine it at every level on the way back up, with one
+	// refiner whose arena is reserved for the finest level. The finest
+	// level is refined in part itself, so the refiner's table stays live on
+	// (g, part) for the residual diffusion.
+	r, err := partition.NewRefiner(g, part, k, refineOptions(opt))
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	cur := part
+	if len(levels) > 1 {
+		cur = pooledCopy(levels[len(levels)-1].origin)
+	}
 	for li := len(levels) - 1; li >= 0; li-- {
 		lv := levels[li]
 		rspan := obs.StartSpan(ctx, "repart/refine")
 		rspan.SetInt("level", int64(li))
-		err := partition.RefineKWay(obs.ContextWithSpan(ctx, rspan), lv.g, cur, k, partition.RefineOptions{
-			ImbalanceTol: opt.Part.ImbalanceTol,
-			Passes:       opt.Part.RefinePasses,
-			Parallelism:  opt.Part.Parallelism,
-			Origin:       lv.origin,
-			MovePenalty:  lv.pen,
-		})
+		err := r.Begin(lv.g, cur)
+		if err == nil {
+			err = r.Refine(obs.ContextWithSpan(ctx, rspan), lv.origin, lv.pen)
+		}
 		if err != nil {
 			rspan.End()
 			return err
 		}
 		if li > 0 {
 			fine := levels[li-1]
-			next := graph.GetWords(fine.g.NumVertices())
+			next := part
+			if li > 1 {
+				next = graph.GetWords(fine.g.NumVertices())
+			}
 			for v := range next {
 				next[v] = cur[fine.cmap[v]]
 			}
@@ -122,8 +129,6 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 		}
 		rspan.End()
 	}
-	copy(part, cur)
-	graph.PutWords(cur)
 	graph.PutWords(levels[0].origin)
 	if err := ctx.Err(); err != nil {
 		return err
@@ -131,19 +136,21 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	// Refinement can stall above tolerance when the drift concentrated a
 	// level inside one part's interior (no boundary vertex of that level to
 	// move). The diffusive sweep has no such restriction — finish with it
-	// whenever residual imbalance remains.
+	// whenever residual imbalance remains, on the refiner's live table and
+	// with the finest level's penalties.
 	residual := partition.MaxImbalanceOf(g, part, k) > opt.Part.ImbalanceTol
+	if residual {
+		err = diffuse(ctx, g, part, k, opt, r, levels[0].pen)
+	}
 	if span.Active() {
 		var fired int64
 		if residual {
 			fired = 1
 		}
 		span.SetInt("residual_diffuse", fired)
+		span.SetInt("table_builds", int64(r.TableBuilds()))
 	}
-	if residual {
-		return diffuse(ctx, g, part, k, opt)
-	}
-	return nil
+	return err
 }
 
 // matchWithinParts is heavy-edge matching restricted to endpoints sharing
@@ -184,10 +191,4 @@ func matchWithinParts(g *graph.Graph, origin []int32, order []int32) (cmap []int
 // pooledCopy returns a copy of s in an array from the word pool.
 func pooledCopy(s []int32) []int32 {
 	return append(graph.GetWords(len(s))[:0], s...)
-}
-
-func clone32(s []int32) []int32 {
-	out := make([]int32, len(s))
-	copy(out, s)
-	return out
 }

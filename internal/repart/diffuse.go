@@ -16,60 +16,87 @@ import (
 // cap, preferring the cells that are cheapest to migrate and least connected
 // to their current part. A penalty-biased refinement pass then repairs the
 // edge cut without undoing the balance. part is updated in place.
-func diffuse(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options) error {
+//
+// r is the call's refiner with its table live on (g, part), and pen the
+// penalties of g — the residual step of refineWarm hands over both. Every
+// diffusion move goes through r's table, so the polish continues on it. A
+// nil r (Diffuse mode) makes diffuse take a refiner, lay its table and
+// compute the penalties itself.
+func diffuse(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options, r *partition.Refiner, pen []int64) error {
 	span := obs.StartSpan(ctx, "repart/diffuse")
 	defer span.End()
-	caps := partition.KWayCaps(g, k, opt.Part.ImbalanceTol)
-	pen := penalties(g, opt)
-	origin := clone32(part) // pre-diffusion homes, so the polish can send cells back
+	if r == nil {
+		var err error
+		if r, err = partition.NewRefiner(g, part, k, refineOptions(opt)); err != nil {
+			return err
+		}
+		defer r.Close()
+		if err := r.Begin(g, part); err != nil {
+			return err
+		}
+		pen = penalties(g, opt)
+	}
+	origin := pooledCopy(part) // pre-diffusion homes, so the polish can send cells back
+	defer graph.PutWords(origin)
 
-	if _, ok := diffuseSweeps(ctx, g, part, k, caps, pen, opt.Part.Seed, !slices.ContainsFunc(g.VWgt, negative)); !ok {
+	if _, ok := diffuseSweeps(ctx, r, g, part, k, pen, opt.Part.Seed, !slices.ContainsFunc(g.VWgt, negative)); !ok {
 		return nil
 	}
 
 	// Repair the cut the diffusion tore open, without sacrificing balance.
-	return partition.RefineKWay(ctx, g, part, k, partition.RefineOptions{
+	return r.Refine(ctx, origin, pen)
+}
+
+// refineOptions are the refiner settings of opt.
+func refineOptions(opt Options) partition.RefineOptions {
+	return partition.RefineOptions{
 		ImbalanceTol: opt.Part.ImbalanceTol,
 		Passes:       opt.Part.RefinePasses,
 		Parallelism:  opt.Part.Parallelism,
-		Origin:       origin,
-		MovePenalty:  pen,
-	})
+	}
 }
 
+// sweepScratch holds diffuseSweeps' working arrays: each part's overage,
+// the edge weight of the cell under scan into each part, the parts it
+// touches, and the visit order.
+type sweepScratch struct {
+	over, conn     []int64
+	touched, order []int32
+}
+
+// sweepScratches is size-classed by the visit order's capacity.
+var sweepScratches graph.SizedPool[sweepScratch]
+
 // diffuseSweeps moves cells of overloaded parts to adjacent parts in place,
-// sweep by sweep. It returns how many cell visits it skipped, and false when
-// ctx was cancelled. With skip set it passes over a cell that carries no
-// weight in any constraint on which its part is over the cap, before
-// scanning its adjacency: moving it leaves its part's overage as it is and
-// cannot lower the target's, so the move fails both the decrease and the
-// levelling test below. That holds only when no vertex weight is negative,
-// which the caller checks.
-func diffuseSweeps(ctx context.Context, g *graph.Graph, part []int32, k int, caps, pen []int64, seed int64, skip bool) (skipped int, ok bool) {
+// sweep by sweep, through r, whose table is live on (g, part): it reads r's
+// caps and part weights, and r.Move keeps both current. It returns how many
+// cell visits it skipped, and false when ctx was cancelled. With skip set
+// it passes over a cell that carries no weight in any constraint on which
+// its part is over the cap, before scanning its adjacency: moving it leaves
+// its part's overage as it is and cannot lower the target's, so the move
+// fails both the decrease and the levelling test below. That holds only
+// when no vertex weight is negative, which the caller checks.
+func diffuseSweeps(ctx context.Context, r *partition.Refiner, g *graph.Graph, part []int32, k int, pen []int64, seed int64, skip bool) (skipped int, ok bool) {
 	n := g.NumVertices()
 	ncon := g.NCon
-	pw := make([][]int64, k)
-	for p := range pw {
-		pw[p] = make([]int64, ncon)
-	}
-	for v := 0; v < n; v++ {
-		for c := 0; c < ncon; c++ {
-			pw[part[v]][c] += int64(g.Weight(int32(v), c))
-		}
-	}
+	caps, pw := r.Caps(), r.PartWeights()
+	sc := sweepScratches.Get(n)
 	overOf := func(p int32) int64 {
 		var over int64
-		for c := 0; c < ncon; c++ {
-			if d := pw[p][c] - caps[c]; d > 0 {
+		for c, w := range pw[int(p)*ncon : int(p+1)*ncon] {
+			if d := w - caps[c]; d > 0 {
 				over += d
 			}
 		}
 		return over
 	}
-	over := make([]int64, k) // overOf of every part, kept current
+	over := slices.Grow(sc.over[:0], k)[:k] // overOf of every part, kept current
 	for p := range over {
 		over[p] = overOf(int32(p))
 	}
+	conn := slices.Grow(sc.conn[:0], k)[:k]
+	clear(conn)
+	sc.over, sc.conn = over, conn
 
 	// Sweep cells of overloaded parts in ascending migration cost so the
 	// cheap state moves first (any order when the penalty is disabled and
@@ -78,13 +105,17 @@ func diffuseSweeps(ctx context.Context, g *graph.Graph, part []int32, k int, cap
 	// levelling move, below). The pair (total, sorted vector) therefore only
 	// falls and the sweeps end; maxSweeps bounds them regardless.
 	rng := rand.New(rand.NewSource(seed))
-	order := partition.Perm(make([]int32, n), rng)
+	order := partition.Perm(slices.Grow(sc.order[:0], n)[:n], rng)
+	sc.order = order
 	if pen != nil {
 		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(pen[a], pen[b]) })
 	}
 
-	conn := make([]int64, k)
-	touched := make([]int32, 0, 8)
+	touched := sc.touched[:0]
+	defer func() {
+		sc.touched = touched
+		sweepScratches.Put(sc, cap(sc.order))
+	}()
 	const maxSweeps = 32
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		if ctx.Err() != nil {
@@ -98,7 +129,8 @@ func diffuseSweeps(ctx context.Context, g *graph.Graph, part []int32, k int, cap
 				continue
 			}
 			wv := g.WeightVec(v)
-			if skip && !relieves(pw[from], wv, caps) {
+			fw := pw[int(from)*ncon : int(from+1)*ncon]
+			if skip && !relieves(fw, wv, caps) {
 				skipped++
 				continue
 			}
@@ -117,11 +149,12 @@ func diffuseSweeps(ctx context.Context, g *graph.Graph, part []int32, k int, cap
 					continue
 				}
 				var overToNew, overFromNew int64
+				tw := pw[int(to)*ncon:]
 				for c := 0; c < ncon; c++ {
-					if d := pw[to][c] + int64(wv[c]) - caps[c]; d > 0 {
+					if d := tw[c] + int64(wv[c]) - caps[c]; d > 0 {
 						overToNew += d
 					}
-					if d := pw[from][c] - int64(wv[c]) - caps[c]; d > 0 {
+					if d := fw[c] - int64(wv[c]) - caps[c]; d > 0 {
 						overFromNew += d
 					}
 				}
@@ -147,12 +180,8 @@ func diffuseSweeps(ctx context.Context, g *graph.Graph, part []int32, k int, cap
 				}
 			}
 			if best >= 0 {
-				for c := 0; c < ncon; c++ {
-					pw[from][c] -= int64(wv[c])
-					pw[best][c] += int64(wv[c])
-				}
+				r.Move(v, best)
 				over[from], over[best] = overOf(from), overOf(best)
-				part[v] = best
 				moves++
 			}
 			for _, p := range touched {

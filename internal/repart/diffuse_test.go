@@ -85,13 +85,19 @@ func TestDiffuseSkipMatchesFull(t *testing.T) {
 		negatives = append(negatives, input{fmt.Sprintf("grid-ncon%d-negative-weights", ncon), g, part, 8, nil})
 	}
 
-	// sweep runs the sweeps as diffuse does with default options (seed 0).
+	// sweep runs the sweeps as diffuse does with default options (seed 0),
+	// on a refiner of their own, and checks that every move went through its
+	// table: the refiner's part weights are those of the swept assignment.
 	sweep := func(in input, skip bool) ([]int32, int) {
 		part := slices.Clone(in.part)
-		caps := partition.KWayCaps(in.g, in.k, partition.DefaultImbalanceTol)
-		skipped, ok := diffuseSweeps(context.Background(), in.g, part, in.k, caps, in.pen, 0, skip)
+		r := beginRefiner(t, in.g, part, in.k)
+		defer r.Close()
+		skipped, ok := diffuseSweeps(context.Background(), r, in.g, part, in.k, in.pen, 0, skip)
 		if !ok {
 			t.Fatal("sweeps cancelled")
+		}
+		if got, want := r.PartWeights(), flatPartWeights(in.g, part, in.k); !slices.Equal(got, want) {
+			t.Fatalf("the refiner's part weights %v after the sweeps, the swept assignment's %v", got, want)
 		}
 		return part, skipped
 	}
@@ -127,10 +133,13 @@ func TestDiffuseSkipMatchesFull(t *testing.T) {
 			// diffuse itself must sweep every cell: its result is the full
 			// sweeps followed by the same unbiased polish.
 			got := slices.Clone(in.part)
-			if err := diffuse(context.Background(), in.g, got, in.k, Options{MigrationPenalty: -1}.withDefaults()); err != nil {
+			if err := diffuse(context.Background(), in.g, got, in.k, Options{MigrationPenalty: -1}.withDefaults(), nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := partition.RefineKWay(context.Background(), in.g, full, in.k, partition.RefineOptions{Origin: in.part}); err != nil {
+			r := beginRefiner(t, in.g, full, in.k)
+			err := r.Refine(context.Background(), in.part, nil)
+			r.Close()
+			if err != nil {
 				t.Fatal(err)
 			}
 			if d := diffCells(got, full); d > 0 {
@@ -141,6 +150,31 @@ func TestDiffuseSkipMatchesFull(t *testing.T) {
 	if diverged == 0 {
 		t.Error("forcing the skip on the negative-weight grids changed nothing: they do not show why diffuse turns it off")
 	}
+}
+
+// beginRefiner returns a refiner at the default options with its table laid
+// on (g, part).
+func beginRefiner(t *testing.T, g *graph.Graph, part []int32, k int) *partition.Refiner {
+	t.Helper()
+	r, err := partition.NewRefiner(g, part, k, refineOptions(Options{}.withDefaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Begin(g, part); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// flatPartWeights returns part's weight on constraint c at p·NCon + c.
+func flatPartWeights(g *graph.Graph, part []int32, k int) []int64 {
+	pw := make([]int64, k*g.NCon)
+	for v, p := range part {
+		for c, w := range g.WeightVec(int32(v)) {
+			pw[int(p)*g.NCon+c] += int64(w)
+		}
+	}
+	return pw
 }
 
 func diffCells(a, b []int32) int {

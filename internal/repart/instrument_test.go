@@ -13,7 +13,7 @@ import (
 // TestPartitionUnchangedByTracing for the warm paths: a recorder on the
 // context changes no assignment, at any parallelism, and the refinement
 // spans account for their work — the greedy counters on the warm paths'
-// RefineKWay spans, the pair counters on the scratch path's k-way polish.
+// refiner spans, the pair counters on the scratch path's k-way polish.
 func TestRepartitionUnchangedByTracing(t *testing.T) {
 	m, old := driftedCylinder(t, 0.002, 8, 0.3)
 	g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
@@ -50,10 +50,10 @@ func TestRepartitionUnchangedByTracing(t *testing.T) {
 				}
 				if _, ok := attr(sp, "candidates"); ok {
 					greedy++
-					passes, cands, mv, stale := val("passes"), val("candidates"), val("moves"), val("stale")
-					if passes < 1 || mv+stale > cands {
-						t.Errorf("%v parallelism %d: implausible greedy counters passes=%d candidates=%d moves=%d stale=%d",
-							mode, par, passes, cands, mv, stale)
+					passes, visited, cands, mv, stale := val("passes"), val("visited"), val("candidates"), val("moves"), val("stale")
+					if passes < 1 || mv+stale > cands || cands > visited {
+						t.Errorf("%v parallelism %d: implausible greedy counters passes=%d visited=%d candidates=%d moves=%d stale=%d",
+							mode, par, passes, visited, cands, mv, stale)
 					}
 					moves += mv
 					continue
@@ -84,7 +84,9 @@ func TestRepartitionUnchangedByTracing(t *testing.T) {
 // diffusive finish, when it runs) cover the warm-start strategy — at one
 // worker its direct children account for at least 95 % of repart/refine_warm,
 // so a traced run says which level the time went to, and the span's
-// residual_diffuse attribute says whether the diffusive finish ran.
+// residual_diffuse attribute says whether the diffusive finish ran. The
+// finish runs on this fixture, and table_builds shows it laid no table of
+// its own: one per level, depth in all.
 func TestRefineWarmSpansTile(t *testing.T) {
 	m, old := driftedCylinder(t, goldenScale, goldenK, 0.05)
 	g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
@@ -119,8 +121,17 @@ func TestRefineWarmSpansTile(t *testing.T) {
 	}
 	// The diffusive finish is recorded whether or not it fired, and fires
 	// exactly when a repart/diffuse child says it ran.
-	if fired, ok := attr(spans[warm], "residual_diffuse"); !ok || fired != int64(byName["repart/diffuse"]) {
+	fired, ok := attr(spans[warm], "residual_diffuse")
+	if !ok || fired != int64(byName["repart/diffuse"]) {
 		t.Errorf("residual_diffuse = %d (recorded %v) with %d repart/diffuse children", fired, ok, byName["repart/diffuse"])
+	}
+	// One table per level: the diffusive finish and its polish continue on
+	// the finest level's.
+	if builds, ok := attr(spans[warm], "table_builds"); !ok || builds != depth {
+		t.Errorf("table_builds = %d (recorded %v) over %d levels, residual_diffuse %d", builds, ok, depth, fired)
+	}
+	if fired != 1 {
+		t.Errorf("the diffusive finish did not run: a second table build would go unseen")
 	}
 	if share := float64(covered) / float64(total); share < 0.95 {
 		t.Errorf("direct children cover %.1f%% of repart/refine_warm (%v), want >= 95%%", 100*share, byName)

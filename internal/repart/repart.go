@@ -14,8 +14,8 @@
 //
 //   - Refine: warm-started multilevel refinement. The dual graph is
 //     coarsened with matching restricted to the old parts (so the old
-//     assignment projects exactly onto every level), then
-//     partition.RefineKWay's greedy multi-constraint boundary passes run
+//     assignment projects exactly onto every level), then the greedy
+//     multi-constraint boundary passes of one partition.Refiner run
 //     coarsest-to-finest with a migration-penalty term biasing moves toward
 //     cells that are cheap to ship.
 //
@@ -202,7 +202,7 @@ func Repartition(ctx context.Context, g *graph.Graph, old *partition.Result, opt
 	case Keep:
 		// Weights are recomputed below; the assignment stands.
 	case Diffuse:
-		err = diffuse(ctx, g, part, k, opt)
+		err = diffuse(ctx, g, part, k, opt, nil, nil)
 	case Refine:
 		err = refineWarm(ctx, g, part, k, opt)
 	case Scratch:
@@ -249,7 +249,7 @@ const maxPenaltySum = 1 << 61
 // regardless of the byte scale, so one option value behaves consistently
 // across meshes. A negative MigrationPenalty disables the bias: the result
 // is nil, which every consumer (the diffusive sweep's cost ordering and
-// RefineKWay's MovePenalty) treats as zero penalty.
+// Refiner.Refine) treats as zero penalty.
 func penalties(g *graph.Graph, opt Options) []int64 {
 	if opt.MigrationPenalty < 0 {
 		return nil

@@ -3,6 +3,7 @@ package repart
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"tempart/internal/flusim"
@@ -43,7 +44,7 @@ func TestRepartitionValidates(t *testing.T) {
 	// A label outside [0, k) used to panic with an index out of range in the
 	// part-weight tables; every mode must refuse it instead.
 	for _, bad := range []int32{-1, 2, 7} {
-		part := clone32(old.Part)
+		part := slices.Clone(old.Part)
 		part[3] = bad
 		for _, mode := range []Mode{Auto, Keep, Diffuse, Refine, Scratch} {
 			if _, err := Repartition(context.Background(), g, &partition.Result{Part: part, NumParts: 2}, Options{Mode: mode}); err == nil {
@@ -131,7 +132,7 @@ func TestRepartitionModesRestoreBalance(t *testing.T) {
 // TestRepartitionNegativePenaltyDisablesBias: MigrationPenalty < 0 is the
 // documented "no penalty" setting; every incremental mode must run unbiased
 // rather than panic (diffuse sorted a nil penalty slice) or error (refine
-// passed a nil MovePenalty that RefineKWay rejected).
+// passed a nil penalty that the k-way refinement rejected).
 func TestRepartitionNegativePenaltyDisablesBias(t *testing.T) {
 	for _, mode := range []Mode{Auto, Diffuse, Refine, Scratch} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -308,8 +309,8 @@ func TestIncrementalMakespanAndMigrationAcceptance(t *testing.T) {
 		return sim.Makespan
 	}
 
-	incPart := clone32(p0.Part)
-	scrPart := clone32(p0.Part)
+	incPart := slices.Clone(p0.Part)
+	scrPart := slices.Clone(p0.Part)
 	var incMoved, scrMoved int
 	var incSpan, scrSpan int64
 	for e := 1; e <= epochs; e++ {
