@@ -47,8 +47,9 @@ func TestPartitionUnchangedByTracing(t *testing.T) {
 			}
 		}
 		// Work counters: every configured initial trial is accounted for as
-		// run or skipped (a seed vertex already tried), and 2-way refine
-		// spans say how many sweeps they paid and passes they skipped.
+		// run or skipped (a seed vertex already tried), a run trial may be a
+		// duplicate (it grew an earlier trial's assignment), and 2-way
+		// refine spans say how many sweeps they paid and passes they skipped.
 		for _, sp := range spans {
 			switch sp.Name {
 			case "partition/initial":
@@ -56,6 +57,9 @@ func TestPartitionUnchangedByTracing(t *testing.T) {
 				skipped, okSkip := intAttr(sp, "trials_skipped")
 				if want := int64(o.withDefaults(g.NCon).InitTrials); !okRun || !okSkip || run < 1 || run+skipped != want {
 					t.Errorf("parallelism %d: initial span ran %d + skipped %d trials, want %d in all", par, run, skipped, want)
+				}
+				if dup, ok := intAttr(sp, "trials_dup"); !ok || dup < 0 || dup >= run {
+					t.Errorf("parallelism %d: initial span ran %d trials, %d of them duplicates", par, run, dup)
 				}
 			case "partition/refine":
 				if _, polish := intAttr(sp, "moves"); polish {

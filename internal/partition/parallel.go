@@ -49,11 +49,17 @@ type scratch struct {
 	buckets  [2]gainBuckets // one per move direction; growBisection's frontier is buckets[0]
 	balCands []balCand      // forceBalance candidates
 
-	// Initial-bisection trial state (initialBisection): seed vertices already
-	// tried at this node, each first sweep's end vertex's farthest vertex
-	// (-1 until swept), the candidate and best assignments, BFS buffers.
+	// Initial-bisection trial state (initialBisection): the graph's shared
+	// trial state, seed vertices already tried at this node, each first
+	// sweep's end vertex's farthest vertex (-1 until swept), the kept
+	// trials' records and packed grown assignments, the packed assignment
+	// of the trial at hand, the candidate and best assignments, BFS buffers.
+	trial      trialGraph
 	triedSeed  []bool
 	farthest   []int32
+	trialRecs  []trialRecord
+	grownKept  []uint64
+	grownWords []uint64
 	trialWhere []int32
 	bestWhere  []int32
 	bfsSeen    []bool

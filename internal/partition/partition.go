@@ -297,9 +297,9 @@ func partitionRB(ctx context.Context, g *graph.Graph, k int, opt Options) (*Resu
 		opt = opt.withDefaults(g.NCon)
 		pool := graph.NewPool(opt.Parallelism)
 		// The root bisection runs before part or the identity vertex list
-		// exist: both arrays are dead weight during the root's coarsening,
-		// which is the peak-memory moment of the whole partition (see
-		// rootBisect). They are materialized right after, for the subtrees.
+		// exist: both arrays are dead weight during the root's coarsening
+		// (see rootBisect). They are materialized right after, for the
+		// subtrees.
 		left, right := rootBisect(ctx, g, k, opt, pool)
 		part := make([]int32, n)
 		pool.Fork(
@@ -375,18 +375,4 @@ func balanceCaps(tot []int64, frac float64, tol float64, maxVwgt []int64) []int6
 		caps[c] = cap
 	}
 	return caps
-}
-
-// maxVertexWeights returns the per-constraint maximum vertex weight.
-func maxVertexWeights(g *graph.Graph) []int64 {
-	out := make([]int64, g.NCon)
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		for c := 0; c < g.NCon; c++ {
-			if w := int64(g.Weight(int32(v), c)); w > out[c] {
-				out[c] = w
-			}
-		}
-	}
-	return out
 }

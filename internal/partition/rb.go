@@ -94,8 +94,8 @@ func bisectNode(ctx context.Context, g *graph.Graph, t SubtreeTask, opt Options,
 		// Root node (or root of a subtree covering the whole graph): the
 		// extracted subgraph would be byte-for-byte g itself — the identity
 		// mapping keeps adjacency order and drops no edges — so skip the
-		// wholesale CSR copy. At paper scale that copy is the single largest
-		// live object at the peak-memory moment of the whole partition.
+		// wholesale CSR copy. At paper scale that copy would be the single
+		// largest live object of the root's coarsening.
 		sg, orig = g, t.Vertices
 	} else {
 		// The local-id table is sized by the GLOBAL vertex count, so it is
@@ -159,8 +159,10 @@ func bisectNode(ctx context.Context, g *graph.Graph, t SubtreeTask, opt Options,
 
 // rootBisect is bisectNode specialized to the tree root, where the vertex set
 // is the identity [0..n). It defers materializing the n-word vertex buffer
-// until after bisectGraph returns: the root's coarsening is the peak-memory
-// moment of the whole partition, and the buffer is pure dead weight during it.
+// until after bisectGraph returns: the buffer is dead weight during the
+// root's coarsening. That is not the partition's peak: measured peaks are
+// 2.74× the CSR bytes at Parallelism 1 and 4.4–4.7× at 4, where concurrent
+// subtrees each hold a subgraph and a hierarchy.
 // Filling the buffer afterwards by stable-partitioning the identity over
 // `where` produces exactly the bytes bisectNode's in-place partition would,
 // so the children — and the final partition — are byte-identical.
@@ -198,8 +200,7 @@ func rootBisect(ctx context.Context, g *graph.Graph, k int, opt Options, pool *g
 	graph.PutWords(where)
 	// The root's scratch is deliberately NOT pooled: its buffers are sized by
 	// the whole graph, and ceil filing would hand them to the first child —
-	// whose coarsening window is the next peak-memory moment — instead of
-	// letting them die here. Children allocate half-sized arenas of their own.
+	// which builds a hierarchy of its own — instead of letting them die here. Children allocate half-sized arenas of their own.
 
 	left = SubtreeTask{
 		Vertices:  vertices[:nleft],

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"tempart/internal/graph"
@@ -51,6 +52,29 @@ func (st *fmState) sweep(b *bisection) {
 	st.cut = cut2 / 2
 }
 
+// fromGrowth computes the state of b, a trial just grown by growBisection,
+// from what growing kept: every vertex's weight into side 0 minus its
+// weight into side 1 in grown, its weighted degree in tg. That difference
+// is the gain of a side-1 vertex and minus the gain of a side-0 one, and
+// the external degree is (gain+wdeg)/2, so no adjacency is read.
+func (st *fmState) fromGrowth(b *bisection, tg *trialGraph, grown []int32) {
+	n := len(grown)
+	st.gain = growI32(st.gain, n)
+	st.wdeg = growI32(st.wdeg, n)
+	st.maxw = tg.maxw
+	var cut2 int64 // every cut edge is seen from both ends
+	for v, d := range grown {
+		if b.where[v] == 0 {
+			d = -d
+		}
+		wd := -tg.negDeg[v]
+		st.gain[v] = d
+		st.wdeg[v] = wd
+		cut2 += int64((d + wd) / 2)
+	}
+	st.cut = cut2 / 2
+}
+
 // refineBisection improves an existing bisection in place with multi-
 // constraint Fiduccia–Mattheyses passes: boundary vertices are moved in
 // best-gain order under the rule that a move may never increase the balance
@@ -64,8 +88,14 @@ func (st *fmState) sweep(b *bisection) {
 // Pass the zero Span to refine silently; tracing stays cheap enough to leave
 // on (no O(E) cut evaluation per pass).
 func refineBisection(b *bisection, maxPasses int, sc *scratch, parent obs.Span) (cut int64, idle bool) {
+	sc.fm.sweep(b)
+	return refinePasses(b, maxPasses, sc, parent)
+}
+
+// refinePasses is refineBisection on the gain state already in sc.fm, which
+// must be b's.
+func refinePasses(b *bisection, maxPasses int, sc *scratch, parent obs.Span) (cut int64, idle bool) {
 	st := &sc.fm
-	st.sweep(b)
 	for i := 0; i < maxPasses && !idle; i++ {
 		ps := parent.Start("partition/refine/fm_pass")
 		idle = !st.pass(b, sc)
@@ -146,12 +176,11 @@ func (st *fmState) pass(b *bisection, sc *scratch) bool {
 	stall := 0
 
 	for bk[0].len()+bk[1].len() > 0 && stall < maxStall {
-		v, ok := pickMoveBuckets(b, bk, gain, curViol)
+		v, newViol, ok := pickMoveBuckets(b, bk, gain, curViol)
 		if !ok {
 			break
 		}
 		locked[v] = true
-		newViol := b.violationAfterMove(v)
 		curCutDelta -= int64(gain[v])
 		s := b.where[v]
 		b.move(v)
@@ -187,45 +216,41 @@ func (st *fmState) pass(b *bisection, sc *scratch) bool {
 }
 
 // pickMoveBuckets selects the best admissible move from either direction's
-// bucket structure: pop each side's top candidate, drop candidates whose move
-// would increase the violation (they re-enter when a neighbour move changes
-// their gain), and keep the (violation, gain)-best of the two, returning the
-// loser to its bucket. A second probe round avoids stalling on a single
-// inadmissible top entry.
-func pickMoveBuckets(b *bisection, bk [2]*gainBuckets, gain []int32, curViol float64) (int32, bool) {
+// bucket structure, as pairScratch.pickMove does: look at each side's top
+// candidate, drop candidates whose move would increase the violation (they
+// re-enter when a neighbour move changes their gain), and take the
+// (violation, gain)-best of the two off its bucket, returning it with the
+// violation its move leaves. The loser stays where it is, which is where a
+// pop and a LIFO re-insert would put it back. A second probe round avoids
+// stalling on a single inadmissible top entry.
+func pickMoveBuckets(b *bisection, bk [2]*gainBuckets, gain []int32, curViol float64) (int32, float64, bool) {
 	const eps = 1e-12
 	for probe := 0; probe < 2; probe++ {
 		var bestV int32 = -1
-		var bestGain int32
 		var bestViol float64
-		for s := int32(0); s < 2; s++ {
-			v, ok := bk[s].popMax()
+		for s := 0; s < 2; s++ {
+			v, ok := bk[s].peekMax()
 			if !ok {
 				continue
 			}
-			nv := b.violationAfterMove(v)
+			nv := b.moveViolation(v, curViol)
 			if nv > curViol+eps {
-				// Inadmissible now; leave it out. A neighbour move that
-				// changes its gain re-inserts it via update.
+				bk[s].remove(v)
 				continue
 			}
-			if bestV < 0 || nv < bestViol-eps || (nv <= bestViol+eps && gain[v] > bestGain) {
-				if bestV >= 0 {
-					bk[b.where[bestV]].insert(bestV, gain[bestV])
-				}
-				bestV, bestGain, bestViol = v, gain[v], nv
-			} else {
-				bk[s].insert(v, gain[v])
+			if bestV < 0 || nv < bestViol-eps || (nv <= bestViol+eps && gain[v] > gain[bestV]) {
+				bestV, bestViol = v, nv
 			}
 		}
 		if bestV >= 0 {
-			return bestV, true
+			bk[b.where[bestV]].remove(bestV)
+			return bestV, bestViol, true
 		}
 		if bk[0].len()+bk[1].len() == 0 {
 			break
 		}
 	}
-	return -1, false
+	return -1, 0, false
 }
 
 // betterState orders (violation, cutDelta) lexicographically with a small
@@ -294,30 +319,66 @@ func forceBalance(b *bisection, sc *scratch) (moved int) {
 	return moved
 }
 
-// initTrial runs one initial-bisection trial on g from the given seed
-// vertex: grow side 0 from it into where, then refine. The outcome is a pure
-// function of (g, caps, frac, seed, passes) — growing is seeded by the vertex
-// alone and FM draws no randomness.
-func initTrial(g *graph.Graph, where []int32, seed int32, frac float64, caps0, caps1 []int64, passes int, sc *scratch, span obs.Span) (viol float64, cut int64, idle bool) {
-	for i := range where {
-		where[i] = 1
+// trialRecord is what initialBisection keeps of a refined trial besides its
+// grown assignment: the assignment's hash and the trial's score.
+type trialRecord struct {
+	hash uint64
+	viol float64
+	cut  int64
+}
+
+// grownKept bounds the refined trials whose grown assignments one node keeps,
+// so the kept bits never exceed the bytes of one n-vertex int32 array.
+const grownKept = 32
+
+// packSides packs a 0/1 side assignment into dst, 64 vertices to a word, and
+// returns the words with their hash.
+func packSides(dst []uint64, where []int32) ([]uint64, uint64) {
+	dst = growU64(dst, (len(where)+63)/64)
+	h := uint64(len(where))
+	for i := range dst {
+		var word uint64
+		for j, s := range where[i*64 : min(i*64+64, len(where))] {
+			word |= uint64(s) << j
+		}
+		dst[i] = word
+		h = (h ^ word) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
 	}
-	b := newBisection(g, where, caps0, caps1, sc)
-	growBisection(b, frac, seed, sc)
-	cut, idle = refineBisection(b, passes, sc, span)
-	return b.violation(), cut, idle
+	return dst, h
+}
+
+// grownBefore reports whether a grown assignment, packed into grown with
+// hash h, equals the assignment of a kept trial — trial i's words are
+// kept[i·len(grown):] — and returns that trial's record. The hash only
+// narrows the candidates; equal words decide.
+func grownBefore(recs []trialRecord, kept, grown []uint64, h uint64) (trialRecord, bool) {
+	w := len(grown)
+	for i, r := range recs {
+		if r.hash == h && slices.Equal(kept[i*w:(i+1)*w], grown) {
+			return r, true
+		}
+	}
+	return trialRecord{}, false
 }
 
 // initialBisection picks the best of opt.InitTrials grow-then-refine trials
 // on the coarsest graph g. Every trial draws its start vertex from rng, so
-// the stream is the same whatever happens next, but a trial whose
-// pseudo-peripheral seed vertex this node has already tried is skipped: it
-// would reproduce the earlier trial exactly (see initTrial) and a tie never
-// replaces the incumbent. The returned assignment lives in sc; idle reports
+// the stream is the same whatever happens next. Growing is seeded by the
+// vertex alone and FM draws no randomness, so two kinds of trial would
+// reproduce an earlier trial of this node exactly and are not refined: one
+// whose pseudo-peripheral seed vertex was already tried is skipped, and one
+// that grows the assignment of a kept earlier trial (grownKept) is a
+// duplicate. A tie never replaces the incumbent, so neither could win —
+// except a duplicate whose kept score beats the incumbent, which the
+// epsilon of betterState allows in principle; that one is refined as it
+// would have been. The returned assignment lives in sc; idle reports
 // whether the winning trial's refinement stopped on a non-improving pass.
 func initialBisection(ctx context.Context, g *graph.Graph, frac float64, caps0, caps1 []int64, opt Options, rng randSource, sc *scratch) (best []int32, idle bool) {
 	span := obs.StartSpan(ctx, "partition/initial")
 	n := g.NumVertices()
+	tg := &sc.trial
+	tg.init(g, frac, caps0, caps1)
 	tried := growBool(sc.triedSeed, n)
 	sc.triedSeed = tried
 	farthest := growI32(sc.farthest, n)
@@ -325,10 +386,11 @@ func initialBisection(ctx context.Context, g *graph.Graph, frac float64, caps0, 
 	for i := range farthest {
 		farthest[i] = -1
 	}
+	recs, kept, grown := sc.trialRecs[:0], sc.grownKept[:0], sc.grownWords
 	cand := growI32(sc.trialWhere, n)
 	best = growI32(sc.bestWhere, n)
 	bestViol, bestCut := 0.0, int64(0)
-	run, skipped := 0, 0
+	run, skipped, dup := 0, 0, 0
 	for trial := 0; trial < opt.InitTrials && ctx.Err() == nil; trial++ {
 		seed := pseudoPeripheral(g, int32(rng.Intn(n)), farthest, sc)
 		if tried[seed] {
@@ -337,7 +399,22 @@ func initialBisection(ctx context.Context, g *graph.Graph, frac float64, caps0, 
 		}
 		tried[seed] = true
 		run++
-		viol, cut, trialIdle := initTrial(g, cand, seed, frac, caps0, caps1, opt.RefinePasses, sc, span)
+		b := &sc.bis
+		tg.grow(b, cand, seed, sc)
+		var h uint64
+		grown, h = packSides(grown, cand)
+		r, again := grownBefore(recs, kept, grown, h)
+		if again && !betterState(r.viol, r.cut, bestViol, bestCut) {
+			dup++
+			continue
+		}
+		sc.fm.fromGrowth(b, tg, sc.growGain)
+		cut, trialIdle := refinePasses(b, opt.RefinePasses, sc, span)
+		viol := b.violation()
+		if !again && len(recs) < grownKept {
+			recs = append(recs, trialRecord{hash: h, viol: viol, cut: cut})
+			kept = append(kept, grown...)
+		}
 		if run == 1 || betterState(viol, cut, bestViol, bestCut) {
 			cand, best = best, cand
 			bestViol, bestCut, idle = viol, cut, trialIdle
@@ -347,10 +424,12 @@ func initialBisection(ctx context.Context, g *graph.Graph, frac float64, caps0, 
 		clear(best)
 	}
 	sc.trialWhere, sc.bestWhere = cand, best
+	sc.trialRecs, sc.grownKept, sc.grownWords = recs, kept, grown
 	if span.Active() {
 		span.SetInt("vertices", int64(n))
 		span.SetInt("trials_run", int64(run))
 		span.SetInt("trials_skipped", int64(skipped))
+		span.SetInt("trials_dup", int64(dup))
 		span.SetInt("cut", bestCut)
 		span.SetFloat("violation", bestViol)
 	}
@@ -379,8 +458,11 @@ func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options,
 	// time (h.graph) and released once their refinement pass is done, so
 	// the resident graph state stays O(finest + coarsest + one rung). The
 	// coarsest assignment belongs to sc; every projection comes from the
-	// word pool and goes back once projected in turn.
+	// word pool and goes back once projected in turn. The bisection carries
+	// its side weights from level to level: a projection moves no weight
+	// between the sides, so only the first level refined sums them.
 	pooled := false
+	var b *bisection
 	for li := h.levels() - 1; li >= 1; li-- {
 		rspan := obs.StartSpan(ctx, "partition/refine")
 		fine := projectAssignment(h.cmap(li), where)
@@ -399,7 +481,11 @@ func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options,
 			continue
 		}
 		fg := h.graph(li - 1)
-		b := newBisection(fg, where, caps0, caps1, sc)
+		if b == nil {
+			b = newBisection(fg, where, caps0, caps1, sc)
+		} else {
+			b.g, b.where = fg, where
+		}
 		if rspan.Active() {
 			rspan.SetInt("level", int64(li-1))
 			rspan.SetInt("vertices", int64(fg.NumVertices()))
@@ -423,7 +509,10 @@ func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options,
 	// non-improving pass, the bisection is exactly the state that pass
 	// started from and rolled back to, so refining again would repeat it.
 	fspan := obs.StartSpan(ctx, "partition/refine")
-	fb := newBisection(g, where, caps0, caps1, sc)
+	fb := b
+	if fb == nil { // nothing was coarsened
+		fb = newBisection(g, where, caps0, caps1, sc)
+	}
 	var skipped int64
 	if forceBalance(fb, sc) == 0 && idle {
 		skipped = 1
@@ -443,8 +532,12 @@ func bisectGraph(ctx context.Context, g *graph.Graph, frac float64, opt Options,
 // sideCaps computes the per-constraint caps of both sides for a split with
 // fraction frac on side 0.
 func sideCaps(g *graph.Graph, frac, tol float64) (caps0, caps1 []int64) {
-	tot := g.TotalWeights()
-	maxV := maxVertexWeights(g)
+	tot, maxV := g.TotalWeights(), make([]int64, g.NCon)
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		for c, w := range g.WeightVec(v) {
+			maxV[c] = max(maxV[c], int64(w))
+		}
+	}
 	caps0 = balanceCaps(tot, frac, tol, maxV)
 	caps1 = balanceCaps(tot, 1-frac, tol, maxV)
 	return caps0, caps1

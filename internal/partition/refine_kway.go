@@ -141,6 +141,11 @@ func (r *Refiner) PartWeights() []int64 { return r.ks.pw[:r.k*r.g.NCon] }
 // (KWayCaps at the refiner's tolerance).
 func (r *Refiner) Caps() []int64 { return r.ks.caps }
 
+// Boundary reports whether vertex v of the live assignment has a neighbour
+// in another part, that is a row in the connectivity table. Without one, v
+// has an edge into its own part only.
+func (r *Refiner) Boundary(v int32) bool { return r.ks.rowN[v] > 0 }
+
 // TableBuilds returns how many connectivity tables Begin has laid.
 func (r *Refiner) TableBuilds() int { return r.builds }
 

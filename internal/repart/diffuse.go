@@ -39,7 +39,7 @@ func diffuse(ctx context.Context, g *graph.Graph, part []int32, k int, opt Optio
 	origin := pooledCopy(part) // pre-diffusion homes, so the polish can send cells back
 	defer graph.PutWords(origin)
 
-	if _, ok := diffuseSweeps(ctx, r, g, part, k, pen, opt.Part.Seed, !slices.ContainsFunc(g.VWgt, negative)); !ok {
+	if _, ok := diffuseSweeps(ctx, r, g, part, k, pen, opt.Part.Seed, sweepSkips{interior: true, relief: !slices.ContainsFunc(g.VWgt, negative)}); !ok {
 		return nil
 	}
 
@@ -67,16 +67,26 @@ type sweepScratch struct {
 // sweepScratches is size-classed by the visit order's capacity.
 var sweepScratches graph.SizedPool[sweepScratch]
 
+// sweepSkips selects the cells diffuseSweeps passes over before scanning
+// their adjacency, and sweepSkipped counts the visits each skip passed over.
+type sweepSkips struct{ interior, relief bool }
+
+type sweepSkipped struct{ interior, relief int }
+
 // diffuseSweeps moves cells of overloaded parts to adjacent parts in place,
 // sweep by sweep, through r, whose table is live on (g, part): it reads r's
 // caps and part weights, and r.Move keeps both current. It returns how many
-// cell visits it skipped, and false when ctx was cancelled. With skip set
-// it passes over a cell that carries no weight in any constraint on which
-// its part is over the cap, before scanning its adjacency: moving it leaves
-// its part's overage as it is and cannot lower the target's, so the move
-// fails both the decrease and the levelling test below. That holds only
-// when no vertex weight is negative, which the caller checks.
-func diffuseSweeps(ctx context.Context, r *partition.Refiner, g *graph.Graph, part []int32, k int, pen []int64, seed int64, skip bool) (skipped int, ok bool) {
+// cell visits each skip passed over, and false when ctx was cancelled.
+//
+// With skip.interior set it passes over a cell without a neighbour in
+// another part (r.Boundary): the only part it touches is its own, so it has
+// no candidate target. With skip.relief set it passes over a cell that
+// carries no weight in any constraint on which its part is over the cap:
+// moving it leaves its part's overage as it is and cannot lower the
+// target's, so the move fails both the decrease and the levelling test
+// below. That holds only when no vertex weight is negative, which the
+// caller checks.
+func diffuseSweeps(ctx context.Context, r *partition.Refiner, g *graph.Graph, part []int32, k int, pen []int64, seed int64, skip sweepSkips) (skipped sweepSkipped, ok bool) {
 	n := g.NumVertices()
 	ncon := g.NCon
 	caps, pw := r.Caps(), r.PartWeights()
@@ -128,10 +138,14 @@ func diffuseSweeps(ctx context.Context, r *partition.Refiner, g *graph.Graph, pa
 			if overFrom == 0 {
 				continue
 			}
+			if skip.interior && !r.Boundary(v) {
+				skipped.interior++
+				continue
+			}
 			wv := g.WeightVec(v)
 			fw := pw[int(from)*ncon : int(from+1)*ncon]
-			if skip && !relieves(fw, wv, caps) {
-				skipped++
+			if skip.relief && !relieves(fw, wv, caps) {
+				skipped.relief++
 				continue
 			}
 			touched = touched[:0]

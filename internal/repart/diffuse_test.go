@@ -51,13 +51,14 @@ func skewedGrid(t *testing.T, nx, ny, ncon, k int, vlo int32) (*graph.Graph, []i
 	return g, part
 }
 
-// TestDiffuseSkipMatchesFull: the diffusion sweeps with the skip move
-// exactly the cells the unpruned sweeps move, so a cell the skip passes over
+// TestDiffuseSkipMatchesFull: the diffusion sweeps with both skips move
+// exactly the cells the unpruned sweeps move, so a cell a skip passes over
 // had no admissible move. The inputs are the drift fixture at two shifts,
 // with and without migration penalties, and skewed grids with one and three
-// constraints; the skip must fire on each. On grids with negative vertex
-// weights diffuse must turn the skip off, and forcing it on must change the
-// result on at least one of them: the switch is needed.
+// constraints; both skips must fire on each. On grids with negative vertex
+// weights diffuse must turn the relief skip off and keep the interior skip,
+// and forcing the relief skip on must change the result on at least one of
+// them: the switch is needed.
 func TestDiffuseSkipMatchesFull(t *testing.T) {
 	type input struct {
 		name string
@@ -88,7 +89,7 @@ func TestDiffuseSkipMatchesFull(t *testing.T) {
 	// sweep runs the sweeps as diffuse does with default options (seed 0),
 	// on a refiner of their own, and checks that every move went through its
 	// table: the refiner's part weights are those of the swept assignment.
-	sweep := func(in input, skip bool) ([]int32, int) {
+	sweep := func(in input, skip sweepSkips) ([]int32, sweepSkipped) {
 		part := slices.Clone(in.part)
 		r := beginRefiner(t, in.g, part, in.k)
 		defer r.Close()
@@ -106,16 +107,16 @@ func TestDiffuseSkipMatchesFull(t *testing.T) {
 			if slices.ContainsFunc(in.g.VWgt, negative) {
 				t.Fatal("input has a negative vertex weight")
 			}
-			want, _ := sweep(in, false)
-			got, skipped := sweep(in, true)
+			want, _ := sweep(in, sweepSkips{})
+			got, skipped := sweep(in, sweepSkips{interior: true, relief: true})
 			if !slices.Equal(got, want) {
 				t.Fatalf("skipping sweeps differ from the full sweeps at %d cells", diffCells(got, want))
 			}
 			moved := diffCells(want, in.part)
-			if skipped == 0 || moved == 0 {
-				t.Fatalf("%d cell visits skipped, %d cells moved: nothing was compared", skipped, moved)
+			if skipped.interior == 0 || skipped.relief == 0 || moved == 0 {
+				t.Fatalf("%+v cell visits skipped, %d cells moved: nothing was compared", skipped, moved)
 			}
-			t.Logf("%d cells moved, %d cell visits skipped", moved, skipped)
+			t.Logf("%d cells moved, %+v cell visits skipped", moved, skipped)
 		})
 	}
 	diverged := 0
@@ -124,14 +125,14 @@ func TestDiffuseSkipMatchesFull(t *testing.T) {
 			if !slices.ContainsFunc(in.g.VWgt, negative) {
 				t.Fatal("input has no negative vertex weight")
 			}
-			full, _ := sweep(in, false)
-			forced, _ := sweep(in, true)
+			full, _ := sweep(in, sweepSkips{})
+			forced, _ := sweep(in, sweepSkips{interior: true, relief: true})
 			if d := diffCells(forced, full); d > 0 {
 				diverged++
 				t.Logf("forcing the skip changes %d cells", d)
 			}
-			// diffuse itself must sweep every cell: its result is the full
-			// sweeps followed by the same unbiased polish.
+			// diffuse itself must not skip a cell its part could shed: its
+			// result is the full sweeps followed by the same unbiased polish.
 			got := slices.Clone(in.part)
 			if err := diffuse(context.Background(), in.g, got, in.k, Options{MigrationPenalty: -1}.withDefaults(), nil, nil); err != nil {
 				t.Fatal(err)
