@@ -154,18 +154,23 @@ func MaxImbalanceOf(g *graph.Graph, part []int32, k int) float64 {
 }
 
 func partWeights(g *graph.Graph, part []int32, k int) [][]int64 {
-	ncon := g.NCon
-	flat := make([]int64, k*ncon)
-	pw := make([][]int64, k)
-	for p := range pw {
-		pw[p] = flat[p*ncon : (p+1)*ncon : (p+1)*ncon]
-	}
+	pw := nestWeights(make([]int64, k*g.NCon), k, g.NCon)
 	n := g.NumVertices()
 	for v := 0; v < n; v++ {
 		dst := pw[part[v]]
 		for c, w := range g.WeightVec(int32(v)) {
 			dst[c] += int64(w)
 		}
+	}
+	return pw
+}
+
+// nestWeights views flat part weights, part p's weight on constraint c at
+// p·ncon + c, as PartWeights[p][c].
+func nestWeights(flat []int64, k, ncon int) [][]int64 {
+	pw := make([][]int64, k)
+	for p := range pw {
+		pw[p] = flat[p*ncon : (p+1)*ncon : (p+1)*ncon]
 	}
 	return pw
 }

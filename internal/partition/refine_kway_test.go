@@ -123,6 +123,45 @@ func TestGreedyMovesMatchScan(t *testing.T) {
 	}
 }
 
+// TestGreedyStopRule: greedy passes stop by balance. On refineInputs,
+// biased and unbiased, from a striped start and from one that puts a third
+// of the vertices in part 0, passes bounded by 12, 2 and 1 run and stop as
+// stopRuleErr says, and every stop reason — balanced, stalled, pass_cap —
+// occurs, so none of the three checks is vacuous.
+func TestGreedyStopRule(t *testing.T) {
+	stops := map[greedyStop]int{}
+	for _, in := range refineInputs(t) {
+		g, k := in.g, in.k
+		n := g.NumVertices()
+		skewed := stripedAssignment(n, k)
+		for v := range skewed[:n/3] {
+			skewed[v] = 0
+		}
+		for si, start := range [][]int32{stripedAssignment(n, k), skewed} {
+			caps := KWayCaps(g, k, 1.05)
+			startOver := totalOverage(partWeights(g, start, k), caps)
+			for _, bound := range []int{12, 2, 1} {
+				part := slices.Clone(start)
+				ks := getKwayScratch(n)
+				over := watchPassOverage(ks, k, caps)
+				st := kwayGreedy(context.Background(), g, part, k, caps, bound, graph.NewPool(2), testBias(start, in.bias), ks)
+				ks.onCommit = nil
+				putKwayScratch(ks)
+				if err := stopRuleErr(st, startOver, *over, bound); err != nil {
+					t.Errorf("%s start %d: %v", in.name, si, err)
+				}
+				stops[st.stop]++
+			}
+		}
+	}
+	t.Logf("stops: %v", stops)
+	for _, s := range []greedyStop{stopBalanced, stopStalled, stopPassCap} {
+		if stops[s] == 0 {
+			t.Errorf("no run stopped %v: %v", s, stops)
+		}
+	}
+}
+
 // signedGrid is an nx×ny grid with ncon vertex weights drawn from
 // [vlo, 3] and edge weights from [elo, 9]. Negative lower bounds make the
 // graphs on which the greedy scan prune must switch itself off.
@@ -310,12 +349,59 @@ func fuzzRefineInput(data []byte) (g *graph.Graph, part []int32, k int, origin [
 	return g, part, k, origin, pen
 }
 
+// watchPassOverage installs an onCommit hook on ks that records the total
+// cap overage of the live part weights after every greedy pass (every
+// second sub-pass). It returns the record.
+func watchPassOverage(ks *kwayScratch, k int, caps []int64) *[]int64 {
+	over, subPasses := new([]int64), 0
+	ks.onCommit = func() {
+		if subPasses++; subPasses%2 == 0 {
+			*over = append(*over, ks.overage(k, caps))
+		}
+	}
+	return over
+}
+
+// stopRuleErr checks that greedy passes bounded by bound, which started at
+// total cap overage start and left overage over[i] after pass i, ran and
+// stopped by the rule: every pass but the last left a positive overage
+// below the one before it, and the last ended in the state st.stop names —
+// no overage (balanced), an overage not below the one before it (stalled),
+// or a still-falling overage at the bound (pass_cap).
+func stopRuleErr(st kwayStats, start int64, over []int64, bound int) error {
+	if st.passes != len(over) || st.passes < 1 {
+		return fmt.Errorf("%d passes recorded, %d overages", st.passes, len(over))
+	}
+	prev := start
+	for i, o := range over[:len(over)-1] {
+		if o <= 0 || o >= prev {
+			return fmt.Errorf("pass %d left overage %d after %d, yet the passes went on (overages %v from %d)", i, o, prev, over, start)
+		}
+		prev = o
+	}
+	last := over[len(over)-1]
+	var ok bool
+	switch st.stop {
+	case stopBalanced:
+		ok = last == 0
+	case stopStalled:
+		ok = last > 0 && last >= prev
+	case stopPassCap:
+		ok = last > 0 && last < prev && st.passes == bound
+	}
+	if !ok {
+		return fmt.Errorf("stopped %v after %d of %d passes with overages %v from %d", st.stop, st.passes, bound, over, start)
+	}
+	return nil
+}
+
 // FuzzRefineKWay: on arbitrary small graphs, start assignments and biases,
 // the Refiner never panics, keeps every label in [0, k), never raises the
 // total cap overage above the start's, commits only admissible moves (each
-// checked against an adjacency scan through the commit hook), ends where
-// passes that scan every vertex end, and returns the same bytes at
-// Parallelism 1 and 4.
+// checked against an adjacency scan through the commit hook), stops by the
+// balance rule (stopRuleErr) at pass bounds 8 and 2, the bound only cutting
+// the same passes short, ends where passes that scan every vertex end, and
+// returns the same bytes at Parallelism 1 and 4.
 func FuzzRefineKWay(f *testing.F) {
 	f.Add([]byte{12, 5, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 1, 5, 6, 1, 6, 7, 1, 7, 8, 1, 8, 9, 1, 9, 10, 1, 10, 11, 1})
 	// A hub joined to every vertex, two constraints, random penalties.
@@ -346,23 +432,39 @@ func FuzzRefineKWay(f *testing.F) {
 			bias = moveBias{origin: origin, pen: pen}
 		}
 
-		part := slices.Clone(start)
-		ks := getKwayScratch(g.NumVertices())
-		seen := watchGreedyMoves(t, ks, g, part, k, caps, bias)
-		st := kwayGreedy(context.Background(), g, part, k, caps, 8, nil, bias, ks)
-		ks.onGreedyMove = nil
-		putKwayScratch(ks)
-		if *seen != st.moves {
-			t.Fatalf("hook saw %d moves, stats %+v", *seen, st)
-		}
-		if after, before := totalOverage(partWeights(g, part, k), caps), totalOverage(partWeights(g, start, k), caps); after > before {
-			t.Fatalf("total overage %d -> %d", before, after)
+		startOver := totalOverage(partWeights(g, start, k), caps)
+		var part []int32
+		var st kwayStats
+		for _, bound := range []int{8, 2} {
+			got := slices.Clone(start)
+			ks := getKwayScratch(g.NumVertices())
+			seen := watchGreedyMoves(t, ks, g, got, k, caps, bias)
+			over := watchPassOverage(ks, k, caps)
+			bst := kwayGreedy(context.Background(), g, got, k, caps, bound, nil, bias, ks)
+			ks.onGreedyMove, ks.onCommit = nil, nil
+			putKwayScratch(ks)
+			if *seen != bst.moves {
+				t.Fatalf("bound %d: hook saw %d moves, stats %+v", bound, *seen, bst)
+			}
+			if after := totalOverage(partWeights(g, got, k), caps); after > startOver {
+				t.Fatalf("bound %d: total overage %d -> %d", bound, startOver, after)
+			}
+			if g.NumVertices() > 0 && k > 1 {
+				if err := stopRuleErr(bst, startOver, *over, bound); err != nil {
+					t.Fatalf("bound %d: %v", bound, err)
+				}
+			}
+			if part == nil {
+				part, st = got, bst
+			} else if st.passes <= bound && !slices.Equal(got, part) {
+				t.Fatalf("bound %d cut %d passes short and changed the result", bound, st.passes)
+			}
 		}
 
 		// The visit set leaves out only vertices without an admissible
 		// move: passes that scan every vertex with a row end the same.
 		full := slices.Clone(start)
-		ks = new(kwayScratch)
+		ks := new(kwayScratch)
 		ks.begin(g, full, k)
 		ks.prune = false
 		ks.greedyPasses(context.Background(), g, full, k, caps, 8, nil, bias)
@@ -404,7 +506,7 @@ func refineFresh(ctx context.Context, g *graph.Graph, part []int32, k int, opt R
 	if err := r.Begin(g, part); err != nil {
 		return err
 	}
-	return r.Refine(ctx, origin, pen)
+	return r.Refine(ctx, origin, pen, 0)
 }
 
 // visitSetErr compares the arena's visit set with the pruned scan's
@@ -567,7 +669,7 @@ func TestGreedyVisitSetMatchesPrune(t *testing.T) {
 				starts, rows = starts[:0], rows[:0]
 				atStart()
 				rec := obs.NewRecorder()
-				if err := r.Refine(obs.WithRecorder(context.Background(), rec), origin, pen); err != nil {
+				if err := r.Refine(obs.WithRecorder(context.Background(), rec), origin, pen, 0); err != nil {
 					t.Fatal(err)
 				}
 				check("after a Refine")
@@ -722,7 +824,7 @@ func TestRefinerReuseMatchesFresh(t *testing.T) {
 				if err := r.Begin(lv.g, part); err != nil {
 					t.Fatal(err)
 				}
-				if err := r.Refine(ctx, lv.origin, lv.pen); err != nil {
+				if err := r.Refine(ctx, lv.origin, lv.pen, 0); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -755,7 +857,7 @@ func TestRefinerReuseMatchesFresh(t *testing.T) {
 			tableErr("after the moves", got)
 
 			before := r.TableBuilds()
-			if err := r.Refine(ctx, home, pen); err != nil {
+			if err := r.Refine(ctx, home, pen, 0); err != nil {
 				t.Fatal(err)
 			}
 			st := kwayGreedy(ctx, g, want, k, KWayCaps(g, k, DefaultImbalanceTol), DefaultRefinePasses, pool, biasOf(home, pen), new(kwayScratch))
@@ -782,4 +884,48 @@ func diffVertices(a, b []int32) int {
 		}
 	}
 	return d
+}
+
+// TestRefinerResultMatchesNewResult: the refiner's Result and MaxImbalance,
+// read off its live part weights and rows, equal NewResult and
+// MaxImbalanceOf of the live assignment after Begin, after Moves that
+// leave rows behind and after a Refine — on refineInputs and on grids with
+// negative vertex and edge weights, whose cut terms can cancel.
+func TestRefinerResultMatchesNewResult(t *testing.T) {
+	inputs := refineInputs(t)
+	inputs = append(inputs,
+		refineInput{"grid-negative-weights", signedGrid(t, 30, 30, 2, -2, -3), 6, true},
+		refineInput{"grid-zero-edges", signedGrid(t, 30, 30, 1, 0, 0), 5, false})
+	for _, in := range inputs {
+		g, k := in.g, in.k
+		n := g.NumVertices()
+		part := stripedAssignment(n, k)
+		bias := testBias(part, in.bias)
+		r, err := NewRefiner(g, part, k, RefineOptions{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			got, want := r.Result(), NewResult(g, part, k)
+			if got.EdgeCut != want.EdgeCut || !slices.EqualFunc(got.PartWeights, want.PartWeights, slices.Equal) || &got.Part[0] != &part[0] {
+				t.Errorf("%s after %s: Result cut %d weights %v, NewResult cut %d weights %v", in.name, stage, got.EdgeCut, got.PartWeights, want.EdgeCut, want.PartWeights)
+			}
+			if got, want := r.MaxImbalance(), MaxImbalanceOf(g, part, k); got != want {
+				t.Errorf("%s after %s: MaxImbalance %v, MaxImbalanceOf %v", in.name, stage, got, want)
+			}
+		}
+		if err := r.Begin(g, part); err != nil {
+			t.Fatal(err)
+		}
+		check("Begin")
+		for v := int32(0); v < int32(n); v += 7 {
+			r.Move(v, (part[v]+1)%int32(k))
+		}
+		check("Moves")
+		if err := r.Refine(context.Background(), bias.origin, bias.pen, 0); err != nil {
+			t.Fatal(err)
+		}
+		check("Refine")
+		r.Close()
+	}
 }

@@ -72,12 +72,14 @@ type connEntry struct {
 // engine every scheduled pair slot is either run or skipped, and idle counts
 // the runs that returned no move. For the greedy passes (greedyPasses, greedy
 // set) visited counts the vertices the scans looked at, candidates their
-// admissible moves and stale those the commit re-check rejected.
+// admissible moves and stale those the commit re-check rejected, and stop
+// says why the passes ended.
 type kwayStats struct {
 	passes, moves                     int
 	pairsRun, pairsSkipped, pairsIdle int
 	greedy                            bool
 	visited, candidates, stale        int
+	stop                              greedyStop
 }
 
 // annotate attaches the counters of the engine that ran to a refinement
@@ -91,6 +93,7 @@ func (s kwayStats) annotate(span obs.Span) {
 		span.SetInt("visited", int64(s.visited))
 		span.SetInt("candidates", int64(s.candidates))
 		span.SetInt("stale", int64(s.stale))
+		span.SetStr("stop", s.stop.String())
 	} else {
 		span.SetInt("pairs_run", int64(s.pairsRun))
 		span.SetInt("pairs_skipped", int64(s.pairsSkipped))

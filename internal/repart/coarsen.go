@@ -26,8 +26,9 @@ type rlevel struct {
 // bias. part is updated in place. The hierarchy's int32 arrays (coarse
 // graphs, cmaps, origins, the visit order and the projected assignments)
 // come from the graph package's word pool, and each goes back once the
-// level it belongs to is refined and projected.
-func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options) error {
+// level it belongs to is refined and projected. r is the call's refiner,
+// reserved for (g, part); its table is left live on them.
+func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options, r *partition.Refiner) error {
 	span := obs.StartSpan(ctx, "repart/refine_warm")
 	defer span.End()
 	// Per-level child spans (repart/coarsen going down, repart/refine coming
@@ -88,12 +89,7 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	// warm start); refine it at every level on the way back up, with one
 	// refiner whose arena is reserved for the finest level. The finest
 	// level is refined in part itself, so the refiner's table stays live on
-	// (g, part) for the residual diffusion.
-	r, err := partition.NewRefiner(g, part, k, refineOptions(opt))
-	if err != nil {
-		return err
-	}
-	defer r.Close()
+	// (g, part) for the residual diffusion and the caller's Result.
 	cur := part
 	if len(levels) > 1 {
 		cur = pooledCopy(levels[len(levels)-1].origin)
@@ -102,9 +98,13 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 		lv := levels[li]
 		rspan := obs.StartSpan(ctx, "repart/refine")
 		rspan.SetInt("level", int64(li))
+		passes := 0 // RefineOptions.Passes alone
+		if li == 0 {
+			passes = finestPasses
+		}
 		err := r.Begin(lv.g, cur)
 		if err == nil {
-			err = r.Refine(obs.ContextWithSpan(ctx, rspan), lv.origin, lv.pen)
+			err = r.Refine(obs.ContextWithSpan(ctx, rspan), lv.origin, lv.pen, passes)
 		}
 		if err != nil {
 			rspan.End()
@@ -138,7 +138,8 @@ func refineWarm(ctx context.Context, g *graph.Graph, part []int32, k int, opt Op
 	// move). The diffusive sweep has no such restriction — finish with it
 	// whenever residual imbalance remains, on the refiner's live table and
 	// with the finest level's penalties.
-	residual := partition.MaxImbalanceOf(g, part, k) > opt.Part.ImbalanceTol
+	residual := r.MaxImbalance() > opt.Part.ImbalanceTol
+	var err error
 	if residual {
 		err = diffuse(ctx, g, part, k, opt, r, levels[0].pen)
 	}

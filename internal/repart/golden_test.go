@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"tempart/internal/graph"
@@ -154,6 +155,45 @@ func TestGoldenRepartitions(t *testing.T) {
 		for _, par := range pars {
 			if got, used := run(r, par); got != r.SHA256 || used != r.Used {
 				t.Errorf("%v parallelism %d: part digest %s (mode %s), golden %s (mode %s)", r, par, got, used, r.SHA256, r.Used)
+			}
+		}
+	}
+}
+
+// TestLiveResultMatchesNewResult: the Result a repartition returns — the
+// warm modes' read off the refiner's live table, Scratch's the fresh
+// partition's relabelled — equals NewResult's rescan of its part vector,
+// part weights and edge cut alike, on every golden row and in every mode,
+// Scratch and Keep included, at parallelism 1, 2 and 8.
+func TestLiveResultMatchesNewResult(t *testing.T) {
+	pars := []int{1, 2, 8}
+	if testing.Short() {
+		pars = pars[:1]
+	}
+	var old *partition.Result
+	for _, shift := range goldenShifts {
+		m, o := driftedCylinder(t, goldenScale, goldenK, shift)
+		if old == nil {
+			old = o
+		}
+		g := m.DualGraph(mesh.DualGraphOptions{Constraints: mesh.PerLevel})
+		bytes := MeshMigrationBytes(m)
+		for _, mode := range []Mode{Refine, Diffuse, Auto, Scratch, Keep} {
+			for _, pen := range []float64{0, -1} {
+				for _, par := range pars {
+					res, err := Repartition(context.Background(), g, old, Options{
+						Mode: mode, MigrationPenalty: pen, MigBytes: bytes,
+						Part: partition.Options{Seed: 1, Parallelism: par},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := partition.NewResult(g, res.Part, goldenK)
+					if res.EdgeCut != want.EdgeCut || !reflect.DeepEqual(res.PartWeights, want.PartWeights) || res.NumParts != want.NumParts {
+						t.Errorf("shift %g %v penalty %g parallelism %d: result cut %d, weights %v; NewResult cut %d, weights %v",
+							shift, mode, pen, par, res.EdgeCut, res.PartWeights, want.EdgeCut, want.PartWeights)
+					}
+				}
 			}
 		}
 	}

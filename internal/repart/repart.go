@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"tempart/internal/graph"
 	"tempart/internal/metrics"
@@ -97,7 +98,10 @@ type Options struct {
 	Mode Mode
 	// Part carries the underlying partitioner options (seed, tolerance,
 	// refinement passes). The tolerance doubles as the repartitioner's
-	// balance target.
+	// balance target. RefinePasses bounds the greedy passes of every warm
+	// refinement, but they stop sooner by balance (partition.RefineOptions
+	// .Passes), and the finest level's refinement and the diffusion polish
+	// run at most two passes whatever it says.
 	Part partition.Options
 	// MigrationPenalty scales how strongly refinement resists moving cells
 	// off their current domain, in units of the mean incident edge weight.
@@ -195,18 +199,15 @@ func Repartition(ctx context.Context, g *graph.Graph, old *partition.Result, opt
 		span.SetFloat("imbalance_before", imbBefore)
 	}
 
-	part := make([]int32, n)
-	copy(part, old.Part)
+	var pres *partition.Result
 	var err error
 	switch mode {
 	case Keep:
-		// Weights are recomputed below; the assignment stands.
-	case Diffuse:
-		err = diffuse(ctx, g, part, k, opt, nil, nil)
-	case Refine:
-		err = refineWarm(ctx, g, part, k, opt)
+		pres = partition.NewResult(g, slices.Clone(old.Part), k)
+	case Diffuse, Refine:
+		pres, err = repair(ctx, g, slices.Clone(old.Part), k, opt, mode)
 	case Scratch:
-		part, err = scratch(ctx, g, old.Part, k, opt)
+		pres, err = scratch(ctx, g, old.Part, k, opt)
 	default:
 		err = fmt.Errorf("repart: unknown mode %v", opt.Mode)
 	}
@@ -220,9 +221,9 @@ func Repartition(ctx context.Context, g *graph.Graph, old *partition.Result, opt
 	}
 
 	res := &Result{
-		Result: partition.NewResult(g, part, k),
+		Result: pres,
 		Mode:   mode,
-		Stats:  metrics.ComputeMigrationStats(old.Part, part, k, opt.MigBytes),
+		Stats:  metrics.ComputeMigrationStats(old.Part, pres.Part, k, opt.MigBytes),
 	}
 	if span.Active() {
 		span.SetFloat("imbalance_after", res.MaxImbalance())
@@ -232,6 +233,29 @@ func Repartition(ctx context.Context, g *graph.Graph, old *partition.Result, opt
 	}
 	span.End()
 	return res, nil
+}
+
+// repair runs a warm mode, Diffuse or Refine, on part in place with one
+// refiner, and returns the Result of the refiner's live table: its part
+// weights and the edge cut of its rows, equal to NewResult's without the
+// rescan.
+func repair(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options, mode Mode) (*partition.Result, error) {
+	r, err := partition.NewRefiner(g, part, k, refineOptions(opt))
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	if mode == Diffuse {
+		if err = r.Begin(g, part); err == nil {
+			err = diffuse(ctx, g, part, k, opt, r, penalties(g, opt))
+		}
+	} else {
+		err = refineWarm(ctx, g, part, k, opt, r)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r.Result(), nil
 }
 
 // maxPenaltySum bounds the sum of one call's migration penalties. The
@@ -296,8 +320,10 @@ func penaltyCap(n int) int64 {
 
 // scratch partitions from scratch and then relabels the new parts to
 // maximise byte overlap with the old assignment, so even the fallback path
-// migrates only what the fresh partition forces.
-func scratch(ctx context.Context, g *graph.Graph, oldPart []int32, k int, opt Options) ([]int32, error) {
+// migrates only what the fresh partition forces. The relabel is a
+// permutation, so the fresh part weights, permuted, and the fresh edge cut
+// describe the relabelled assignment.
+func scratch(ctx context.Context, g *graph.Graph, oldPart []int32, k int, opt Options) (*partition.Result, error) {
 	fresh, err := partition.Partition(ctx, g, k, opt.Part)
 	if err != nil {
 		return nil, err
@@ -307,7 +333,12 @@ func scratch(ctx context.Context, g *graph.Graph, oldPart []int32, k int, opt Op
 	for v := range part {
 		part[v] = relabel[part[v]]
 	}
-	return part, nil
+	pw := make([][]int64, k)
+	for p, w := range fresh.PartWeights {
+		pw[relabel[p]] = w
+	}
+	fresh.PartWeights = pw
+	return fresh, nil
 }
 
 // overlapRelabel greedily maps new part labels onto old ones by descending

@@ -136,3 +136,37 @@ func TestRepartPolicyScratchMode(t *testing.T) {
 		t.Errorf("events = %+v, want one scratch", rep.Repartitions)
 	}
 }
+
+// TestRepartPolicyEulerKeepsCellFaces: a repartition with the migration
+// weights already given leaves the mesh's cell→face index in place, so the
+// two Euler workers that read it after the epoch share the index built
+// before the run instead of racing to rebuild it (go test -race).
+func TestRepartPolicyEulerKeepsCellFaces(t *testing.T) {
+	m := mesh.Cylinder(0.001)
+	s, err := New(context.Background(), m, Config{
+		NumDomains: 8,
+		Strategy:   partition.MCTL,
+		Workers:    2,
+		Model:      Euler,
+		Repart: &RepartPolicy{
+			Every: 1,
+			Opt:   repart.Options{MigBytes: repart.MeshMigrationBytes(m)},
+			Levels: func(it int) (func(x, y, z float64) float64, []int64) {
+				return driftScore(0.1 * float64(it+1)), mesh.CylinderCounts
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.RunContext(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Repartitions) != 2 { // after iterations 0 and 1; the run ends after 2
+		t.Fatalf("recorded %d repartitions, want 2", len(rep.Repartitions))
+	}
+	if rep.MassDriftRel > 1e-9 {
+		t.Errorf("Euler mass drifted by %.2e across repartitions", rep.MassDriftRel)
+	}
+}
