@@ -49,8 +49,8 @@ func BenchmarkPartitionCylinder(b *testing.B) {
 }
 
 // BenchmarkPartitionKWayCylinder covers the direct k-way construction: one
-// deep hierarchy instead of a bisection tree, so the pairwise k-way FM engine
-// (kwayRefine) dominates and coarsening is a small share.
+// deep hierarchy instead of a bisection tree, refined by the Refiner's
+// climbs (Refiner.Climb) at every level.
 func BenchmarkPartitionKWayCylinder(b *testing.B) {
 	m := mesh.Cylinder(0.01)
 	const k = 64

@@ -2,8 +2,8 @@ package partition
 
 // gainBuckets is the METIS-style bucket-list priority structure of the
 // partitioner: an array of doubly-linked lists indexed by gain, over vertices
-// 0..n-1. Greedy graph growing, every bisection FM pass and the k-way pair
-// engine all queue their candidates here. Because their gains are bounded by
+// 0..n-1. Greedy graph growing, every bisection FM pass and the k-way climb
+// all queue their candidates here. Because their gains are bounded by
 // the maximum weighted degree of the graph, the bucket array has 2·maxKey+1
 // slots and every operation — insert, remove, and the gain updates that
 // dominate the refinement inner loop — is O(1). popMax walks down from a

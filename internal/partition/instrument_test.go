@@ -62,8 +62,12 @@ func TestPartitionUnchangedByTracing(t *testing.T) {
 					t.Errorf("parallelism %d: initial span ran %d trials, %d of them duplicates", par, run, dup)
 				}
 			case "partition/refine":
-				if _, polish := intAttr(sp, "moves"); polish {
-					checkKWayCounters(t, sp) // the k-way polish, not a 2-way refinement
+				if _, polish := intAttr(sp, "climb_passes"); polish {
+					checkClimbCounters(t, sp) // the k-way polish, not a 2-way refinement
+					continue
+				}
+				if _, greedy := intAttr(sp, "candidates"); greedy {
+					checkGreedyCounters(t, sp) // the polish's greedy passes
 					continue
 				}
 				sweeps, okSweeps := intAttr(sp, "sweeps")
@@ -131,26 +135,26 @@ func checkGreedyCounters(t *testing.T, sp obs.SpanRecord) {
 	if passes < 1 || moves < 0 || stale < 0 || moves+stale > cands || cands > visited {
 		t.Errorf("implausible counters passes=%d visited=%d candidates=%d moves=%d stale=%d", passes, visited, cands, moves, stale)
 	}
-	if _, pairs := intAttr(sp, "pairs_run"); pairs {
-		t.Errorf("greedy refine span carries pair counters")
+	if _, climbed := intAttr(sp, "climb_passes"); climbed {
+		t.Errorf("greedy refine span carries climb counters")
 	}
 }
 
-// checkKWayCounters checks the work counters of a k-way refinement span:
-// every scheduled pair slot was run or skipped, and only runs can be idle.
-func checkKWayCounters(t *testing.T, sp obs.SpanRecord) {
+// checkClimbCounters checks the climb counters of a k-way refinement span
+// (PolishRB, DirectKWay): at least one pass ran, and every kept or
+// rolled-back move was tried.
+func checkClimbCounters(t *testing.T, sp obs.SpanRecord) {
 	t.Helper()
 	val := func(key string) int64 {
 		v, ok := intAttr(sp, key)
 		if !ok {
-			t.Errorf("k-way refine span lacks %q", key)
+			t.Errorf("climb span lacks %q", key)
 		}
 		return v
 	}
-	passes, run, skipped := val("passes"), val("pairs_run"), val("pairs_skipped")
-	idle, moves := val("pairs_idle"), val("moves")
-	if passes < 1 || idle > run || (moves > 0 && idle == run) || run+skipped < passes {
-		t.Errorf("implausible counters passes=%d run=%d skipped=%d idle=%d moves=%d", passes, run, skipped, idle, moves)
+	passes, tried, kept, rolled := val("climb_passes"), val("climb_tried"), val("climb_kept"), val("climb_rolled_back")
+	if passes < 1 || kept < 0 || rolled < 0 || kept+rolled != tried {
+		t.Errorf("implausible counters climb_passes=%d tried=%d kept=%d rolled_back=%d", passes, tried, kept, rolled)
 	}
 }
 

@@ -19,10 +19,9 @@ const (
 	// our meshes").
 	RecursiveBisection Method = iota
 	// DirectKWay coarsens once, solves k-way on the coarsest graph by
-	// recursive bisection, and uncoarsens with greedy k-way boundary
-	// refinement — cheaper for large k, usually slightly worse cuts under
-	// many constraints (the ablation BenchmarkAblationRBvsKWay quantifies
-	// this trade-off).
+	// recursive bisection, and uncoarsens with k-way FM climbs (Refiner
+	// .Climb) at every level. The ablation BenchmarkAblationRBvsKWay
+	// compares it with RecursiveBisection (DESIGN §4, Ablations).
 	DirectKWay
 )
 
@@ -69,19 +68,28 @@ func PartitionKWay(ctx context.Context, g *graph.Graph, k int, opt Options) (*Re
 	}
 	recursiveBisect(ctx, coarsest, vertices, 0, k, part, opt, opt.Seed, pool)
 
-	// Uncoarsen with k-way refinement at every level. Spilled interior
-	// rungs are reloaded one at a time and released after their pass.
-	caps := KWayCaps(g, k, opt.ImbalanceTol)
+	// Uncoarsen with climbs at every level, on one refiner whose caps follow
+	// each level's graph. Spilled interior rungs are reloaded one at a time
+	// and released after their climbs.
+	r, err := NewRefiner(g, nil, k, RefineOptions{ImbalanceTol: opt.ImbalanceTol, Parallelism: opt.Parallelism})
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	climb := func(lg *graph.Graph, level int) {
+		rspan := obs.StartSpan(ctx, "partition/refine")
+		rspan.SetInt("level", int64(level))
+		rspan.SetInt("vertices", int64(lg.NumVertices()))
+		r.climbed = climbStats{}
+		if r.Begin(lg, part) == nil {
+			r.Climb(ctx, opt.RefinePasses)
+		}
+		r.climbed.annotate(rspan)
+		rspan.End()
+	}
 	for li := h.levels() - 1; li >= 1; li-- {
 		if ctx.Err() == nil {
-			cg := h.graph(li)
-			rspan := obs.StartSpan(ctx, "partition/refine")
-			if rspan.Active() {
-				rspan.SetInt("level", int64(li))
-				rspan.SetInt("vertices", int64(cg.NumVertices()))
-			}
-			kwayRefine(ctx, cg, part, k, caps, opt.RefinePasses, pool).annotate(rspan)
-			rspan.End()
+			climb(h.graph(li), li)
 		}
 		fine := projectAssignment(h.cmap(li), part)
 		graph.PutWords(part)
@@ -94,33 +102,22 @@ func PartitionKWay(ctx context.Context, g *graph.Graph, k int, opt Options) (*Re
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
-	rspan := obs.StartSpan(ctx, "partition/refine")
-	if rspan.Active() {
-		rspan.SetInt("level", 0)
-		rspan.SetInt("vertices", int64(g.NumVertices()))
-	}
-	kwayRefine(ctx, g, part, k, caps, opt.RefinePasses, pool).annotate(rspan)
-	rspan.End()
-
-	return NewResult(g, part, k), nil
+	climb(g, 0)
+	return r.Result(), nil
 }
 
 func errBadK(k int) error {
 	return fmt.Errorf("partition: k = %d, want >= 1", k)
 }
 
-// KWayCaps returns per-part per-constraint weight caps (shared by all parts
+// kwayCapsInto writes into dst (grown as needed) the per-part
+// per-constraint weight caps of a k-way partition of g (shared by all parts
 // since targets are uniform): tol·ideal, raised to the feasibility floors a
 // cap below ceil(ideal) (pigeonhole) or below the heaviest single vertex
-// (indivisibility) would violate. The repartitioner's diffusion balances to
-// the same caps.
-func KWayCaps(g *graph.Graph, k int, tol float64) []int64 {
-	return kwayCapsInto(nil, g, k, tol)
-}
-
-// kwayCapsInto is KWayCaps writing into dst (grown as needed), so pooled
-// callers avoid the allocation. Totals and per-vertex maxima are accumulated
-// in stack buffers so the steady-state path stays allocation-free.
+// (indivisibility) would violate. Every Refiner refines to these caps, and
+// the repartitioner's diffusion balances to them. Totals and per-vertex
+// maxima are accumulated in stack buffers so the steady-state path stays
+// allocation-free.
 func kwayCapsInto(dst []int64, g *graph.Graph, k int, tol float64) []int64 {
 	ncon := g.NCon
 	var totArr, maxArr [8]int64

@@ -53,13 +53,13 @@ type Options struct {
 	// handful of trials is a robust quality lever.
 	Trials int
 	// Parallelism bounds the worker goroutines the construction may use
-	// (recursive-bisection fan-out, sharded matching and contraction,
-	// pairwise k-way refinement). Values <= 0 mean GOMAXPROCS; 1 forces
+	// (recursive-bisection fan-out, sharded matching and contraction, the
+	// greedy k-way candidate scans). Values <= 0 mean GOMAXPROCS; 1 forces
 	// serial execution. For a given Seed the result is bit-identical at
 	// every Parallelism setting: every subtree of the bisection tree draws
 	// from an RNG seeded purely by its position in the tree, never by
-	// scheduling order, and parallel refinement commits moves in a fixed
-	// serial order.
+	// scheduling order, the greedy k-way passes commit their moves in a
+	// fixed serial order, and the k-way climb is sequential.
 	Parallelism int
 
 	// streamMinVerts overrides the streaming floor (streamMinVertices) so
@@ -336,30 +336,50 @@ func partitionRB(ctx context.Context, g *graph.Graph, k int, opt Options) (*Resu
 	return r, nil
 }
 
-// rbPolishPasses bounds the cross-boundary passes concluding RB construction.
-const rbPolishPasses = 2
+// The polish's settings: a hierarchy of polishLevels levels, the finest
+// included, and at each level polishGreedy greedy passes and then
+// polishClimbs climb passes (DESIGN §5.2, "One k-way engine").
+const (
+	polishLevels = 2
+	polishGreedy = 1
+	polishClimbs = 2
+)
 
 // PolishRB runs the cross-boundary polish that concludes recursive-bisection
 // construction: recursive bisection never reconsiders a cut once a subtree
-// splits, so a few pairwise k-way FM passes over the finished assignment
-// recover cut the recursion left between sibling subtrees. It is part of
-// Partition's RB pipeline and exported for one reason: a coordinator that
+// splits, so a k-way refinement of the finished assignment recovers cut the
+// recursion left between sibling subtrees — greedy passes, then climbs, on
+// one Refiner at each level of a shallow part-restricted hierarchy
+// (RefineRestricted). It is exported for one reason: a coordinator that
 // stitches SubtreeTask results (see SplitSubtrees) must apply the same
-// polish to the assembled assignment to reproduce Partition byte-for-byte.
-// Deterministic at every opt.Parallelism; returns the number of moves.
-func PolishRB(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options) int {
-	if k < 2 {
-		return 0
+// polish to reproduce Partition byte-for-byte. Deterministic at every
+// opt.Parallelism.
+func PolishRB(ctx context.Context, g *graph.Graph, part []int32, k int, opt Options) {
+	if k < 2 || g.NumVertices() == 0 {
+		return
 	}
 	opt = opt.withDefaults(g.NCon)
-	pool := graph.NewPool(opt.Parallelism)
+	r, err := NewRefiner(g, part, k, RefineOptions{ImbalanceTol: opt.ImbalanceTol, Parallelism: opt.Parallelism})
+	if err != nil {
+		return
+	}
+	defer r.Close()
 	pspan := obs.StartSpan(ctx, "partition/refine")
-	caps := KWayCaps(g, k, opt.ImbalanceTol)
-	st := kwayRefine(ctx, g, part, k, caps, rbPolishPasses, pool)
+	RefineRestricted(obs.ContextWithSpan(ctx, pspan), r, g, part, RestrictedOptions{
+		Seed:      opt.Seed,
+		CoarsenTo: opt.CoarsenTo,
+		MaxLevels: polishLevels,
+		Span:      "partition/polish",
+	}, func(ctx context.Context, level int, origin []int32, pen []int64) error {
+		if err := r.Refine(ctx, nil, nil, polishGreedy); err != nil {
+			return err
+		}
+		r.Climb(ctx, polishClimbs)
+		return nil
+	})
 	pspan.SetStr("stage", "rb_polish")
-	st.annotate(pspan)
+	r.climbed.annotate(pspan)
 	pspan.End()
-	return st.moves
 }
 
 // balanceCaps returns, per constraint, the maximum side weight allowed for a

@@ -216,7 +216,7 @@ func (st *fmState) pass(b *bisection, sc *scratch) bool {
 }
 
 // pickMoveBuckets selects the best admissible move from either direction's
-// bucket structure, as pairScratch.pickMove does: look at each side's top
+// bucket structure: look at each side's top
 // candidate, drop candidates whose move would increase the violation (they
 // re-enter when a neighbour move changes their gain), and take the
 // (violation, gain)-best of the two off its bucket, returning it with the

@@ -27,37 +27,43 @@ type RefineOptions struct {
 	Parallelism int
 }
 
-// Refiner is the warm path's k-way refinement (internal/repart): greedy
-// multi-constraint boundary passes on the part-connectivity table,
-// optionally biased against migration. The cold constructions keep the
-// pairwise-FM engine, which finds more cut from a poor start.
+// Refiner is the partitioner's one k-way refinement engine: greedy
+// multi-constraint boundary passes on the part-connectivity table (Refine),
+// optionally biased against migration, and sequential k-way FM passes on the
+// same table (Climb). The warm path (internal/repart) refines greedily
+// only; the cold constructions — PolishRB and DirectKWay — climb as well,
+// because from a poor start only hill-climbing through negative-gain moves
+// finds the cut that greedy passes leave behind.
 //
-// One Refiner serves one repartition: it owns a single k-way arena, sized
-// by NewRefiner for the finest graph, and every level of a coarse-to-fine
-// hierarchy and every move between refinements reuse it. Begin lays the
-// connectivity table of an assignment; Move and Refine keep it exact, so a
-// Refine after Moves continues on the live table instead of building it
-// again. Steady-state use allocates nothing once the pooled arena has grown
-// to the problem size. A Refiner is not safe for concurrent use, and Close
-// hands its arena back: the Refiner must not be used after it.
+// One Refiner serves one refinement run: it owns a single k-way arena,
+// sized by NewRefiner for the finest graph, and every level of a
+// coarse-to-fine hierarchy and every move between refinements reuse it.
+// Begin lays the connectivity table of an assignment; Move, Refine and Climb
+// keep it exact, so a Refine after Moves continues on the live table instead
+// of building it again. Steady-state use allocates nothing once the pooled
+// arena has grown to the problem size. A Refiner is not safe for concurrent
+// use, and Close hands its arena back: the Refiner must not be used after
+// it.
 type Refiner struct {
-	ks     *kwayScratch
-	k      int
-	opt    RefineOptions
-	pool   *graph.Pool
-	g      *graph.Graph // the graph of the live table, set by Begin
-	part   []int32      // the assignment the live table describes
-	builds int          // tables laid by Begin
+	ks      *kwayScratch
+	k       int
+	opt     RefineOptions
+	pool    *graph.Pool
+	g       *graph.Graph // the graph of the live table, set by Begin
+	part    []int32      // the assignment the live table describes
+	builds  int          // tables laid by Begin
+	climbed climbStats   // the work of every Climb so far
 }
 
 // NewRefiner returns a refiner into k parts whose arena is reserved for g,
 // the finest graph it will refine, and part, that graph's assignment: the
 // vertex-sized arrays hold g's vertices and the table's entry arena holds a
 // row entry for every edge end part cuts, so the coarser levels refined
-// first do not grow it level by level.
+// first do not grow it level by level. A nil part, for a finest assignment
+// that does not exist yet, reserves no entries.
 func NewRefiner(g *graph.Graph, part []int32, k int, opt RefineOptions) (*Refiner, error) {
 	n := g.NumVertices()
-	if len(part) != n {
+	if part != nil && len(part) != n {
 		return nil, fmt.Errorf("partition: %d assignments for %d vertices", len(part), n)
 	}
 	if k < 1 {
@@ -151,7 +157,7 @@ func (r *Refiner) Move(v, to int32) { r.ks.moveVertex(r.g, r.part, v, to) }
 func (r *Refiner) PartWeights() []int64 { return r.ks.pw[:r.k*r.g.NCon] }
 
 // Caps returns the per-constraint part weight caps of the live graph
-// (KWayCaps at the refiner's tolerance).
+// (kwayCapsInto at the refiner's tolerance).
 func (r *Refiner) Caps() []int64 { return r.ks.caps }
 
 // RowLen returns the length of vertex v's connectivity row in the live
@@ -203,7 +209,7 @@ func (r *Refiner) Close() {
 }
 
 // Greedy k-way refinement (METIS/ParMETIS style boundary passes) on the
-// connectivity table of the pairwise engine (refine_parallel.go). One pass
+// connectivity table of conntable.go. One pass
 // is two sub-passes: the first moves vertices only to higher part ids than
 // their own, the second only to lower ones, so two vertices can never swap
 // across a boundary in the same sub-pass. A sub-pass
@@ -240,21 +246,17 @@ func cmpGreedyMove(a, b greedyMove) int {
 	return cmp.Or(cmp.Compare(a.dOver, b.dOver), cmp.Compare(b.gain, a.gain), cmp.Compare(a.v, b.v))
 }
 
-// greedyStop says why a Refine's greedy passes ended.
-type greedyStop uint8
+// greedyStop says why a Refine's greedy passes ended; it is the stop's
+// name on a partition/refine span.
+type greedyStop string
 
 const (
-	stopNone      greedyStop = iota // no pass ran: no vertex, or one part
-	stopBalanced                    // no part over a cap
-	stopStalled                     // the last pass did not lower the overage
-	stopPassCap                     // the pass bound ran out
-	stopCancelled                   // the context was cancelled
+	stopNone      greedyStop = "none"      // no pass ran: no vertex, or one part
+	stopBalanced  greedyStop = "balanced"  // no part over a cap
+	stopStalled   greedyStop = "stalled"   // the last pass did not lower the overage
+	stopPassCap   greedyStop = "pass_cap"  // the pass bound ran out
+	stopCancelled greedyStop = "cancelled" // the context was cancelled
 )
-
-// String is the stop's name on a partition/refine span.
-func (s greedyStop) String() string {
-	return [...]string{"none", "balanced", "stalled", "pass_cap", "cancelled"}[s]
-}
 
 // greedyPasses runs at most passes greedy passes over the live table and
 // stops by balance: after each pass it ends when no part is over a cap
@@ -266,7 +268,7 @@ func (s greedyStop) String() string {
 // On a warm start the cut-only passes pay little: on the drift benchmark
 // each moved a few dozen vertices after visiting thousands.
 func (ks *kwayScratch) greedyPasses(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, bias moveBias) kwayStats {
-	st := kwayStats{greedy: true, stop: stopPassCap}
+	st := kwayStats{stop: stopPassCap}
 	prev := ks.overage(k, caps)
 	for pass := 0; pass < passes; pass++ {
 		if ctx.Err() != nil {
@@ -332,7 +334,7 @@ func (ks *kwayScratch) greedySubPass(g *graph.Graph, part []int32, k int, caps [
 	slices.SortFunc(ks.cands, cmpGreedyMove)
 	st.candidates += len(ks.cands)
 	for _, c := range ks.cands {
-		m, ok := ks.bestMove(g, part, caps, bias, c.v, up)
+		m, ok := ks.bestMove(g, part, caps, bias, c.v, greedyDir(up))
 		if !ok {
 			st.stale++
 			continue
@@ -367,7 +369,7 @@ func (ks *kwayScratch) scanMoves(g *graph.Graph, part []int32, caps []int64, bia
 			}
 			for ; word != 0; word &= word - 1 {
 				v := int32(w*64 + bits.TrailingZeros64(word))
-				if m, ok := ks.bestMove(g, part, caps, bias, v, up); ok {
+				if m, ok := ks.bestMove(g, part, caps, bias, v, greedyDir(up)); ok {
 					out = append(out, m)
 				}
 			}
@@ -378,7 +380,7 @@ func (ks *kwayScratch) scanMoves(g *graph.Graph, part []int32, caps []int64, bia
 		if ks.rowN[v] == 0 || ks.prune && ks.cannotMove(g, part, bias, v) {
 			continue
 		}
-		if m, ok := ks.bestMove(g, part, caps, bias, v, up); ok {
+		if m, ok := ks.bestMove(g, part, caps, bias, v, greedyDir(up)); ok {
 			out = append(out, m)
 		}
 	}
@@ -457,8 +459,8 @@ func (ks *kwayScratch) cannotMove(g *graph.Graph, part []int32, bias moveBias, v
 // over-cap constraints again (markOver) and re-evaluates every boundary
 // vertex of that part. Per-part boundary lists (bhead, bnext, bprev) name
 // those vertices without a scan. A bias change rebuilds the set from the
-// lists (track); the pairwise engine, which does not scan, never builds it
-// and pays one flag test for it in moveVertex.
+// lists (track); the climb, which does not scan, drops the set and pays one
+// flag test for it in moveVertex.
 
 // unlisted marks bprev[v] of a vertex on no boundary list.
 const unlisted = -2
@@ -558,10 +560,10 @@ func (ks *kwayScratch) mark(v int32, in bool) {
 }
 
 // crossesCap reports whether adding d·wv to the part weights pw takes them
-// across a cap of the visit set on a constraint.
-func (ks *kwayScratch) crossesCap(pw []int64, wv []int32, d int64) bool {
+// across one of the caps on a constraint.
+func crossesCap(pw []int64, wv []int32, d int64, caps []int64) bool {
 	for c, w := range wv {
-		if w != 0 && (pw[c] > ks.vcaps[c]) != (pw[c]+d*int64(w) > ks.vcaps[c]) {
+		if w != 0 && (pw[c] > caps[c]) != (pw[c]+d*int64(w) > caps[c]) {
 			return true
 		}
 	}
@@ -589,12 +591,30 @@ func (ks *kwayScratch) boundaryCount() int {
 	return c
 }
 
-// bestMove returns v's best move in the sub-pass direction against the
-// current table and part weights — the lowest overage change, then the
-// highest biased gain, then the lowest part id — and whether it is
-// admissible: it lowers the total cap overage, or keeps it and has a
-// positive gain.
-func (ks *kwayScratch) bestMove(g *graph.Graph, part []int32, caps []int64, bias moveBias, v int32, up bool) (greedyMove, bool) {
+// moveDir restricts the targets bestMove considers: higher part ids than
+// the vertex's own, lower ones, or any (the climb's).
+type moveDir int8
+
+const (
+	dirUp moveDir = iota
+	dirDown
+	dirBoth
+)
+
+// greedyDir is the direction of a greedy sub-pass.
+func greedyDir(up bool) moveDir {
+	if up {
+		return dirUp
+	}
+	return dirDown
+}
+
+// bestMove returns v's best move in direction dir against the current table
+// and part weights — the lowest overage change, then the highest biased
+// gain, then the lowest part id — and whether it is admissible for a greedy
+// sub-pass: it lowers the total cap overage, or keeps it and has a positive
+// gain. In dirBoth it weighs every target, whatever its gain.
+func (ks *kwayScratch) bestMove(g *graph.Graph, part []int32, caps []int64, bias moveBias, v int32, dir moveDir) (greedyMove, bool) {
 	best := greedyMove{v: v, to: -1}
 	if ks.rowN[v] == 0 {
 		return best, false
@@ -602,11 +622,11 @@ func (ks *kwayScratch) bestMove(g *graph.Graph, part []int32, caps []int64, bias
 	from, ncon := part[v], g.NCon
 	wv := g.WeightVec(v)
 	// The overage change of from (<= 0) and v's own weight, taken when the
-	// first move in the sub-pass direction needs them.
+	// first move in direction dir needs them.
 	dFrom, own := int64(1), int64(0)
 	at := ks.rowAt[v]
 	for _, e := range ks.ents[at : at+ks.rowN[v]] {
-		if (e.p > from) != up {
+		if dir != dirBoth && (e.p > from) != (dir == dirUp) {
 			continue
 		}
 		if dFrom > 0 {
@@ -621,7 +641,7 @@ func (ks *kwayScratch) bestMove(g *graph.Graph, part []int32, caps []int64, bias
 		if bias.origin != nil {
 			gain += bias.delta(v, from, e.p)
 		}
-		if dFrom == 0 && gain <= 0 {
+		if dFrom == 0 && gain <= 0 && dir != dirBoth {
 			// Leaving from lowers no overage, so this move cannot lower
 			// the total and has no gain: inadmissible, and it cannot
 			// outrank a move that is admissible.

@@ -11,11 +11,18 @@ import (
 	"tempart/internal/obs"
 )
 
+// kwayCaps returns the caps every Refiner refines to (kwayCapsInto).
+func kwayCaps(g *graph.Graph, k int, tol float64) []int64 {
+	return kwayCapsInto(nil, g, k, tol)
+}
+
 // totalOverage sums the cap overshoot of every part and constraint.
 func totalOverage(pw [][]int64, caps []int64) int64 {
 	var over int64
 	for _, w := range pw {
-		over += overage(w, caps)
+		for c, cp := range caps {
+			over += overOf(w[c], cp)
+		}
 	}
 	return over
 }
@@ -62,7 +69,7 @@ func scanGreedyMove(g *graph.Graph, part []int32, pw [][]int64, caps []int64, bi
 // passes over it in place: one refinement on a caller-held arena.
 func kwayGreedy(ctx context.Context, g *graph.Graph, part []int32, k int, caps []int64, passes int, pool *graph.Pool, bias moveBias, ks *kwayScratch) kwayStats {
 	if g.NumVertices() == 0 || k <= 1 {
-		return kwayStats{greedy: true}
+		return kwayStats{}
 	}
 	ks.begin(g, part, k)
 	return ks.greedyPasses(ctx, g, part, k, caps, passes, pool, bias)
@@ -109,7 +116,7 @@ func TestGreedyMovesMatchScan(t *testing.T) {
 					}
 				}
 			}
-			caps := KWayCaps(g, k, 1.05)
+			caps := kwayCaps(g, k, 1.05)
 			ks := getKwayScratch(n)
 			defer putKwayScratch(ks)
 			defer func() { ks.onGreedyMove = nil }()
@@ -138,7 +145,7 @@ func TestGreedyStopRule(t *testing.T) {
 			skewed[v] = 0
 		}
 		for si, start := range [][]int32{stripedAssignment(n, k), skewed} {
-			caps := KWayCaps(g, k, 1.05)
+			caps := kwayCaps(g, k, 1.05)
 			startOver := totalOverage(partWeights(g, start, k), caps)
 			for _, bound := range []int{12, 2, 1} {
 				part := slices.Clone(start)
@@ -241,7 +248,7 @@ func TestGreedyScanPruneMatchesFull(t *testing.T) {
 					bias.pen[v] = int64(lo + rng.Intn(10-lo))
 				}
 			}
-			caps := KWayCaps(g, k, 1.05)
+			caps := kwayCaps(g, k, 1.05)
 			ks := getKwayScratch(n)
 			defer putKwayScratch(ks)
 			ks.begin(g, part, k)
@@ -256,7 +263,7 @@ func TestGreedyScanPruneMatchesFull(t *testing.T) {
 					got := ks.scanMoves(g, part, caps, bias, up, 0, n, nil)
 					var want []greedyMove
 					for v := int32(0); v < int32(n); v++ {
-						m, ok := ks.bestMove(g, part, caps, bias, v, up)
+						m, ok := ks.bestMove(g, part, caps, bias, v, greedyDir(up))
 						if ok {
 							want = append(want, m)
 						}
@@ -401,7 +408,10 @@ func stopRuleErr(st kwayStats, start int64, over []int64, bound int) error {
 // checked against an adjacency scan through the commit hook), stops by the
 // balance rule (stopRuleErr) at pass bounds 8 and 2, the bound only cutting
 // the same passes short, ends where passes that scan every vertex end, and
-// returns the same bytes at Parallelism 1 and 4.
+// returns the same bytes at Parallelism 1 and 4. Its climb, from the same
+// start, keeps every label in [0, k), never ends with a (total cap overage,
+// edge cut) lexicographically worse than the start's, and returns the same
+// bytes at Parallelism 1 and 4.
 func FuzzRefineKWay(f *testing.F) {
 	f.Add([]byte{12, 5, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 1, 5, 6, 1, 6, 7, 1, 7, 8, 1, 8, 9, 1, 9, 10, 1, 10, 11, 1})
 	// A hub joined to every vertex, two constraints, random penalties.
@@ -426,7 +436,7 @@ func FuzzRefineKWay(f *testing.F) {
 	f.Add([]byte{4, 9, 0, 1, 2, 0, 3, 1, 0, 1, 2, 3, 3, 2, 1, 0, 0, 1, 0, 1, 2, 0, 2, 3, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, start, k, origin, pen := fuzzRefineInput(data)
-		caps := KWayCaps(g, k, 1.05)
+		caps := kwayCaps(g, k, 1.05)
 		var bias moveBias
 		if origin != nil && pen != nil {
 			bias = moveBias{origin: origin, pen: pen}
@@ -490,6 +500,35 @@ func FuzzRefineKWay(f *testing.F) {
 				}
 			} else if !slices.Equal(got, ref) {
 				t.Fatalf("parallelism %d differs from 1", par)
+			}
+		}
+
+		startCut := ComputeEdgeCut(g, start)
+		var climbed []int32
+		for _, par := range []int{1, 4} {
+			got := slices.Clone(start)
+			r, err := NewRefiner(g, got, k, RefineOptions{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Begin(g, got); err != nil {
+				t.Fatal(err)
+			}
+			r.Climb(context.Background(), 4)
+			r.Close()
+			for v, p := range got {
+				if p < 0 || int(p) >= k {
+					t.Fatalf("climb at parallelism %d: vertex %d in part %d, k = %d", par, v, p, k)
+				}
+			}
+			over, cut := totalOverage(partWeights(g, got, k), caps), ComputeEdgeCut(g, got)
+			if over > startOver || over == startOver && cut > startCut {
+				t.Fatalf("climb at parallelism %d: (overage, cut) (%d, %d) -> (%d, %d)", par, startOver, startCut, over, cut)
+			}
+			if climbed == nil {
+				climbed = got
+			} else if !slices.Equal(got, climbed) {
+				t.Fatalf("climb at parallelism %d differs from 1", par)
 			}
 		}
 	})
@@ -829,7 +868,7 @@ func TestRefinerReuseMatchesFresh(t *testing.T) {
 				}
 			})
 			want := refineHierarchy(levels, func(lv warmLevel, part []int32) {
-				caps := KWayCaps(lv.g, k, DefaultImbalanceTol)
+				caps := kwayCaps(lv.g, k, DefaultImbalanceTol)
 				kwayGreedy(ctx, lv.g, part, k, caps, DefaultRefinePasses, pool, biasOf(lv.origin, lv.pen), new(kwayScratch))
 			})
 			if d := diffVertices(got, want); d > 0 {
@@ -860,7 +899,7 @@ func TestRefinerReuseMatchesFresh(t *testing.T) {
 			if err := r.Refine(ctx, home, pen, 0); err != nil {
 				t.Fatal(err)
 			}
-			st := kwayGreedy(ctx, g, want, k, KWayCaps(g, k, DefaultImbalanceTol), DefaultRefinePasses, pool, biasOf(home, pen), new(kwayScratch))
+			st := kwayGreedy(ctx, g, want, k, kwayCaps(g, k, DefaultImbalanceTol), DefaultRefinePasses, pool, biasOf(home, pen), new(kwayScratch))
 			if st.moves == 0 {
 				t.Fatal("the polish moved nothing: nothing was compared")
 			}

@@ -39,26 +39,20 @@ func TestKwayScratchPoolNoPinning(t *testing.T) {
 	}
 	const big = 1 << 22
 	ks := getKwayScratch(big)
-	if len(ks.localID) < big {
-		t.Fatalf("localID only %d entries", len(ks.localID))
+	if len(ks.net) < big {
+		t.Fatalf("net only %d entries", len(ks.net))
 	}
 	putKwayScratch(ks)
 
 	small := getKwayScratch(128)
-	if cap(small.localID) >= big {
-		t.Fatalf("small request received the %d-entry localID — pool pinning", cap(small.localID))
+	if cap(small.net) >= big {
+		t.Fatalf("small request received the %d-entry net — pool pinning", cap(small.net))
 	}
 	putKwayScratch(small)
 
 	again := getKwayScratch(big)
-	if cap(again.localID) < big {
-		t.Fatalf("big request did not reuse the pooled big arena (cap %d)", cap(again.localID))
-	}
-	// localID must still hold the -1-everywhere invariant after reuse.
-	for i, v := range again.localID {
-		if v != -1 {
-			t.Fatalf("localID[%d] = %d after reuse, want -1", i, v)
-		}
+	if cap(again.net) < big {
+		t.Fatalf("big request did not reuse the pooled big arena (cap %d)", cap(again.net))
 	}
 	putKwayScratch(again)
 }

@@ -164,7 +164,7 @@ func diffuseSweeps(ctx context.Context, r *partition.Refiner, g *graph.Graph, pa
 				if overDelta > 0 {
 					continue // never worsen total overage
 				}
-				if overDelta == 0 && maxI64(overFromNew, overToNew) >= maxI64(overFrom, overTo) {
+				if overDelta == 0 && max(overFromNew, overToNew) >= max(overFrom, overTo) {
 					// Neutral moves are admitted only as "levelling": the
 					// pair's larger overage must strictly shrink. That lets
 					// excess percolate through saturated parts toward distant
@@ -219,10 +219,3 @@ func relieves(pw []int64, wv []int32, caps []int64) bool {
 }
 
 func negative(w int32) bool { return w < 0 }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

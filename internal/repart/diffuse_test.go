@@ -173,7 +173,9 @@ func TestDiffuseSkipMatchesFull(t *testing.T) {
 	}
 	reference := func(in input) []int32 {
 		part := slices.Clone(in.part)
-		caps := partition.KWayCaps(in.g, in.k, partition.DefaultImbalanceTol)
+		r := beginRefiner(t, in.g, part, in.k)
+		caps := slices.Clone(r.Caps())
+		r.Close()
 		scanSweeps(in.g, part, in.k, caps, in.pen, 0)
 		return part
 	}
