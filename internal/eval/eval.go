@@ -24,7 +24,6 @@ import (
 
 	"tempart/internal/flusim"
 	"tempart/internal/mesh"
-	"tempart/internal/metrics"
 	"tempart/internal/obs"
 	"tempart/internal/taskgraph"
 	"tempart/internal/temporal"
@@ -78,7 +77,13 @@ type Outcome struct {
 	Makespan     int64
 	CriticalPath int64
 	TotalWork    int64
-	CommVolume   int64
+	// CommVolume counts the task-graph dependency edges that connect tasks
+	// whose domains live on different processes — the paper's estimate of
+	// inter-process communication (§VI, Figure 11b): "a communication is
+	// considered to be an edge of the task graph connecting two nodes whose
+	// domains are distributed across two different processes." The
+	// simulation counts them as it releases successors.
+	CommVolume int64
 	// Efficiency is TotalWork / (Makespan × procs × workers); zero when the
 	// cluster is unbounded.
 	Efficiency float64
@@ -302,7 +307,7 @@ func (e *Evaluator) simulate(tg *taskgraph.TaskGraph, spec *Spec) (*Outcome, err
 		Makespan:        res.Makespan,
 		CriticalPath:    res.CriticalPath,
 		TotalWork:       res.TotalWork,
-		CommVolume:      metrics.CommVolume(tg, spec.ProcOf),
+		CommVolume:      res.CommVolume,
 		NumTasks:        tg.NumTasks(),
 		NumDeps:         tg.NumDeps(),
 		SimulateSeconds: simSeconds,

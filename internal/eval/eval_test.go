@@ -8,10 +8,88 @@ import (
 
 	"tempart/internal/flusim"
 	"tempart/internal/mesh"
-	"tempart/internal/metrics"
 	"tempart/internal/partition"
 	"tempart/internal/taskgraph"
+	"tempart/internal/temporal"
 )
+
+// commVolumeRef counts the dependency edges between tasks whose domains live
+// on different processes by one pass over every task's predecessors: the
+// reference for the count the simulation keeps as it releases successors.
+func commVolumeRef(tg *taskgraph.TaskGraph, procOfDomain []int32) int64 {
+	var vol int64
+	for t := 0; t < tg.NumTasks(); t++ {
+		pt := procOfDomain[tg.Tasks[t].Domain]
+		for _, pr := range tg.PredsOf(int32(t)) {
+			if procOfDomain[tg.Tasks[pr].Domain] != pt {
+				vol++
+			}
+		}
+	}
+	return vol
+}
+
+// evalCommVolume evaluates (m, part) on one worker per process under every
+// scheduler, with and without communication latency, and returns the comm
+// volume, failing if any run or the reference disagrees.
+func evalCommVolume(t *testing.T, m *mesh.Mesh, part []int32, k int, procOf []int32) int64 {
+	t.Helper()
+	tg, err := taskgraph.Build(m, part, k, taskgraph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := commVolumeRef(tg, procOf)
+	e := New(Options{})
+	for _, s := range []flusim.Strategy{flusim.Eager, flusim.LIFO, flusim.CriticalPathFirst, flusim.RandomOrder} {
+		for _, lat := range []int64{0, 3} {
+			out, err := e.Evaluate(Spec{Mesh: m, Part: part, NumDomains: k, ProcOf: procOf,
+				Sim: flusim.Config{Cluster: flusim.Cluster{NumProcs: int(slices.Max(procOf)) + 1, WorkersPerProc: 1},
+					Strategy: s, CommLatency: lat}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.CommVolume != want {
+				t.Fatalf("%v, latency %d: comm volume %d, reference %d", s, lat, out.CommVolume, want)
+			}
+		}
+	}
+	return want
+}
+
+func TestCommVolumeZeroWithinOneProc(t *testing.T) {
+	m := mesh.Strip([]temporal.Level{0, 0, 0, 0})
+	part := []int32{0, 0, 1, 1}
+	// Both domains on one process: no communication.
+	if v := evalCommVolume(t, m, part, 2, []int32{0, 0}); v != 0 {
+		t.Errorf("CommVolume same-proc = %d, want 0", v)
+	}
+	// Separate processes: cross edges appear.
+	if v := evalCommVolume(t, m, part, 2, []int32{0, 1}); v <= 0 {
+		t.Errorf("CommVolume cross-proc = %d, want > 0", v)
+	}
+}
+
+// TestFig11bShape: MC_TL's communication volume exceeds SC_OC's and grows
+// with domain count.
+func TestFig11bShape(t *testing.T) {
+	m := mesh.Cylinder(0.001)
+	numProcs := 4
+	vol := func(strat partition.Strategy, k int) int64 {
+		r, err := partition.PartitionMesh(context.Background(), m, k, strat, partition.Options{Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evalCommVolume(t, m, r.Part, k, flusim.BlockMap(k, numProcs))
+	}
+	scoc8, mctl8 := vol(partition.SCOC, 8), vol(partition.MCTL, 8)
+	if mctl8 <= scoc8 {
+		t.Errorf("MC_TL comm volume %d not above SC_OC %d at k=8", mctl8, scoc8)
+	}
+	mctl16 := vol(partition.MCTL, 16)
+	if mctl16 <= mctl8 {
+		t.Errorf("MC_TL comm volume did not grow with domains: %d (k=16) vs %d (k=8)", mctl16, mctl8)
+	}
+}
 
 func testSpec(t *testing.T) (Spec, *mesh.Mesh, []int32) {
 	t.Helper()
@@ -58,7 +136,7 @@ func TestEvaluateMatchesDirectPipeline(t *testing.T) {
 			t.Errorf("workers %d: bounds (%d, %d), direct (%d, %d)", workers,
 				out.CriticalPath, out.TotalWork, res.CriticalPath, res.TotalWork)
 		}
-		if want := metrics.CommVolume(tg, sp.ProcOf); out.CommVolume != want {
+		if want := commVolumeRef(tg, sp.ProcOf); out.CommVolume != want {
 			t.Errorf("workers %d: comm volume %d, want %d", workers, out.CommVolume, want)
 		}
 		if out.NumTasks != tg.NumTasks() || out.NumDeps != tg.NumDeps() {

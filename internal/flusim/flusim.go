@@ -108,6 +108,10 @@ type Config struct {
 type Result struct {
 	Makespan int64
 	Trace    *trace.Trace
+	// CommVolume is the number of dependency edges between tasks on
+	// different processes: the messages of one iteration, counted as the
+	// run releases each task's successors.
+	CommVolume int64
 	// BusyPerProc is each process's total computation time.
 	BusyPerProc []int64
 	// CriticalPath and TotalWork are the two classical lower bounds:
@@ -144,6 +148,7 @@ type Simulator struct {
 	procOf []int32
 	indeg  []int32
 	blevel []int64
+	heapAt []int32
 	procs  []procState
 	events eventQueue
 	touch  []int32
@@ -206,6 +211,7 @@ func (sim *Simulator) SimulateInto(res *Result, tg *taskgraph.TaskGraph, procOfD
 		sim.blevel = growInt64(sim.blevel, n)
 		blevel = sim.blevel
 		bottomLevelsInto(blevel, tg)
+		sim.heapAt = growInt32(sim.heapAt, n)
 	}
 	rng := sim.rng
 	if cfg.Strategy == RandomOrder {
@@ -228,7 +234,7 @@ func (sim *Simulator) SimulateInto(res *Result, tg *taskgraph.TaskGraph, procOfD
 		}
 		ps.idleWorkers = ps.idleWorkers[:0]
 		ps.nextWorker = 0
-		ps.ready.reset()
+		ps.ready.reset(blevel, sim.heapAt)
 	}
 
 	events := &sim.events
@@ -276,7 +282,7 @@ func (sim *Simulator) SimulateInto(res *Result, tg *taskgraph.TaskGraph, procOfD
 	dispatch := func(p int32, now int64) {
 		ps := &procs[p]
 		for (ps.free != 0) && ps.ready.len() > 0 {
-			t := ps.ready.pop(cfg.Strategy, blevel, rng)
+			t := ps.ready.pop(cfg.Strategy, rng)
 			startTask(t, now)
 		}
 	}
@@ -291,7 +297,7 @@ func (sim *Simulator) SimulateInto(res *Result, tg *taskgraph.TaskGraph, procOfD
 		dispatch(int32(p), 0)
 	}
 
-	var now int64
+	var now, cross int64
 	completed := 0
 	touched := sim.touch[:0]
 	for events.len() > 0 {
@@ -319,14 +325,19 @@ func (sim *Simulator) SimulateInto(res *Result, tg *taskgraph.TaskGraph, procOfD
 			// Release successors: same-process edges are instantaneous,
 			// cross-process edges arrive after the communication latency.
 			for _, s := range tg.SuccsOf(ev.task) {
-				if cfg.CommLatency > 0 && procOf[s] != p {
+				to, c := procOf[s], int64(0)
+				if to != p {
+					c = 1
+				}
+				cross += c
+				if cfg.CommLatency > 0 && to != p {
 					events.push(simEvent{time: now + cfg.CommLatency, task: s, kind: evArrival})
 					continue
 				}
 				indeg[s]--
 				if indeg[s] == 0 {
-					procs[procOf[s]].ready.push(s)
-					touched = append(touched, procOf[s])
+					procs[to].ready.push(s)
+					touched = append(touched, to)
 				}
 			}
 		}
@@ -340,6 +351,7 @@ func (sim *Simulator) SimulateInto(res *Result, tg *taskgraph.TaskGraph, procOfD
 	}
 
 	res.Makespan = now
+	res.CommVolume = cross
 	res.CriticalPath = tg.CriticalPath()
 	res.TotalWork = tg.TotalWork()
 	if cfg.RecordTrace {
@@ -429,16 +441,57 @@ func (ps *procState) nextVirtualWorker() int32 {
 // readyQueue holds ready task ids; pop order depends on the strategy. FIFO
 // pops advance a head index (amortised O(1)); the other strategies use
 // swap-removal since they don't rely on insertion order.
+//
+// CriticalPathFirst takes the first task of the list with the highest
+// bottom level. Instead of scanning the list for it, the queue keeps a
+// binary heap over the listed tasks ordered by (bottom level descending,
+// list position ascending): positions are unique, so the heap's top is
+// exactly the scan's first maximum. The swap-removal moves the list's last
+// task into the freed slot, a lower position, so its entry sifts up.
 type readyQueue struct {
 	tasks []int32
 	head  int
+	// For CriticalPathFirst only (bl non-nil): the heap, the bottom levels
+	// it is keyed by, and each listed task's heap index.
+	heap []cpfEntry
+	bl   []int64
+	at   []int32
 }
 
-func (q *readyQueue) len() int     { return len(q.tasks) - q.head }
-func (q *readyQueue) push(t int32) { q.tasks = append(q.tasks, t) }
-func (q *readyQueue) reset()       { q.tasks, q.head = q.tasks[:0], 0 }
+// cpfEntry is a listed task in the CriticalPathFirst heap with its key: its
+// bottom level and its position in the ready list.
+type cpfEntry struct {
+	bl   int64
+	pos  int32
+	task int32
+}
 
-func (q *readyQueue) pop(s Strategy, blevel []int64, rng *rand.Rand) int32 {
+// cpfBefore reports whether a pops before b.
+func cpfBefore(a, b cpfEntry) bool {
+	if a.bl != b.bl {
+		return a.bl > b.bl
+	}
+	return a.pos < b.pos
+}
+
+func (q *readyQueue) len() int { return len(q.tasks) - q.head }
+
+func (q *readyQueue) push(t int32) {
+	if q.bl != nil {
+		q.heap = append(q.heap, cpfEntry{bl: q.bl[t], pos: int32(len(q.tasks)), task: t})
+		q.up(len(q.heap) - 1)
+	}
+	q.tasks = append(q.tasks, t)
+}
+
+// reset empties the queue; a non-nil bl (with at, one slot per task)
+// selects the CriticalPathFirst heap.
+func (q *readyQueue) reset(bl []int64, at []int32) {
+	q.tasks, q.head, q.heap = q.tasks[:0], 0, q.heap[:0]
+	q.bl, q.at = bl, at
+}
+
+func (q *readyQueue) pop(s Strategy, rng *rand.Rand) int32 {
 	live := q.tasks[q.head:]
 	switch s {
 	case Eager:
@@ -453,16 +506,7 @@ func (q *readyQueue) pop(s Strategy, blevel []int64, rng *rand.Rand) int32 {
 		q.tasks = q.tasks[:len(q.tasks)-1]
 		return t
 	case CriticalPathFirst:
-		idx := 0
-		for i, t := range live {
-			if blevel[t] > blevel[live[idx]] {
-				idx = i
-			}
-		}
-		t := live[idx]
-		live[idx] = live[len(live)-1]
-		q.tasks = q.tasks[:len(q.tasks)-1]
-		return t
+		return q.popTop()
 	case RandomOrder:
 		idx := rng.Intn(len(live))
 		t := live[idx]
@@ -471,6 +515,67 @@ func (q *readyQueue) pop(s Strategy, blevel []int64, rng *rand.Rand) int32 {
 		return t
 	}
 	panic("flusim: unknown strategy")
+}
+
+// popTop removes and returns the heap's top task, swap-removing it from the
+// list and sifting up the entry of the task that takes its slot.
+func (q *readyQueue) popTop() int32 {
+	top := q.heap[0]
+	last := len(q.heap) - 1
+	q.heap[0] = q.heap[last]
+	q.heap = q.heap[:last]
+	if last > 0 {
+		q.down(0)
+	}
+	moved := q.tasks[len(q.tasks)-1]
+	q.tasks[top.pos] = moved
+	q.tasks = q.tasks[:len(q.tasks)-1]
+	if moved != top.task {
+		i := q.at[moved]
+		q.heap[i].pos = top.pos
+		q.up(int(i))
+	}
+	return top.task
+}
+
+// up sifts heap entry i towards the root.
+func (q *readyQueue) up(i int) {
+	h := q.heap
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !cpfBefore(e, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		q.at[h[i].task] = int32(i)
+		i = parent
+	}
+	h[i] = e
+	q.at[e.task] = int32(i)
+}
+
+// down sifts heap entry i towards the leaves.
+func (q *readyQueue) down(i int) {
+	h := q.heap
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && cpfBefore(h[c+1], h[c]) {
+			c++
+		}
+		if !cpfBefore(h[c], e) {
+			break
+		}
+		h[i] = h[c]
+		q.at[h[i].task] = int32(i)
+		i = c
+	}
+	h[i] = e
+	q.at[e.task] = int32(i)
 }
 
 // simEvent is either a task completion or the arrival of a communicated

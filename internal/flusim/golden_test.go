@@ -150,7 +150,10 @@ func TestGoldenCPFRuns(t *testing.T) {
 		if err := sim.SimulateInto(&res, tg, procOf, cfg); err != nil {
 			t.Fatalf("%v: %v", r, err)
 		}
-		r.Makespan, r.CommVolume = res.Makespan, crossEdges(tg, procOf)
+		if want := crossEdges(tg, procOf); res.CommVolume != want {
+			t.Errorf("%v: the run counted %d cross-process edges, a pass over the predecessors %d", r, res.CommVolume, want)
+		}
+		r.Makespan, r.CommVolume = res.Makespan, res.CommVolume
 		r.Spans, r.Trace = len(res.Trace.Spans), digestSpans(&res)
 		return r
 	}

@@ -1,7 +1,8 @@
 // Package metrics computes the evaluation quantities reported in the paper:
 // per-process operating-cost distributions by temporal level (Figures 7a,
-// 10a), estimated inter-process communication volume (Figure 11b), partition
-// quality summaries, and task-granularity statistics.
+// 10a), partition quality summaries, and task-granularity statistics. The
+// inter-process communication volume of Figure 11b is counted by the
+// simulation itself (flusim.Result.CommVolume).
 package metrics
 
 import (
@@ -40,24 +41,6 @@ func CellsByLevelPerProc(m *mesh.Mesh, part, procOfDomain []int32, numProcs int)
 		out[procOfDomain[part[c]]][m.Level[c]]++
 	}
 	return out
-}
-
-// CommVolume counts the task-graph dependency edges that connect tasks whose
-// domains live on different processes — the paper's estimate of inter-process
-// communication (§VI, Figure 11b): "a communication is considered to be an
-// edge of the task graph connecting two nodes whose domains are distributed
-// across two different processes."
-func CommVolume(tg *taskgraph.TaskGraph, procOfDomain []int32) int64 {
-	var vol int64
-	for t := 0; t < tg.NumTasks(); t++ {
-		pt := procOfDomain[tg.Tasks[t].Domain]
-		for _, pr := range tg.PredsOf(int32(t)) {
-			if procOfDomain[tg.Tasks[pr].Domain] != pt {
-				vol++
-			}
-		}
-	}
-	return vol
 }
 
 // TaskStats summarises a task graph's granularity.

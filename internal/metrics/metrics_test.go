@@ -34,23 +34,6 @@ func TestCellsByLevelPerProc(t *testing.T) {
 	}
 }
 
-func TestCommVolumeZeroWithinOneProc(t *testing.T) {
-	m := mesh.Strip([]temporal.Level{0, 0, 0, 0})
-	part := []int32{0, 0, 1, 1}
-	tg, err := taskgraph.Build(m, part, 2, taskgraph.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both domains on one process: no communication.
-	if v := CommVolume(tg, []int32{0, 0}); v != 0 {
-		t.Errorf("CommVolume same-proc = %d, want 0", v)
-	}
-	// Separate processes: cross edges appear.
-	if v := CommVolume(tg, []int32{0, 1}); v <= 0 {
-		t.Errorf("CommVolume cross-proc = %d, want > 0", v)
-	}
-}
-
 func TestComputeTaskStats(t *testing.T) {
 	m := mesh.Strip([]temporal.Level{0, 0, 1, 1})
 	part := []int32{0, 0, 1, 1}
@@ -110,32 +93,6 @@ func TestFormatCostTable(t *testing.T) {
 	}
 	if !strings.Contains(out, "3") || !strings.Contains(out, "7") {
 		t.Errorf("missing row data/totals: %q", out)
-	}
-}
-
-// TestFig11bShape: MC_TL's communication volume exceeds SC_OC's and grows
-// with domain count.
-func TestFig11bShape(t *testing.T) {
-	m := mesh.Cylinder(0.001)
-	numProcs := 4
-	vol := func(strat partition.Strategy, k int) int64 {
-		r, err := partition.PartitionMesh(context.Background(), m, k, strat, partition.Options{Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tg, err := taskgraph.Build(m, r.Part, k, taskgraph.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return CommVolume(tg, flusim.BlockMap(k, numProcs))
-	}
-	scoc8, mctl8 := vol(partition.SCOC, 8), vol(partition.MCTL, 8)
-	if mctl8 <= scoc8 {
-		t.Errorf("MC_TL comm volume %d not above SC_OC %d at k=8", mctl8, scoc8)
-	}
-	mctl16 := vol(partition.MCTL, 16)
-	if mctl16 <= mctl8 {
-		t.Errorf("MC_TL comm volume did not grow with domains: %d (k=16) vs %d (k=8)", mctl16, mctl8)
 	}
 }
 
