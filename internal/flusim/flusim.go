@@ -147,7 +147,6 @@ func Simulate(tg *taskgraph.TaskGraph, procOfDomain []int32, cfg Config) (*Resul
 type Simulator struct {
 	procOf []int32
 	indeg  []int32
-	blevel []int64
 	heapAt []int32
 	procs  []procState
 	events eventQueue
@@ -204,13 +203,11 @@ func (sim *Simulator) SimulateInto(res *Result, tg *taskgraph.TaskGraph, procOfD
 		indeg[i] = int32(len(tg.PredsOf(int32(i))))
 	}
 
-	// Priorities for CriticalPathFirst: bottom levels. Other strategies
-	// never touch (or allocate) them.
+	// Priorities for CriticalPathFirst: the graph's bottom levels, computed
+	// once per graph with its other bounds.
 	var blevel []int64
 	if cfg.Strategy == CriticalPathFirst {
-		sim.blevel = growInt64(sim.blevel, n)
-		blevel = sim.blevel
-		bottomLevelsInto(blevel, tg)
+		blevel = tg.BottomLevels()
 		sim.heapAt = growInt32(sim.heapAt, n)
 	}
 	rng := sim.rng
@@ -363,10 +360,6 @@ func (sim *Simulator) SimulateInto(res *Result, tg *taskgraph.TaskGraph, procOfD
 	return nil
 }
 
-// bottomLevelsAllocated reports whether the last run computed bottom levels
-// (used by the CriticalPathFirst-only allocation regression test).
-func (sim *Simulator) bottomLevelsAllocated() bool { return sim.blevel != nil }
-
 // growInt32 returns a length-n slice reusing buf's storage when possible.
 func growInt32(buf []int32, n int) []int32 {
 	if cap(buf) < n {
@@ -384,27 +377,6 @@ func growInt64(buf []int64, n int) []int64 {
 	buf = buf[:n]
 	clear(buf)
 	return buf
-}
-
-// bottomLevelsInto computes each task's cost-weighted longest path to a sink
-// into bl (len == NumTasks).
-func bottomLevelsInto(bl []int64, tg *taskgraph.TaskGraph) {
-	for t := tg.NumTasks() - 1; t >= 0; t-- {
-		var best int64
-		for _, s := range tg.SuccsOf(int32(t)) {
-			if bl[s] > best {
-				best = bl[s]
-			}
-		}
-		bl[t] = best + tg.Tasks[t].Cost
-	}
-}
-
-// bottomLevels computes each task's cost-weighted longest path to a sink.
-func bottomLevels(tg *taskgraph.TaskGraph) []int64 {
-	bl := make([]int64, tg.NumTasks())
-	bottomLevelsInto(bl, tg)
-	return bl
 }
 
 // procState tracks one process's free workers and ready queue.

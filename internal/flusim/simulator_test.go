@@ -88,31 +88,6 @@ func TestSimulatorReuseAllocationFree(t *testing.T) {
 	}
 }
 
-// TestBottomLevelsOnlyForCPF is the satellite regression test: Eager and
-// LIFO (and RandomOrder) runs must never allocate the bottom-level array.
-func TestBottomLevelsOnlyForCPF(t *testing.T) {
-	tg := simTestGraph(t)
-	procOf := BlockMap(16, 4)
-	for _, s := range []Strategy{Eager, LIFO, RandomOrder} {
-		sim := NewSimulator()
-		cfg := Config{Cluster: Cluster{NumProcs: 4, WorkersPerProc: 2}, Strategy: s}
-		if _, err := sim.Simulate(tg, procOf, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if sim.bottomLevelsAllocated() {
-			t.Errorf("strategy %v allocated bottom levels", s)
-		}
-	}
-	sim := NewSimulator()
-	cfg := Config{Cluster: Cluster{NumProcs: 4, WorkersPerProc: 2}, Strategy: CriticalPathFirst}
-	if _, err := sim.Simulate(tg, procOf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !sim.bottomLevelsAllocated() {
-		t.Error("CriticalPathFirst did not allocate bottom levels")
-	}
-}
-
 // TestRandomOrderConcurrentReproducible runs many concurrent RandomOrder
 // simulations over one shared graph: each must reproduce the single-threaded
 // makespan for its seed (race-free per-Simulator rngs; run under -race).

@@ -116,12 +116,13 @@ type TaskGraph struct {
 	// Lazily computed derived data, guarded so that many simulations can
 	// share one graph concurrently (the eval fan-out does exactly that).
 	// Task costs must not be mutated after the first SuccsOf/CriticalPath/
-	// TotalWork call.
+	// TotalWork/BottomLevels call.
 	lazyMu      sync.Mutex
 	succsReady  atomic.Bool
 	boundsReady atomic.Bool
 	cp          int64
 	totalWork   int64
+	blevel      []int64
 }
 
 // Options tunes task generation.
@@ -214,13 +215,26 @@ func (tg *TaskGraph) TotalWork() int64 {
 }
 
 // CriticalPath returns the longest cost-weighted path through the DAG — the
-// absolute lower bound on any schedule's makespan regardless of core count.
-// Cached after the first call; safe for concurrent use.
+// absolute lower bound on any schedule's makespan regardless of core count,
+// and the largest bottom level. Cached after the first call; safe for
+// concurrent use.
 func (tg *TaskGraph) CriticalPath() int64 {
 	if !tg.boundsReady.Load() {
 		tg.ensureBounds()
 	}
 	return tg.cp
+}
+
+// BottomLevels returns each task's bottom level: the cost of the longest
+// cost-weighted path from the task, its own cost included, to a sink — the
+// priority of a critical-path-first scheduler. Computed with the other
+// bounds and cached; safe for concurrent use. The slice is shared: read it,
+// never modify it.
+func (tg *TaskGraph) BottomLevels() []int64 {
+	if !tg.boundsReady.Load() {
+		tg.ensureBounds()
+	}
+	return tg.blevel
 }
 
 func (tg *TaskGraph) ensureBounds() {
@@ -229,22 +243,21 @@ func (tg *TaskGraph) ensureBounds() {
 	if tg.boundsReady.Load() {
 		return
 	}
-	finish := make([]int64, len(tg.Tasks))
+	// Backward over the topological order: when t is reached, bl[t] holds
+	// the largest bottom level of its successors, which all have larger ids.
+	bl := make([]int64, len(tg.Tasks))
 	var cp, work int64
-	for t := range tg.Tasks {
-		var start int64
+	for t := len(tg.Tasks) - 1; t >= 0; t-- {
+		cost := tg.Tasks[t].Cost
+		b := bl[t] + cost
+		bl[t] = b
+		cp = max(cp, b)
+		work += cost
 		for _, p := range tg.PredsOf(int32(t)) {
-			if finish[p] > start {
-				start = finish[p]
-			}
+			bl[p] = max(bl[p], b)
 		}
-		finish[t] = start + tg.Tasks[t].Cost
-		if finish[t] > cp {
-			cp = finish[t]
-		}
-		work += tg.Tasks[t].Cost
 	}
-	tg.cp, tg.totalWork = cp, work
+	tg.blevel, tg.cp, tg.totalWork = bl, cp, work
 	tg.boundsReady.Store(true)
 }
 

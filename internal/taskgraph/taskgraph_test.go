@@ -274,6 +274,47 @@ func TestCriticalPathBounds(t *testing.T) {
 	}
 }
 
+// TestBottomLevelsMatchReference checks the bounds pass, which walks the
+// predecessor lists backwards, against the successor scan the simulator
+// used to run for CriticalPathFirst and against a forward longest-path pass.
+func TestBottomLevelsMatchReference(t *testing.T) {
+	m := mesh.Cube(0.02)
+	part := make([]int32, m.NumCells())
+	for c := range part {
+		part[c] = int32(c % 5)
+	}
+	tg, err := BuildIterations(m, part, 5, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tg.NumTasks()
+	want := make([]int64, n)
+	for v := n - 1; v >= 0; v-- {
+		var best int64
+		for _, s := range tg.SuccsOf(int32(v)) {
+			best = max(best, want[s])
+		}
+		want[v] = best + tg.Tasks[v].Cost
+	}
+	finish := make([]int64, n)
+	var cp, work int64
+	for v := 0; v < n; v++ {
+		var start int64
+		for _, p := range tg.PredsOf(int32(v)) {
+			start = max(start, finish[p])
+		}
+		finish[v] = start + tg.Tasks[v].Cost
+		cp = max(cp, finish[v])
+		work += tg.Tasks[v].Cost
+	}
+	if got := tg.BottomLevels(); !slices.Equal(got, want) {
+		t.Fatal("bottom levels differ from the successor scan")
+	}
+	if tg.CriticalPath() != cp || tg.TotalWork() != work {
+		t.Errorf("bounds (%d, %d), forward pass (%d, %d)", tg.CriticalPath(), tg.TotalWork(), cp, work)
+	}
+}
+
 func TestSuccsTransposeConsistent(t *testing.T) {
 	m := mesh.Cube(0.02)
 	part := make([]int32, m.NumCells())
