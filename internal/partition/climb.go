@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"slices"
 
 	"tempart/internal/graph"
 	"tempart/internal/obs"
@@ -46,8 +47,9 @@ const (
 type climbStep struct{ v, from int32 }
 
 // climbStats counts the work of a Refiner's climbs: passes, the moves they
-// tried, and those kept after the rollbacks.
-type climbStats struct{ passes, tried, kept int }
+// tried, those kept after the rollbacks, and the moves that took a part
+// across a cap.
+type climbStats struct{ passes, tried, kept, crossings int }
 
 // annotate attaches the counters to a refinement span.
 func (s climbStats) annotate(span obs.Span) {
@@ -55,6 +57,7 @@ func (s climbStats) annotate(span obs.Span) {
 	span.SetInt("climb_tried", int64(s.tried))
 	span.SetInt("climb_kept", int64(s.kept))
 	span.SetInt("climb_rolled_back", int64(s.tried-s.kept))
+	span.SetInt("climb_crossings", int64(s.crossings))
 }
 
 // Climb runs k-way FM passes on the live table, unbiased: at most passes,
@@ -64,8 +67,12 @@ func (s climbStats) annotate(span obs.Span) {
 // counters.
 func (r *Refiner) Climb(ctx context.Context, passes int) {
 	ks := r.ks
-	// The climb keeps no visit set: the next Refine builds one anew.
+	// The climb keeps no visit set: the next Refine builds one anew from
+	// the boundary lists, which the climb's moves keep.
 	ks.tracking = false
+	if !ks.listed {
+		ks.listBoundary(r.part, r.k)
+	}
 	for pass := 0; pass < passes && ctx.Err() == nil; pass++ {
 		r.climbed.passes++
 		if ks.climbPass(r.g, r.part, r.k, ks.caps, &r.climbed) == 0 {
@@ -138,11 +145,8 @@ func (ks *kwayScratch) climbPass(g *graph.Graph, part []int32, k int, caps []int
 			ks.climbRekey(g, part, caps, u, bound)
 		}
 		if crossFrom || crossTo {
-			for u := int32(0); u < int32(n); u++ {
-				if p := part[u]; crossFrom && p == from || crossTo && p == m.to {
-					ks.climbRekey(g, part, caps, u, bound)
-				}
-			}
+			st.crossings++
+			ks.rekeyCrossed(g, part, caps, from, m.to, crossFrom, crossTo, bound)
 		}
 		over += m.dOver
 		gain += m.gain
@@ -159,6 +163,27 @@ func (ks *kwayScratch) climbPass(g *graph.Graph, part []int32, k int, caps []int
 	st.tried += len(ks.cmoves)
 	st.kept += bestAt
 	return bestAt
+}
+
+// rekeyCrossed re-keys, in ascending id, the boundary vertices of from
+// when crossFrom and of to when crossTo: the parts a move took across a cap.
+// A vertex of those parts without a row is left alone; it is not queued,
+// and any event that gives it a row re-keys it, resetting its state, before
+// a key of it is read.
+func (ks *kwayScratch) rekeyCrossed(g *graph.Graph, part []int32, caps []int64, from, to int32, crossFrom, crossTo bool, bound int32) {
+	rk := ks.crossed[:0]
+	for _, p := range [2]int32{from, to} {
+		if p == from && crossFrom || p == to && crossTo {
+			for v := ks.bhead[p]; v >= 0; v = ks.bnext[v] {
+				rk = append(rk, v)
+			}
+		}
+	}
+	slices.Sort(rk)
+	for _, v := range rk {
+		ks.climbRekey(g, part, caps, v, bound)
+	}
+	ks.crossed = rk
 }
 
 // climbRekey brings v's queue entry up to date after an event that may have

@@ -72,9 +72,12 @@ type kwayScratch struct {
 
 	// The greedy scan's visit set (refine_kway.go): while tracking, visit
 	// holds a bit for every vertex cannotMove does not rule out under the
-	// caps vcaps and the bias vbias, and bhead/bnext/bprev list each part's
-	// vertices with a row (bprev[v] unlisted: none). begin clears tracking.
+	// caps vcaps and the bias vbias. While listed, bhead/bnext/bprev list
+	// each part's vertices with a row (bprev[v] unlisted: none); tracking
+	// implies listed, and the climb keeps the lists without the set. begin
+	// clears both.
 	tracking bool
+	listed   bool
 	vcaps    []int64
 	vbias    moveBias
 	visit    []uint64
@@ -87,10 +90,11 @@ type kwayScratch struct {
 	chunkCands [][]greedyMove
 
 	// The climb's bucket queue over the boundary, each vertex's state in the
-	// pass, and the pass's move log (climb.go).
-	cb     gainBuckets
-	cstate []climbState
-	cmoves []climbStep
+	// pass, the pass's move log, and the re-key buffer (climb.go).
+	cb      gainBuckets
+	cstate  []climbState
+	cmoves  []climbStep
+	crossed []int32 // the boundary a cap crossing re-keys
 
 	// Test-only hooks, nil otherwise: onCommit is called after every greedy
 	// sub-pass, onGreedyMove with every greedy move just before it is
@@ -198,7 +202,7 @@ func (ks *kwayScratch) begin(g *graph.Graph, part []int32, k int) {
 		ks.layRow(g, part, v)
 	}
 	ks.prune = !anyNegative(g.VWgt) && !anyNegative(g.AdjWgt)
-	ks.tracking = false
+	ks.tracking, ks.listed = false, false
 }
 
 // anyNegative reports whether some weight in s is negative.
@@ -356,6 +360,8 @@ func (ks *kwayScratch) moveVertex(g *graph.Graph, part []int32, v, to int32) {
 	var fromCrosses, toCrosses bool
 	if ks.tracking {
 		fromCrosses, toCrosses = crossesCap(fw, wv, -1, ks.vcaps), crossesCap(tw, wv, 1, ks.vcaps)
+	}
+	if ks.listed {
 		ks.unlist(part, v)
 	}
 	for c := 0; c < ncon; c++ {
@@ -379,13 +385,15 @@ func (ks *kwayScratch) moveVertex(g *graph.Graph, part []int32, v, to int32) {
 			ks.disconnect(u, from, w)
 			ks.connect(g, u, to, w)
 		}
-		if ks.tracking {
+		if ks.listed {
 			ks.revisit(g, part, u)
 		}
 	}
 	ks.scanRow(g, part, v)
-	if ks.tracking {
+	if ks.listed {
 		ks.revisit(g, part, v)
+	}
+	if ks.tracking {
 		if fromCrosses {
 			ks.revisitPart(g, part, from)
 		}

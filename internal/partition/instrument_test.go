@@ -141,8 +141,9 @@ func checkGreedyCounters(t *testing.T, sp obs.SpanRecord) {
 }
 
 // checkClimbCounters checks the climb counters of a k-way refinement span
-// (PolishRB, DirectKWay): at least one pass ran, and every kept or
-// rolled-back move was tried.
+// (PolishRB, DirectKWay): at least one pass ran, every kept or
+// rolled-back move was tried, and no more moves crossed a cap than were
+// tried.
 func checkClimbCounters(t *testing.T, sp obs.SpanRecord) {
 	t.Helper()
 	val := func(key string) int64 {
@@ -153,8 +154,9 @@ func checkClimbCounters(t *testing.T, sp obs.SpanRecord) {
 		return v
 	}
 	passes, tried, kept, rolled := val("climb_passes"), val("climb_tried"), val("climb_kept"), val("climb_rolled_back")
-	if passes < 1 || kept < 0 || rolled < 0 || kept+rolled != tried {
-		t.Errorf("implausible counters climb_passes=%d tried=%d kept=%d rolled_back=%d", passes, tried, kept, rolled)
+	crossings := val("climb_crossings")
+	if passes < 1 || kept < 0 || rolled < 0 || kept+rolled != tried || crossings < 0 || crossings > tried {
+		t.Errorf("implausible counters climb_passes=%d tried=%d kept=%d rolled_back=%d crossings=%d", passes, tried, kept, rolled, crossings)
 	}
 }
 

@@ -203,7 +203,7 @@ func (r *Refiner) TableBuilds() int { return r.builds }
 // Close returns the arena to its pool.
 func (r *Refiner) Close() {
 	ks := r.ks
-	ks.tracking, ks.vbias = false, moveBias{} // do not pin the caller's arrays
+	ks.tracking, ks.listed, ks.vbias = false, false, moveBias{} // do not pin the caller's arrays
 	*r = Refiner{}
 	putKwayScratch(ks)
 }
@@ -459,8 +459,8 @@ func (ks *kwayScratch) cannotMove(g *graph.Graph, part []int32, bias moveBias, v
 // over-cap constraints again (markOver) and re-evaluates every boundary
 // vertex of that part. Per-part boundary lists (bhead, bnext, bprev) name
 // those vertices without a scan. A bias change rebuilds the set from the
-// lists (track); the climb, which does not scan, drops the set and pays one
-// flag test for it in moveVertex.
+// lists (track); the climb, which does not scan, drops the set but keeps
+// the lists, from which it re-keys a part that crosses a cap.
 
 // unlisted marks bprev[v] of a vertex on no boundary list.
 const unlisted = -2
@@ -478,27 +478,35 @@ func (ks *kwayScratch) track(g *graph.Graph, part []int32, k int, caps []int64, 
 	n := len(part)
 	ks.vcaps = append(ks.vcaps[:0], caps...)
 	ks.vbias = bias
-	if !ks.tracking {
-		ks.bhead = growI32(ks.bhead, k)
-		for p := range ks.bhead {
-			ks.bhead[p] = -1
-		}
-		ks.bnext = growI32(ks.bnext, n)
-		ks.bprev = growI32(ks.bprev, n)
-		for v := int32(n) - 1; v >= 0; v-- {
-			ks.bprev[v] = unlisted
-			if ks.rowN[v] > 0 {
-				ks.list(part, v)
-			}
-		}
-		ks.tracking = true
+	if !ks.listed {
+		ks.listBoundary(part, k)
 	}
+	ks.tracking = true
 	ks.markOver(k, caps)
 	ks.visit = growU64(ks.visit, (n+63)/64)
 	clear(ks.visit)
 	for p := int32(0); p < int32(k); p++ {
 		ks.revisitPart(g, part, p)
 	}
+}
+
+// listBoundary builds every part's boundary list of (part, k) from the
+// table's rows.
+func (ks *kwayScratch) listBoundary(part []int32, k int) {
+	n := len(part)
+	ks.bhead = growI32(ks.bhead, k)
+	for p := range ks.bhead {
+		ks.bhead[p] = -1
+	}
+	ks.bnext = growI32(ks.bnext, n)
+	ks.bprev = growI32(ks.bprev, n)
+	for v := int32(n) - 1; v >= 0; v-- {
+		ks.bprev[v] = unlisted
+		if ks.rowN[v] > 0 {
+			ks.list(part, v)
+		}
+	}
+	ks.listed = true
 }
 
 // list puts v at the head of its part's boundary list.
@@ -529,18 +537,22 @@ func (ks *kwayScratch) unlist(part []int32, v int32) {
 	ks.bprev[v] = unlisted
 }
 
-// revisit brings v's list entry and visit bit up to date with its row and
-// part.
+// revisit brings v's list entry, and its visit bit while tracking, up to
+// date with its row and part.
 func (ks *kwayScratch) revisit(g *graph.Graph, part []int32, v int32) {
 	if ks.rowN[v] == 0 {
 		ks.unlist(part, v)
-		ks.mark(v, false)
+		if ks.tracking {
+			ks.mark(v, false)
+		}
 		return
 	}
 	if ks.bprev[v] == unlisted {
 		ks.list(part, v)
 	}
-	ks.mark(v, !ks.cannotMove(g, part, ks.vbias, v))
+	if ks.tracking {
+		ks.mark(v, !ks.cannotMove(g, part, ks.vbias, v))
+	}
 }
 
 // revisitPart re-evaluates every boundary vertex of part p.
