@@ -67,12 +67,10 @@ func (s climbStats) annotate(span obs.Span) {
 // counters.
 func (r *Refiner) Climb(ctx context.Context, passes int) {
 	ks := r.ks
-	// The climb keeps no visit set: the next Refine builds one anew from
-	// the boundary lists, which the climb's moves keep.
-	ks.tracking = false
-	if !ks.listed {
-		ks.listBoundary(r.part, r.k)
-	}
+	// The climb keeps no visit set, and no boundary lists until a move
+	// crosses a cap: a climb that crosses none pays nothing for them. The
+	// next Refine builds both anew.
+	ks.tracking, ks.listed = false, false
 	for pass := 0; pass < passes && ctx.Err() == nil; pass++ {
 		r.climbed.passes++
 		if ks.climbPass(r.g, r.part, r.k, ks.caps, &r.climbed) == 0 {
@@ -146,6 +144,9 @@ func (ks *kwayScratch) climbPass(g *graph.Graph, part []int32, k int, caps []int
 		}
 		if crossFrom || crossTo {
 			st.crossings++
+			if !ks.listed {
+				ks.listBoundary(part, k)
+			}
 			ks.rekeyCrossed(g, part, caps, from, m.to, crossFrom, crossTo, bound)
 		}
 		over += m.dOver

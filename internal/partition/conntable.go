@@ -74,8 +74,8 @@ type kwayScratch struct {
 	// holds a bit for every vertex cannotMove does not rule out under the
 	// caps vcaps and the bias vbias. While listed, bhead/bnext/bprev list
 	// each part's vertices with a row (bprev[v] unlisted: none); tracking
-	// implies listed, and the climb keeps the lists without the set. begin
-	// clears both.
+	// implies listed, and the climb keeps the lists, from its first cap
+	// crossing on, without the set. begin clears both.
 	tracking bool
 	listed   bool
 	vcaps    []int64

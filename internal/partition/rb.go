@@ -161,8 +161,8 @@ func bisectNode(ctx context.Context, g *graph.Graph, t SubtreeTask, opt Options,
 // is the identity [0..n). It defers materializing the n-word vertex buffer
 // until after bisectGraph returns: the buffer is dead weight during the
 // root's coarsening. That is not the partition's peak: measured peaks are
-// 2.74× the CSR bytes at Parallelism 1 and 4.4–4.7× at 4, where concurrent
-// subtrees each hold a subgraph and a hierarchy.
+// 2.86× the CSR bytes at Parallelism 1 and 5.00× at 4 (ROADMAP item 3),
+// where concurrent subtrees each hold a subgraph and a hierarchy.
 // Filling the buffer afterwards by stable-partitioning the identity over
 // `where` produces exactly the bytes bisectNode's in-place partition would,
 // so the children — and the final partition — are byte-identical.

@@ -459,8 +459,9 @@ func (ks *kwayScratch) cannotMove(g *graph.Graph, part []int32, bias moveBias, v
 // over-cap constraints again (markOver) and re-evaluates every boundary
 // vertex of that part. Per-part boundary lists (bhead, bnext, bprev) name
 // those vertices without a scan. A bias change rebuilds the set from the
-// lists (track); the climb, which does not scan, drops the set but keeps
-// the lists, from which it re-keys a part that crosses a cap.
+// lists (track); the climb, which does not scan, drops both, and builds
+// and keeps the lists from its first cap crossing on to re-key the parts
+// that cross.
 
 // unlisted marks bprev[v] of a vertex on no boundary list.
 const unlisted = -2
