@@ -65,7 +65,7 @@ func cpfRows() []cpfRow {
 }
 
 // cpfGraphs caches the pinned rows' task graphs across -count repetitions.
-var cpfGraphs sync.Map // "k/strategy" → *taskgraph.TaskGraph
+var cpfGraphs sync.Map // "mesh@scale/kK/strategy" → *taskgraph.TaskGraph
 
 // cpfGraph returns the task graph of r's partition.
 func cpfGraph(t *testing.T, m func() *mesh.Mesh, r cpfRow) *taskgraph.TaskGraph {
@@ -183,14 +183,15 @@ func TestGoldenCPFRuns(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	if rows := cpfRows(); len(rows) != len(want) {
+	rows := cpfRows()
+	if len(rows) != len(want) {
 		t.Fatalf("golden file has %d rows, the configuration list %d (regenerate with -update)", len(want), len(rows))
 	}
 	for i, w := range want {
 		cfg := w
 		cfg.Makespan, cfg.CommVolume, cfg.Spans, cfg.Trace = 0, 0, 0, ""
-		if cfg != cpfRows()[i] {
-			t.Fatalf("golden row %d is %v, the configuration list has %v (regenerate with -update)", i, cfg, cpfRows()[i])
+		if cfg != rows[i] {
+			t.Fatalf("golden row %d is %v, the configuration list has %v (regenerate with -update)", i, cfg, rows[i])
 		}
 		if got := run(cfg); got != w {
 			t.Errorf("%v: got makespan %d, comm volume %d, %d spans, trace %s; pinned %d, %d, %d, %s",

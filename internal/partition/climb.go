@@ -143,11 +143,26 @@ func (ks *kwayScratch) climbPass(g *graph.Graph, part []int32, k int, caps []int
 			ks.climbRekey(g, part, caps, u, bound)
 		}
 		if crossFrom || crossTo {
+			// Re-key the crossed parts' boundary in ascending id. A vertex
+			// of those parts without a row is left alone: it is not queued,
+			// and any event that gives it a row re-keys it, resetting its
+			// state, before a key of it is read.
 			st.crossings++
 			if !ks.listed {
 				ks.listBoundary(part, k)
 			}
-			ks.rekeyCrossed(g, part, caps, from, m.to, crossFrom, crossTo, bound)
+			rk := ks.crossed[:0]
+			if crossFrom {
+				rk = ks.appendBoundary(rk, from)
+			}
+			if crossTo {
+				rk = ks.appendBoundary(rk, m.to)
+			}
+			slices.Sort(rk)
+			for _, u := range rk {
+				ks.climbRekey(g, part, caps, u, bound)
+			}
+			ks.crossed = rk
 		}
 		over += m.dOver
 		gain += m.gain
@@ -164,27 +179,6 @@ func (ks *kwayScratch) climbPass(g *graph.Graph, part []int32, k int, caps []int
 	st.tried += len(ks.cmoves)
 	st.kept += bestAt
 	return bestAt
-}
-
-// rekeyCrossed re-keys, in ascending id, the boundary vertices of from
-// when crossFrom and of to when crossTo: the parts a move took across a cap.
-// A vertex of those parts without a row is left alone; it is not queued,
-// and any event that gives it a row re-keys it, resetting its state, before
-// a key of it is read.
-func (ks *kwayScratch) rekeyCrossed(g *graph.Graph, part []int32, caps []int64, from, to int32, crossFrom, crossTo bool, bound int32) {
-	rk := ks.crossed[:0]
-	for _, p := range [2]int32{from, to} {
-		if p == from && crossFrom || p == to && crossTo {
-			for v := ks.bhead[p]; v >= 0; v = ks.bnext[v] {
-				rk = append(rk, v)
-			}
-		}
-	}
-	slices.Sort(rk)
-	for _, v := range rk {
-		ks.climbRekey(g, part, caps, v, bound)
-	}
-	ks.crossed = rk
 }
 
 // climbRekey brings v's queue entry up to date after an event that may have

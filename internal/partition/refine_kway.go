@@ -510,6 +510,14 @@ func (ks *kwayScratch) listBoundary(part []int32, k int) {
 	ks.listed = true
 }
 
+// appendBoundary appends part p's boundary list to dst.
+func (ks *kwayScratch) appendBoundary(dst []int32, p int32) []int32 {
+	for v := ks.bhead[p]; v >= 0; v = ks.bnext[v] {
+		dst = append(dst, v)
+	}
+	return dst
+}
+
 // list puts v at the head of its part's boundary list.
 func (ks *kwayScratch) list(part []int32, v int32) {
 	p := part[v]
